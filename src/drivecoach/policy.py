@@ -1,11 +1,10 @@
-"""Attention-fused actor-critic network and its training losses.
+"""Teacher-fused actor-critic network and its training losses.
 
 Two encoders read the same flattened observation: a student branch and a
-teacher branch. Multi-head attention queries the student embedding against
-the teacher embedding (a single key/value slot per head), the heads are
-concatenated, projected back down, and added to the student embedding as a
-residual. Policy, action-value, and state-value heads read the fused vector;
-two auxiliary heads read the raw teacher embedding so that demonstration
+teacher branch. Each fusion head projects the teacher embedding; the heads
+are concatenated, projected back down, and added to the student embedding as
+a residual. Policy, action-value, and state-value heads read the fused
+vector. One demonstration head reads the raw teacher embedding, so that
 distillation trains the teacher branch without steering the student heads
 directly.
 """
@@ -65,17 +64,16 @@ class PolicyOutput:
     v: Tensor  # (B, 1) state value
     teacher_pi_hat: Tensor  # (B, 5) demonstration head on the teacher branch
     log_teacher_pi_hat: Tensor  # (B, 5)
-    teacher_q_hat: Tensor  # (B, 5) action-value head on the teacher branch
-    attention: list  # per head: (B, 1) weights over the single teacher slot
 
 
 class FusionPolicyNet:
-    """Actor-critic with a teacher branch fused in through attention.
+    """Actor-critic with a teacher branch fused in as a residual.
 
-    With use_fusion False the residual fusion is skipped and every head that
-    drives behaviour reads the student embedding alone; the teacher branch
-    parameters still exist (keeping checkpoints shape-stable) but cannot
-    influence actions.
+    h = h_s + concat_i(h_t @ attn{i}.wv) @ attn_out.w, where h_s and h_t are
+    the student and teacher embeddings. With use_fusion False the fusion is
+    skipped and every head that drives behaviour reads h_s alone; the teacher
+    branch parameters still exist (keeping checkpoints shape-stable) but
+    cannot influence actions.
     """
 
     def __init__(self, input_dim: int, seed: int = 0, use_fusion: bool = True):
@@ -87,18 +85,23 @@ class FusionPolicyNet:
             self._linear(rng, f"{enc}.w1", f"{enc}.b1", self.input_dim, EMBED_DIM)
             self._linear(rng, f"{enc}.w2", f"{enc}.b2", EMBED_DIM, EMBED_DIM)
         self._linear(rng, "teacher_pi.w", "teacher_pi.b", EMBED_DIM, ACTION_DIM)
-        self._linear(rng, "teacher_q.w", "teacher_q.b", EMBED_DIM, ACTION_DIM)
+        # Draws for weights earlier versions of the net held (a teacher-branch
+        # action-value head, per-head query and key projections) are kept and
+        # discarded: every remaining weight then starts byte-identical, so run
+        # artifacts do not change, and neither does throughput, which depends
+        # on how long the policy's episodes run.
+        _glorot(rng, EMBED_DIM, ACTION_DIM)
         for i in range(N_HEADS):
-            for proj in ("wq", "wk", "wv"):
-                self._weight(rng, f"attn{i}.{proj}", EMBED_DIM, EMBED_DIM)
+            _glorot(rng, EMBED_DIM, EMBED_DIM)
+            _glorot(rng, EMBED_DIM, EMBED_DIM)
+            self._weight(rng, f"attn{i}.wv", EMBED_DIM, EMBED_DIM)
         self._weight(rng, "attn_out.w", N_HEADS * EMBED_DIM, EMBED_DIM)
         self._linear(rng, "pi.w", "pi.b", EMBED_DIM, ACTION_DIM)
         self._linear(rng, "q.w", "q.b", EMBED_DIM, ACTION_DIM)
         self._linear(rng, "v.w", "v.b", EMBED_DIM, 1)
 
     def _weight(self, rng, name, fan_in, fan_out):
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        self.params.add(name, rng.uniform(-limit, limit, size=(fan_in, fan_out)))
+        self.params.add(name, _glorot(rng, fan_in, fan_out))
 
     def _linear(self, rng, w_name, b_name, fan_in, fan_out):
         self._weight(rng, w_name, fan_in, fan_out)
@@ -125,21 +128,9 @@ class FusionPolicyNet:
         teacher_logits = add(matmul(h_t, p["teacher_pi.w"]), p["teacher_pi.b"])
         teacher_pi_hat = softmax(teacher_logits)
         log_teacher_pi_hat = log_softmax(teacher_logits)
-        teacher_q_hat = add(matmul(h_t, p["teacher_q.w"]), p["teacher_q.b"])
 
-        heads = []
-        alphas = []
-        for i in range(N_HEADS):
-            q = matmul(h_s, p[f"attn{i}.wq"])
-            k = matmul(h_t, p[f"attn{i}.wk"])
-            v = matmul(h_t, p[f"attn{i}.wv"])
-            score = scale(tsum(mul(q, k), axis=-1, keepdims=True), 1.0 / math.sqrt(EMBED_DIM))
-            # one teacher slot, so the weight is identically 1; kept in softmax
-            # form so the output contract (rows sum to 1) is explicit
-            alpha = softmax(score)
-            alphas.append(alpha)
-            heads.append(mul(alpha, v))
         if self.use_fusion:
+            heads = [matmul(h_t, p[f"attn{i}.wv"]) for i in range(N_HEADS)]
             fused = matmul(concat(heads, axis=-1), p["attn_out.w"])
             h = add(fused, h_s)
         else:
@@ -153,8 +144,6 @@ class FusionPolicyNet:
             v=add(matmul(h, p["v.w"]), p["v.b"]),
             teacher_pi_hat=teacher_pi_hat,
             log_teacher_pi_hat=log_teacher_pi_hat,
-            teacher_q_hat=teacher_q_hat,
-            attention=alphas,
         )
 
     def act(self, obs, rng: np.random.Generator | None = None, greedy: bool = False):
@@ -176,7 +165,7 @@ class FusionPolicyNet:
     def architecture_id(self) -> str:
         """Identity string stored in checkpoints to reject mismatched loads."""
         return (
-            f"fusion-v1:in{self.input_dim}:embed{EMBED_DIM}"
+            f"fusion-v2:in{self.input_dim}:embed{EMBED_DIM}"
             f":heads{N_HEADS}:act{ACTION_DIM}:fused{int(self.use_fusion)}"
         )
 
@@ -187,10 +176,19 @@ class FusionPolicyNet:
         self.params.load_state_dict(state)
 
 
-def teacher_distribution(action: int) -> np.ndarray:
-    """Smoothed one-hot over actions for a teacher demonstration."""
-    d = np.full(ACTION_DIM, (1.0 - TEACHER_CONFIDENCE) / (ACTION_DIM - 1))
-    d[int(action)] = TEACHER_CONFIDENCE
+def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+
+def teacher_distribution(action) -> np.ndarray:
+    """Smoothed one-hot over actions for a teacher demonstration.
+
+    An array of actions gives one row per entry.
+    """
+    a = np.asarray(action, dtype=np.int64)
+    d = np.full(a.shape + (ACTION_DIM,), (1.0 - TEACHER_CONFIDENCE) / (ACTION_DIM - 1))
+    np.put_along_axis(d, a[..., None], TEACHER_CONFIDENCE, axis=-1)
     return d
 
 
@@ -259,12 +257,31 @@ def kl_penalty(kl, sigma: float, lam: float):
     return float(lam) * h * h
 
 
-def distill_loss(log_teacher_pi_hat: Tensor, actions) -> Tensor:
-    """Mean negative log-likelihood of demonstrated actions; empty set is 0."""
-    acts = np.asarray(actions, dtype=np.int64)
-    if acts.size == 0:
-        return Tensor(np.asarray(0.0))
-    return neg(tmean(gather(log_teacher_pi_hat, acts)))
+def guidance_losses(pi: Tensor, log_teacher_pi_hat: Tensor, teacher_actions,
+                    sigma: float, kl_weight: float) -> tuple:
+    """KL hinge and distillation over the teacher-labeled rows of a batch.
+
+    teacher_actions holds -1 where the teacher gave no label. Returns
+    (kl penalty, distillation, mean raw KL): the hinge on KL(student ||
+    smoothed teacher) and the negative log-likelihood of the demonstrated
+    action under the demonstration head, each averaged over labeled rows.
+    A batch with no labels gives zeros.
+    """
+    acts = np.asarray(teacher_actions, dtype=np.int64)
+    mask = acts >= 0
+    n_labeled = int(mask.sum())
+    if not n_labeled:
+        return Tensor(np.asarray(0.0)), Tensor(np.asarray(0.0)), 0.0
+    maskf = mask.astype(np.float64)
+    demo = np.where(mask, acts, 0)
+    pi_teacher = np.where(mask[:, None], teacher_distribution(demo), 0.0)
+    kl_vec = kl_to_teacher(pi, pi_teacher)
+    penalty = kl_penalty(kl_vec, sigma, kl_weight)
+    kl_pen = scale(tsum(mul(penalty, Tensor(maskf))), 1.0 / n_labeled)
+    kl_value = float((kl_vec.data * maskf).sum() / n_labeled)
+    nll = neg(gather(log_teacher_pi_hat, demo))
+    distill = scale(tsum(mul(nll, Tensor(maskf[:, None]))), 1.0 / n_labeled)
+    return kl_pen, distill, kl_value
 
 
 def entropy_bonus(pi: Tensor, log_pi: Tensor) -> Tensor:

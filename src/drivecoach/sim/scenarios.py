@@ -171,9 +171,6 @@ class Geometry:
     ego_lane_count: int  # lanes the ego may target via lane changes
     ego_route: Route | None  # curved reference path (intersection only)
 
-    def lane_center_y(self, index: int) -> float:
-        return -LANE_WIDTH * index
-
 
 def build_geometry(kind: str) -> Geometry:
     if kind == "merge":

@@ -123,8 +123,9 @@ def build_telemetry(state, assessment) -> Telemetry:
 
 
 def gap_is_safe(telemetry: Telemetry) -> bool:
-    need_ahead = GAP_BASE + GAP_PER_SPEED * telemetry.speed
-    need_behind = GAP_BASE + GAP_PER_SPEED * telemetry.follower_speed
+    speed, lead, follower = telemetry.speed, telemetry.lead_speed, telemetry.follower_speed
+    need_ahead = GAP_BASE + GAP_HEADWAY * speed + GAP_CLOSING * max(0.0, speed - lead)
+    need_behind = GAP_BASE + GAP_HEADWAY * follower + GAP_CLOSING * max(0.0, follower - speed)
     return telemetry.gap_lead >= need_ahead and telemetry.gap_follow >= need_behind
 
 

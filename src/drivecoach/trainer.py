@@ -26,27 +26,18 @@ from .errors import ConfigError, UsageError
 from .nn import (
     AdamState,
     CheckpointError,
-    Tensor,
     adam_step,
     add,
-    gather,
     load_checkpoint,
-    mul,
-    neg,
     save_checkpoint,
-    scale,
-    tsum,
 )
 from .policy import (
-    ACTION_DIM,
     FusionPolicyNet,
     LossReport,
     entropy_bonus,
-    kl_penalty,
-    kl_to_teacher,
+    guidance_losses,
     ppo_policy_loss,
     q_value_loss,
-    teacher_distribution,
     total_loss,
     value_loss,
     value_targets,
@@ -207,7 +198,6 @@ class RolloutBuffer:
         self.values = np.zeros(capacity)
         self.dones = np.zeros(capacity, dtype=bool)
         self.teacher_actions = np.full(capacity, -1, dtype=np.int64)  # -1: unlabeled
-        self.teacher_pi = np.zeros((capacity, ACTION_DIM))
         self.step_ids = np.zeros(capacity, dtype=np.int64)
         self.n = 0
 
@@ -230,7 +220,6 @@ class RolloutBuffer:
         self.step_ids[i] = int(step_id)
         if teacher_action is not None:
             self.teacher_actions[i] = int(teacher_action)
-            self.teacher_pi[i] = teacher_distribution(int(teacher_action))
         self.n += 1
 
     def clear(self) -> None:
@@ -467,21 +456,8 @@ class Trainer:
         value = add(value_loss(out.v, targets_all[idx]),
                     q_value_loss(out.q_values, actions, targets_all[idx]))
         ent = entropy_bonus(out.pi, out.log_pi)
-        mask = buf.teacher_actions[idx] >= 0
-        n_labeled = int(mask.sum())
-        if n_labeled:
-            maskf = mask.astype(np.float64)
-            kl_vec = kl_to_teacher(out.pi, buf.teacher_pi[idx])
-            penalty = kl_penalty(kl_vec, sigma, cfg.kl_weight)
-            kl_pen = scale(tsum(mul(penalty, Tensor(maskf))), 1.0 / n_labeled)
-            kl_value = float((kl_vec.data * maskf).sum() / n_labeled)
-            demo = np.where(mask, buf.teacher_actions[idx], 0)
-            nll = neg(gather(out.log_teacher_pi_hat, demo))
-            distill = scale(tsum(mul(nll, Tensor(maskf[:, None]))), 1.0 / n_labeled)
-        else:
-            kl_pen = Tensor(np.asarray(0.0))
-            distill = Tensor(np.asarray(0.0))
-            kl_value = 0.0
+        kl_pen, distill, kl_value = guidance_losses(
+            out.pi, out.log_teacher_pi_hat, buf.teacher_actions[idx], sigma, cfg.kl_weight)
         total, report = total_loss(policy, value, distill, kl_pen, ent, kl_value,
                                    c_v=cfg.value_coef, c_d=cfg.distill_coef,
                                    c_e=cfg.entropy_coef)
@@ -600,7 +576,6 @@ class Trainer:
         arrays["buffer.values"] = buf.values
         arrays["buffer.dones"] = buf.dones.astype(np.float64)
         arrays["buffer.teacher_actions"] = buf.teacher_actions.astype(np.float64)
-        arrays["buffer.teacher_pi"] = buf.teacher_pi
         arrays["buffer.step_ids"] = buf.step_ids.astype(np.float64)
         if self._ep.z_list:
             arrays["episode.z"] = np.stack(self._ep.z_list)
@@ -659,7 +634,6 @@ class Trainer:
         buf.values[:] = arrays["buffer.values"]
         buf.dones[:] = arrays["buffer.dones"].astype(bool)
         buf.teacher_actions[:] = arrays["buffer.teacher_actions"].astype(np.int64)
-        buf.teacher_pi[:] = arrays["buffer.teacher_pi"]
         buf.step_ids[:] = arrays["buffer.step_ids"].astype(np.int64)
         buf.n = int(meta["buffer_n"])
         trainer.global_step = int(meta["global_step"])

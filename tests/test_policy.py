@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from drivecoach.errors import UsageError
-from drivecoach.nn import Tensor, ShapeError
+from drivecoach.sim.engine import FLAT_OBS_DIM
+from drivecoach.nn import Tensor, ShapeError, add
 from drivecoach.policy import (
     ACTION_DIM,
-    EMBED_DIM,
     FusionPolicyNet,
     LossReport,
-    distill_loss,
     entropy_bonus,
+    guidance_losses,
     kl_penalty,
     kl_to_teacher,
     ppo_policy_loss,
@@ -33,7 +33,7 @@ IN_DIM = 42
 
 
 def reference_forward(weights: dict, x: np.ndarray):
-    """Straight-line forward pass: encoders, attention fusion, heads."""
+    """Straight-line forward pass: encoders, residual fusion, heads."""
 
     def mlp(prefix):
         h = np.tanh(x @ weights[f"{prefix}.w1"] + weights[f"{prefix}.b1"])
@@ -47,25 +47,15 @@ def reference_forward(weights: dict, x: np.ndarray):
     h_s = mlp("f_s")
     h_t = mlp("f_t")
     teacher_pi = soft(h_t @ weights["teacher_pi.w"] + weights["teacher_pi.b"])
-    teacher_q = h_t @ weights["teacher_q.w"] + weights["teacher_q.b"]
 
-    heads = []
-    alphas = []
-    for i in range(2):
-        q = h_s @ weights[f"attn{i}.wq"]
-        k = h_t @ weights[f"attn{i}.wk"]
-        v = h_t @ weights[f"attn{i}.wv"]
-        score = (q * k).sum(axis=-1, keepdims=True) / math.sqrt(EMBED_DIM)
-        alpha = soft(score)  # one key position: always 1.0
-        alphas.append(alpha)
-        heads.append(alpha * v)
+    heads = [h_t @ weights[f"attn{i}.wv"] for i in range(2)]
     fused = np.concatenate(heads, axis=-1) @ weights["attn_out.w"]
     h = fused + h_s
 
     pi = soft(h @ weights["pi.w"] + weights["pi.b"])
     q_values = h @ weights["q.w"] + weights["q.b"]
     v_out = h @ weights["v.w"] + weights["v.b"]
-    return pi, q_values, v_out, teacher_pi, teacher_q, alphas
+    return pi, q_values, v_out, teacher_pi
 
 
 def batch_obs(rng, n=4):
@@ -83,7 +73,6 @@ class TestForward:
         np.testing.assert_allclose(out.q_values.data, ref[1], atol=1e-10)
         np.testing.assert_allclose(out.v.data, ref[2], atol=1e-10)
         np.testing.assert_allclose(out.teacher_pi_hat.data, ref[3], atol=1e-10)
-        np.testing.assert_allclose(out.teacher_q_hat.data, ref[4], atol=1e-10)
 
     def test_output_invariants(self):
         rng = np.random.default_rng(3)
@@ -92,13 +81,10 @@ class TestForward:
         assert out.pi.data.shape == (5, ACTION_DIM)
         assert out.q_values.data.shape == (5, ACTION_DIM)
         assert out.teacher_pi_hat.data.shape == (5, ACTION_DIM)
-        assert out.teacher_q_hat.data.shape == (5, ACTION_DIM)
         assert out.v.data.shape == (5, 1)
         np.testing.assert_allclose(out.pi.data.sum(axis=-1), 1.0, atol=1e-9)
         np.testing.assert_allclose(out.teacher_pi_hat.data.sum(axis=-1), 1.0, atol=1e-9)
-        for alpha in out.attention:
-            np.testing.assert_allclose(alpha.data.sum(axis=-1), 1.0, atol=1e-9)
-        for field in (out.pi, out.q_values, out.v, out.teacher_pi_hat, out.teacher_q_hat):
+        for field in (out.pi, out.q_values, out.v, out.teacher_pi_hat):
             assert np.all(np.isfinite(field.data))
 
     def test_deterministic(self):
@@ -142,6 +128,12 @@ class TestForward:
         assert np.array_equal(before.pi.data, after.pi.data)
         assert np.array_equal(before.q_values.data, after.q_values.data)
         assert np.array_equal(before.v.data, after.v.data)
+
+    def test_parameter_inventory(self):
+        net = FusionPolicyNet(FLAT_OBS_DIM, seed=0)
+        assert len(net.params) == 19
+        assert sum(p.data.size for _, p in net.params.items()) == 111_632
+        assert net.architecture_id().startswith("fusion-v2:")
 
     def test_wrong_input_dimension_rejected(self):
         net = FusionPolicyNet(IN_DIM, seed=0)
@@ -296,6 +288,17 @@ class TestKl:
         assert d.sum() == pytest.approx(1.0)
         assert d[3] == pytest.approx(0.9)
         assert d[0] == pytest.approx(0.025)
+        rows = teacher_distribution(np.array([4, 0, 3]))
+        assert rows.shape == (3, ACTION_DIM)
+        assert np.array_equal(rows[2], d)
+
+
+def distill_of(log_teacher_pi_hat, teacher_actions) -> float:
+    """The distillation term of guidance_losses for a given head output."""
+    log_p = np.asarray(log_teacher_pi_hat, dtype=np.float64)
+    _, distill, _ = guidance_losses(Tensor(np.exp(log_p)), Tensor(log_p),
+                                    teacher_actions, sigma=1.0, kl_weight=10.0)
+    return float(distill.data)
 
 
 class TestDistill:
@@ -303,25 +306,51 @@ class TestDistill:
         log_pi = np.log(np.full((3, ACTION_DIM), 1e-12))
         log_pi[np.arange(3), [1, 1, 2]] = 0.0  # prob 1 on the demo action
         actions = np.array([1, 1, 2])
-        assert float(distill_loss(Tensor(log_pi), actions).data) == pytest.approx(0.0)
+        assert distill_of(log_pi, actions) == pytest.approx(0.0)
 
     def test_uniform_head_log5(self):
         log_pi = np.log(np.full((4, ACTION_DIM), 0.2))
         actions = np.array([0, 1, 2, 3])
-        got = float(distill_loss(Tensor(log_pi), actions).data)
-        assert got == pytest.approx(math.log(5.0), abs=1e-12)
+        assert distill_of(log_pi, actions) == pytest.approx(math.log(5.0), abs=1e-12)
 
     def test_mixed_batch_mean_nll(self):
         probs = np.array([[0.5, 0.2, 0.1, 0.1, 0.1],
                           [0.1, 0.6, 0.1, 0.1, 0.1]])
         actions = np.array([0, 1])
         want = -(math.log(0.5) + math.log(0.6)) / 2.0
-        got = float(distill_loss(Tensor(np.log(probs)), actions).data)
-        assert got == pytest.approx(want, abs=1e-12)
+        assert distill_of(np.log(probs), actions) == pytest.approx(want, abs=1e-12)
 
     def test_empty_demo_set_is_zero(self):
-        out = distill_loss(Tensor(np.zeros((0, ACTION_DIM))), np.zeros(0, dtype=int))
-        assert float(out.data) == 0.0
+        assert distill_of(np.zeros((0, ACTION_DIM)), np.zeros(0, dtype=int)) == 0.0
+        kl_pen, distill, kl_value = guidance_losses(
+            Tensor(np.full((2, ACTION_DIM), 0.2)), Tensor(np.zeros((2, ACTION_DIM))),
+            np.array([-1, -1]), sigma=0.1, kl_weight=10.0)
+        assert float(kl_pen.data) == 0.0 and float(distill.data) == 0.0 and kl_value == 0.0
+
+    def test_unlabeled_rows_contribute_nothing(self):
+        rng = np.random.default_rng(40)
+        logits = rng.normal(size=(5, ACTION_DIM))
+        pi = np.exp(logits) / np.exp(logits).sum(axis=-1, keepdims=True)
+        log_t = np.log(np.full((5, ACTION_DIM), 0.2)) + rng.normal(scale=0.1, size=(5, ACTION_DIM))
+        acts = np.array([3, -1, 0, -1, 4])
+        keep = acts >= 0
+        mixed = guidance_losses(Tensor(pi), Tensor(log_t), acts, sigma=0.01, kl_weight=10.0)
+        labeled = guidance_losses(Tensor(pi[keep]), Tensor(log_t[keep]), acts[keep],
+                                  sigma=0.01, kl_weight=10.0)
+        assert float(mixed[0].data) == pytest.approx(float(labeled[0].data), abs=1e-12)
+        assert float(mixed[1].data) == pytest.approx(float(labeled[1].data), abs=1e-12)
+        assert mixed[2] == pytest.approx(labeled[2], abs=1e-12)
+
+    def test_kl_uses_smoothed_teacher_rows(self):
+        pi = np.array([[0.7, 0.1, 0.1, 0.05, 0.05],
+                       [0.2, 0.2, 0.2, 0.2, 0.2]])
+        acts = np.array([0, 2])
+        want = kl_to_teacher(Tensor(pi), np.stack([teacher_distribution(a) for a in acts]))
+        kl_pen, _, kl_value = guidance_losses(Tensor(pi), Tensor(np.log(pi)), acts,
+                                              sigma=0.1, kl_weight=10.0)
+        assert kl_value == pytest.approx(float(want.data.mean()), abs=1e-12)
+        hinge = np.maximum(want.data - 0.1, 0.0)
+        assert float(kl_pen.data) == pytest.approx(10.0 * float(np.mean(hinge ** 2)), abs=1e-12)
 
 
 class TestTotalLoss:
@@ -383,7 +412,7 @@ class TestGradients:
                               c_v=0.5, c_d=0.0, c_e=0.01)
         net.params.zero_grad()
         total.backward()
-        for name in ("teacher_pi.w", "teacher_pi.b", "teacher_q.w", "teacher_q.b"):
+        for name in ("teacher_pi.w", "teacher_pi.b"):
             grad = net.params[name].grad
             assert grad is None or np.all(grad == 0.0)
         # while the shared encoder path does train
@@ -395,7 +424,8 @@ class TestGradients:
         net = FusionPolicyNet(IN_DIM, seed=23)
         x = batch_obs(rng, 4)
         out = net.forward(x)
-        loss = distill_loss(out.log_teacher_pi_hat, np.array([0, 1, 2, 3]))
+        _, loss, _ = guidance_losses(out.pi, out.log_teacher_pi_hat, np.array([0, 1, 2, 3]),
+                                     sigma=0.1, kl_weight=10.0)
         net.params.zero_grad()
         loss.backward()
         assert np.any(net.params["teacher_pi.w"].grad != 0.0)
@@ -412,28 +442,24 @@ class TestGradients:
         actions = np.array([0, 1, 2, 3])
         adv = rng.normal(size=4)
         targets = rng.normal(size=4)
-        teacher_pi = np.stack([teacher_distribution(a) for a in actions])
 
         def objective():
             out = net.forward(x)
             old_logp = np.log(np.full(4, 0.2))
             policy = ppo_policy_loss(out.log_pi, actions, old_logp, adv, 0.2)
             value = value_loss(out.v, targets)
-            kl = kl_to_teacher(out.pi, teacher_pi)
-            pen = kl_penalty(kl, sigma=0.05, lam=10.0)
-            from drivecoach.nn import tmean
-
-            distill = distill_loss(out.log_teacher_pi_hat, actions)
+            kl_pen, distill, _ = guidance_losses(out.pi, out.log_teacher_pi_hat, actions,
+                                                 sigma=0.05, kl_weight=10.0)
             ent = entropy_bonus(out.pi, out.log_pi)
             return total_loss(policy_loss=policy, value=value, distill=distill,
-                              kl_pen=tmean(pen), entropy=ent, kl_value=0.0,
+                              kl_pen=kl_pen, entropy=ent, kl_value=0.0,
                               c_v=0.5, c_d=1.0, c_e=0.01)[0]
 
         total = objective()
         net.params.zero_grad()
         total.backward()
 
-        for name in ("f_s.w1", "f_t.w2", "attn0.wq", "attn1.wv", "attn_out.w",
+        for name in ("f_s.w1", "f_t.w2", "attn0.wv", "attn1.wv", "attn_out.w",
                      "pi.w", "v.w", "teacher_pi.w", "q.w"):
             param = net.params[name]
             flat_idx = rng.integers(param.data.size, size=3)
@@ -449,3 +475,25 @@ class TestGradients:
                 numeric = (up - down) / (2 * eps)
                 analytic = param.grad[ij] if param.grad is not None else 0.0
                 assert numeric == pytest.approx(analytic, abs=1e-5), name
+
+    def test_every_parameter_trains_under_full_objective(self):
+        """A labeled batch reaches every weight: none is stored but never trained."""
+        rng = np.random.default_rng(32)
+        net = FusionPolicyNet(IN_DIM, seed=33)
+        x = batch_obs(rng, 8)
+        actions = rng.integers(ACTION_DIM, size=8)
+        teacher_actions = rng.integers(ACTION_DIM, size=8)
+        out = net.forward(x)
+        old_logp = np.log(np.full(8, 0.2))
+        targets = rng.normal(size=8)
+        policy = ppo_policy_loss(out.log_pi, actions, old_logp, rng.normal(size=8), 0.2)
+        value = add(value_loss(out.v, targets), q_value_loss(out.q_values, actions, targets))
+        kl_pen, distill, kl_value = guidance_losses(out.pi, out.log_teacher_pi_hat,
+                                                    teacher_actions, sigma=0.01, kl_weight=10.0)
+        ent = entropy_bonus(out.pi, out.log_pi)
+        total, _ = total_loss(policy, value, distill, kl_pen, ent, kl_value)
+        net.params.zero_grad()
+        total.backward()
+        dead = [name for name, p in net.params.items()
+                if p.grad is None or not np.any(p.grad != 0.0)]
+        assert dead == []

@@ -310,6 +310,25 @@ class TestScriptedDecide:
                             gap_follow=40.0, follower_speed=20.0)
         assert scripted_decide(t) is Maneuver.Cruise
 
+    # need ahead = 2.5 m + 0.3 s * speed + 1.0 s * max(0, speed - lead speed)
+    # need behind = 2.5 m + 0.3 s * follower speed + 1.0 s * max(0, follower speed - speed)
+    @pytest.mark.parametrize("lead_speed,gap_lead,follower_speed,gap_follow,safe", [
+        (15.0, 13.4, 20.0, 40.0, False),  # closing on the lead: needs 13.5 m ahead
+        (15.0, 13.6, 20.0, 40.0, True),
+        (25.0, 8.4, 20.0, 40.0, False),  # lead pulling away: headway alone, 8.5 m
+        (25.0, 8.6, 20.0, 40.0, True),
+        (20.0, 40.0, 25.0, 14.9, False),  # follower closing: needs 15.0 m behind
+        (20.0, 40.0, 25.0, 15.1, True),
+        (20.0, 40.0, 10.0, 5.4, False),  # slower follower: headway alone, 5.5 m
+        (20.0, 40.0, 10.0, 5.6, True),
+    ])
+    def test_gap_threshold_hand_computed(self, lead_speed, gap_lead, follower_speed,
+                                         gap_follow, safe):
+        t = plain_telemetry(scenario_kind="merge", speed=20.0, desired_speed=25.0,
+                            lane=2, goal_lane=1, gap_lead=gap_lead, lead_speed=lead_speed,
+                            gap_follow=gap_follow, follower_speed=follower_speed)
+        assert scripted_decide(t) is (Maneuver.TurnLeft if safe else Maneuver.Cruise)
+
     def test_constraint_vetoes_pick(self):
         t = plain_telemetry(speed=12.5, desired_speed=25.0, tau_min=5.0)
         rule = ConstraintRule("highway", Maneuver.SpeedUp, {"tau_min_lt": 6.0})

@@ -8,7 +8,6 @@ import pytest
 
 from drivecoach.errors import ConfigError, UsageError
 from drivecoach.nn import CheckpointError, load_checkpoint, save_checkpoint
-from drivecoach.policy import teacher_distribution
 from drivecoach.sim.scenarios import ScenarioConfig
 from drivecoach.teacher import ScriptedBackend, TeacherAgent
 from drivecoach.trainer import (
@@ -128,7 +127,6 @@ class TestRolloutBuffer:
                 done=False, next_obs=np.zeros(3), step_id=1)
         assert buf.teacher_actions[0] == 2
         assert buf.teacher_actions[1] == -1
-        np.testing.assert_allclose(buf.teacher_pi[0], teacher_distribution(2))
 
     def test_clear_resets_labels(self):
         buf = RolloutBuffer(1, 3)
@@ -413,6 +411,19 @@ class TestCheckpointResume:
         ckpt = tmp_path / "checkpoint_step50.dckp"
         arrays, meta = load_checkpoint(str(ckpt))
         meta["architecture"] = "fusion-v1:in7:embed8:heads1:act5:fused0"
+        doctored = tmp_path / "doctored.dckp"
+        save_checkpoint(str(doctored), arrays, meta)
+        with pytest.raises(CheckpointError, match="architecture"):
+            Trainer.resume(doctored)
+
+    def test_previous_architecture_version_rejected(self, tmp_path):
+        cfg = small_cfg(variant="V-PPO")
+        tr = Trainer(merge_scenario(), cfg, out_dir=tmp_path)
+        tr.run(stop_after_step=50)
+        ckpt = tmp_path / "checkpoint_step50.dckp"
+        arrays, meta = load_checkpoint(str(ckpt))
+        assert meta["architecture"].startswith("fusion-v2:")
+        meta["architecture"] = meta["architecture"].replace("fusion-v2:", "fusion-v1:")
         doctored = tmp_path / "doctored.dckp"
         save_checkpoint(str(doctored), arrays, meta)
         with pytest.raises(CheckpointError, match="architecture"):
