@@ -114,7 +114,7 @@ class ScenarioState:
     def from_state_dict(cls, d: dict) -> "ScenarioState":
         config = ScenarioConfig.from_dict(d["config"])
         kind = config.kind
-        return cls(
+        state = cls(
             config=config,
             geometry=build_geometry(kind),
             ego=VehicleState.from_dict(d["ego"], kind),
@@ -125,6 +125,10 @@ class ScenarioState:
             done=d["done"],
             last_events=set(d["last_events"]),
         )
+        # a state file may come from outside the program: derive each lane
+        # from the positions rather than trust the recorded one
+        _refresh_lanes(state)
+        return state
 
 
 def reset(config: ScenarioConfig, seed: int | None = None):
@@ -152,57 +156,53 @@ def nearest_lane_index(state: ScenarioState, veh: VehicleState) -> int:
     return best.index
 
 
+def _refresh_lanes(state: ScenarioState) -> None:
+    """Set every vehicle's `lane` to the lane whose centerline is nearest.
+
+    Invariant: `veh.lane == nearest_lane_index(state, veh)` for every vehicle
+    whenever a lane query runs, so the queries read `veh.lane` and this is the
+    only caller of `nearest_lane_index`. `spawn` gives each vehicle the lane
+    nearest its spawn point; `step` calls this after every substep, since
+    only the substep's integration moves vehicles; and
+    `ScenarioState.from_state_dict` calls it on states read from outside the
+    program.
+    """
+    for veh in state.vehicles:
+        veh.lane = nearest_lane_index(state, veh)
+
+
 def _lane_member(state: ScenarioState, veh: VehicleState, lane_index: int) -> bool:
     lane = state.geometry.lanes[lane_index]
     if abs(wrap_angle(veh.heading - lane.heading)) > math.pi / 4:
         return False
-    return nearest_lane_index(state, veh) == lane_index
+    return veh.lane == lane_index
 
 
-def _leader_in_lane(state: ScenarioState, veh: VehicleState, lane_index: int):
-    """Closest vehicle ahead of `veh` along the lane, and the bumper gap."""
+def lane_neighbors(state: ScenarioState, veh: VehicleState, lane_index: int):
+    """Closest vehicles ahead of and behind `veh` along a lane, in one scan.
+
+    Returns (leader, gap_lead, follower, gap_follow) with bumper gaps; an
+    empty slot is None with an infinite gap. A candidate counts when its
+    heading is within pi/4 of the lane's and its stored `lane` is
+    `lane_index`, which the `_refresh_lanes` invariant keeps geometric. A
+    vehicle exactly abeam (ds = 0) is neither leader nor follower, and among
+    equally distant ones the first in `state.vehicles` wins.
+    """
     lane = state.geometry.lanes[lane_index]
     s0 = lane.along(veh.x, veh.y)
-    best, best_ds = None, math.inf
+    leader = follower = None
+    lead_ds = follow_ds = math.inf
     for other in state.vehicles:
         if other.id == veh.id or not _lane_member(state, other, lane_index):
             continue
         ds = lane.along(other.x, other.y) - s0
-        if 0.0 < ds < best_ds:
-            best, best_ds = other, ds
-    if best is None:
-        return None, math.inf
-    return best, best_ds - (veh.length + best.length) / 2.0
-
-
-def _follower_in_lane(state: ScenarioState, veh: VehicleState, lane_index: int):
-    lane = state.geometry.lanes[lane_index]
-    s0 = lane.along(veh.x, veh.y)
-    best, best_ds = None, math.inf
-    for other in state.vehicles:
-        if other.id == veh.id or not _lane_member(state, other, lane_index):
-            continue
-        ds = s0 - lane.along(other.x, other.y)
-        if 0.0 < ds < best_ds:
-            best, best_ds = other, ds
-    if best is None:
-        return None, math.inf
-    return best, best_ds - (veh.length + best.length) / 2.0
-
-
-def lane_gaps(state: ScenarioState, lane_index: int, veh: VehicleState | None = None):
-    """Bumper gaps and speeds around `veh` (default ego) in the given lane.
-
-    Returns (gap_lead, lead_speed, gap_follow, follower_speed); gaps are +inf
-    and speeds 0 when the slot is empty.
-    """
-    veh = state.ego if veh is None else veh
-    lead, gap_lead = _leader_in_lane(state, veh, lane_index)
-    follower, gap_follow = _follower_in_lane(state, veh, lane_index)
-    return (
-        gap_lead, lead.speed if lead is not None else 0.0,
-        gap_follow, follower.speed if follower is not None else 0.0,
-    )
+        if 0.0 < ds < lead_ds:
+            leader, lead_ds = other, ds
+        elif 0.0 < -ds < follow_ds:
+            follower, follow_ds = other, -ds
+    gap_lead = math.inf if leader is None else lead_ds - (veh.length + leader.length) / 2.0
+    gap_follow = math.inf if follower is None else follow_ds - (veh.length + follower.length) / 2.0
+    return leader, gap_lead, follower, gap_follow
 
 
 # --- controllers ------------------------------------------------------------
@@ -269,9 +269,9 @@ def _background_control(state: ScenarioState, veh: VehicleState):
     emergency_on_ego = False
     accel = math.inf
     for lane_index in {veh.lane, veh.target_lane}:
-        leader, gap = _leader_in_lane(state, veh, lane_index)
-        a, flagged = idm_accel_flagged(gap if leader else math.inf, veh.speed,
-                                       leader.speed if leader else 0.0, veh.profile)
+        leader, gap, _, _ = lane_neighbors(state, veh, lane_index)
+        a, flagged = idm_accel_flagged(gap, veh.speed, leader.speed if leader else 0.0,
+                                       veh.profile)
         accel = min(accel, a)
         if flagged and leader is not None and leader.is_ego:
             emergency_on_ego = True
@@ -307,10 +307,9 @@ def _bg_lane_change_pass(state: ScenarioState) -> None:
         lane = state.geometry.lanes[veh.lane]
         if veh.target_lane != veh.lane or abs(lane.lateral(veh.x, veh.y)) > 0.5:
             continue  # mid-change; settle first
-        lead, gap = _leader_in_lane(state, veh, veh.lane)
-        a_before, _ = idm_accel_flagged(gap if lead else math.inf, veh.speed,
-                                        lead.speed if lead else 0.0, veh.profile)
-        old_f, old_f_gap = _follower_in_lane(state, veh, veh.lane)
+        lead, gap, old_f, old_f_gap = lane_neighbors(state, veh, veh.lane)
+        a_before, _ = idm_accel_flagged(gap, veh.speed, lead.speed if lead else 0.0,
+                                        veh.profile)
         for cand in (veh.lane - 1, veh.lane + 1):
             if not 0 <= cand <= max_lane:
                 continue
@@ -319,13 +318,12 @@ def _bg_lane_change_pass(state: ScenarioState) -> None:
 
 
 def _try_lane_change(state, veh, cand, cur_lead, a_before, old_f, old_f_gap) -> bool:
-    new_lead, new_lead_gap = _leader_in_lane(state, veh, cand)
-    a_after, _ = idm_accel_flagged(new_lead_gap if new_lead else math.inf, veh.speed,
+    new_lead, new_lead_gap, new_f, new_f_gap = lane_neighbors(state, veh, cand)
+    a_after, _ = idm_accel_flagged(new_lead_gap, veh.speed,
                                    new_lead.speed if new_lead else 0.0, veh.profile)
-    new_f, new_f_gap = _follower_in_lane(state, veh, cand)
     if new_f is not None:
-        nf_lead, nf_gap = _leader_in_lane(state, new_f, cand)
-        a_nf_before, _ = idm_accel_flagged(nf_gap if nf_lead else math.inf, new_f.speed,
+        nf_lead, nf_gap, _, _ = lane_neighbors(state, new_f, cand)
+        a_nf_before, _ = idm_accel_flagged(nf_gap, new_f.speed,
                                            nf_lead.speed if nf_lead else 0.0, new_f.profile)
         a_nf_after, _ = idm_accel_flagged(new_f_gap, new_f.speed, veh.speed, new_f.profile)
     else:
@@ -428,8 +426,7 @@ def step(state: ScenarioState, maneuver: Maneuver,
             controls.append((veh, accel, steer))
         for veh, accel, steer in controls:
             _integrate(veh, accel, steer, dt)
-        for veh in state.vehicles:
-            veh.lane = nearest_lane_index(state, veh)
+        _refresh_lanes(state)
         for veh in state.background:
             d = math.hypot(veh.x - state.ego.x, veh.y - state.ego.y)
             min_distance = min(min_distance, d)

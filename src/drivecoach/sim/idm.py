@@ -37,10 +37,6 @@ def idm_accel_flagged(
     return max(-EMERGENCY_DECEL, min(profile.max_accel, a)), a <= -EMERGENCY_DECEL
 
 
-def idm_accel(gap: float, v: float, v_lead: float, profile: DriverProfile) -> float:
-    return idm_accel_flagged(gap, v, v_lead, profile)[0]
-
-
 def mobil_accepts(
     a_self_before: float,
     a_self_after: float,

@@ -22,7 +22,6 @@ from .memory import (
     MemoryRepository,
     cosine_similarity,
     retrieve,
-    update_memory,
 )
 from .prompts import (
     MAX_PROMPT_TOKENS,

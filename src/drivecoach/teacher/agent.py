@@ -22,7 +22,7 @@ from ..sim.engine import observe
 from ..sim.vehicles import TOKEN_TO_MANEUVER, Maneuver
 from .backends import BackendError, ChatBackend
 from .constraints import ConstraintRule
-from .memory import MemoryEntry, MemoryRepository, retrieve, update_memory
+from .memory import MemoryEntry, MemoryRepository, retrieve
 from .prompts import (
     N_SHOT,
     FlaggedSegment,
@@ -170,7 +170,7 @@ class TeacherAgent:
                        outcome: str, episode_return: float, lesson: str = "") -> None:
         entry = MemoryEntry(z=z, scenario_kind=scenario_kind, action=action,
                             outcome=outcome, episode_return=episode_return, lesson=lesson)
-        update_memory(self.memory, entry)
+        self.memory.add(entry)
 
     def run_reflection(self, flagged: list[FlaggedSegment]) -> ReflectionOutcome:
         if not flagged:

@@ -133,8 +133,3 @@ def retrieve(z: np.ndarray, memory: MemoryRepository, k: int) -> list[tuple[Memo
     ]
     scored.sort(key=lambda item: (-item[0], -item[1]))
     return [(entry, sim) for sim, _index, entry in scored[:k]]
-
-
-def update_memory(memory: MemoryRepository, entry: MemoryEntry) -> MemoryRepository:
-    memory.add(entry)
-    return memory

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..sim.engine import lane_gaps
+from ..sim.engine import lane_neighbors
 from ..sim.scenarios import MERGE_RAMP_END, MERGE_RAMP_LANE
 from ..sim.vehicles import Maneuver, wrap_angle
 from .constraints import ConstraintRule
@@ -133,7 +133,7 @@ def build_telemetry(state, assessment) -> Telemetry:
     ego = state.ego
     goal = goal_lane_for(state)
     probe_lane = goal if goal is not None else ego.lane
-    gap_lead, lead_speed, gap_follow, follower_speed = lane_gaps(state, probe_lane)
+    lead, gap_lead, follower, gap_follow = lane_neighbors(state, ego, probe_lane)
     return Telemetry(
         scenario_kind=state.config.kind,
         speed=ego.speed,
@@ -143,9 +143,9 @@ def build_telemetry(state, assessment) -> Telemetry:
         tau_min=assessment.tau_min,
         conflict_ahead=_conflict_ahead(state, assessment),
         gap_lead=gap_lead,
-        lead_speed=lead_speed,
+        lead_speed=lead.speed if lead is not None else 0.0,
         gap_follow=gap_follow,
-        follower_speed=follower_speed,
+        follower_speed=follower.speed if follower is not None else 0.0,
         ramp_left=ramp_left_for(state),
     )
 

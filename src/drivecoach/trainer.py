@@ -287,7 +287,6 @@ class Trainer:
             self.teacher = None
         use_fusion = train.variant != "V-PPO"
         self.policy = FusionPolicyNet(FLAT_OBS_DIM, seed=train.seed, use_fusion=use_fusion)
-        self.target = FusionPolicyNet(FLAT_OBS_DIM, seed=train.seed, use_fusion=use_fusion)
         self.adam = AdamState.for_params(self.policy.params)
         self.rng = np.random.default_rng(train.seed)
         self.env = TrafficEnv(scenario, self.risk_params)
@@ -434,8 +433,7 @@ class Trainer:
         t_mid = float(np.mean(self.buffer.step_ids[:n]))
         eps_clip = clip_schedule(t_mid, cfg)
         sigma = sigma_schedule(t_mid, cfg)
-        self.target.load_state_dict(self.policy.state_dict())
-        next_values = self.target.forward(self.buffer.next_obs[:n]).v.data[:, 0]
+        next_values = self.policy.forward(self.buffer.next_obs[:n]).v.data[:, 0]
         buf = self.buffer
         targets = value_targets(buf.rewards[:n], next_values, buf.dones[:n], cfg.gamma,
                                 truncated=buf.truncated[:n])

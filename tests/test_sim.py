@@ -1,5 +1,5 @@
 """Simulator tests: profiles, spawning, car-following, stepping, observations,
-rewards, events, and serialization."""
+rewards, events, serialization, and lane bookkeeping."""
 
 from __future__ import annotations
 
@@ -19,14 +19,15 @@ from drivecoach.sim import (
     ScenarioState,
     TrafficEnv,
     VehicleState,
-    idm_accel,
     idm_accel_flagged,
     make_profile,
     observe,
     rects_overlap,
     reset,
     step,
+    wrap_angle,
 )
+from drivecoach.sim.engine import lane_neighbors, nearest_lane_index
 from drivecoach.sim.engine import reward as reward_fn
 
 
@@ -131,18 +132,18 @@ class TestSpawn:
 class TestIdm:
     def test_equilibrium_at_desired_speed(self):
         p = make_profile("standard", "highway")
-        assert idm_accel(math.inf, p.desired_speed, 0.0, p) == pytest.approx(0.0)
+        assert idm_accel_flagged(math.inf, p.desired_speed, 0.0, p)[0] == pytest.approx(0.0)
 
     def test_free_road_start(self):
         p = make_profile("standard", "highway")
-        assert idm_accel(math.inf, 0.0, 0.0, p) == pytest.approx(p.max_accel)
+        assert idm_accel_flagged(math.inf, 0.0, 0.0, p)[0] == pytest.approx(p.max_accel)
 
     def test_following_at_twice_desired_gap_brakes(self):
         # at v == desired the free term vanishes, leaving the gap term negative
         p = make_profile("conservative", "merge")  # desired 20
         v = v_lead = 20.0
         s_star = p.min_gap + v * p.time_headway
-        a = idm_accel(2.0 * s_star, v, v_lead, p)
+        a = idm_accel_flagged(2.0 * s_star, v, v_lead, p)[0]
         expected = p.max_accel * (1.0 - (v / p.desired_speed) ** 4 - 0.25)
         assert a == pytest.approx(expected)
         assert a < 0.0
@@ -165,7 +166,7 @@ class TestIdm:
             )
             raw = p.max_accel * (1.0 - (v / p.desired_speed) ** 4 - (s_star / gap) ** 2)
             expected = max(-EMERGENCY_DECEL, min(p.max_accel, raw))
-            assert idm_accel(gap, v, v_lead, p) == pytest.approx(expected)
+            assert idm_accel_flagged(gap, v, v_lead, p)[0] == pytest.approx(expected)
 
 
 class TestStep:
@@ -422,3 +423,98 @@ class TestSerialization:
         assert obs.flat().shape == (FLAT_OBS_DIM,)
         out = env.step(Maneuver.Cruise)
         assert isinstance(out.reward, float)
+
+
+MANEUVER_CYCLE = (Maneuver.SpeedUp, Maneuver.TurnLeft, Maneuver.Cruise,
+                  Maneuver.TurnRight, Maneuver.SlowDown, Maneuver.Cruise)
+
+
+def rollout_states(kind: str, n_background: int, seed: int):
+    """The state after reset and after every step of a fixed maneuver cycle."""
+    state, _ = reset(ScenarioConfig(kind=kind, n_background=n_background, seed=seed), seed=seed)
+    yield state
+    i = 0
+    while not state.done:
+        step(state, MANEUVER_CYCLE[i % len(MANEUVER_CYCLE)])
+        i += 1
+        yield state
+
+
+def reference_neighbors(state: ScenarioState, veh: VehicleState, lane_index: int):
+    """Leader and follower by two separate scans, each candidate's nearest lane
+    worked out again from its position; strict <, the first match wins."""
+    lane = state.geometry.lanes[lane_index]
+    s0 = lane.along(veh.x, veh.y)
+
+    def member(other):
+        if abs(wrap_angle(other.heading - lane.heading)) > math.pi / 4:
+            return False
+        return nearest_lane_index(state, other) == lane_index
+
+    def scan(distance):
+        best, best_ds = None, math.inf
+        for other in state.vehicles:
+            if other.id == veh.id or not member(other):
+                continue
+            ds = distance(lane.along(other.x, other.y))
+            if 0.0 < ds < best_ds:
+                best, best_ds = other, ds
+        if best is None:
+            return None, math.inf
+        return best, best_ds - (veh.length + best.length) / 2.0
+
+    leader, gap_lead = scan(lambda s: s - s0)
+    follower, gap_follow = scan(lambda s: s0 - s)
+    return leader, gap_lead, follower, gap_follow
+
+
+ROLLOUT_CASES = [(kind, n) for kind in ("merge", "highway", "intersection") for n in (5, 20)]
+
+
+class TestLaneBookkeeping:
+    @pytest.mark.parametrize("kind,n_background", ROLLOUT_CASES)
+    def test_stored_lane_is_nearest_lane(self, kind, n_background):
+        for seed in range(5):
+            for state in rollout_states(kind, n_background, seed):
+                for veh in state.vehicles:
+                    assert veh.lane == nearest_lane_index(state, veh), (seed, state.decision_step, veh.id)
+
+    def test_from_state_dict_derives_lane_from_position(self):
+        state, _ = reset(ScenarioConfig(kind="highway", n_background=5, seed=4), seed=4)
+        d = state.state_dict()
+        d["ego"]["lane"] = 0  # the ego spawns on lane 2 at y = -8
+        for v in d["background"]:
+            v["lane"] = (v["lane"] + 1) % 4
+        clone = ScenarioState.from_state_dict(d)
+        assert clone.ego.lane == 2
+        assert [v.lane for v in clone.background] == [v.lane for v in state.background]
+        for veh in clone.vehicles:
+            assert veh.lane == nearest_lane_index(clone, veh)
+
+    @pytest.mark.parametrize("kind,n_background", ROLLOUT_CASES)
+    def test_lane_neighbors_match_reference_scans(self, kind, n_background):
+        for seed in range(5):
+            for state in rollout_states(kind, n_background, seed):
+                for veh in state.vehicles:
+                    for lane in state.geometry.lanes:
+                        got = lane_neighbors(state, veh, lane.index)
+                        want = reference_neighbors(state, veh, lane.index)
+                        assert got[0] is want[0] and got[2] is want[2]
+                        assert got[1] == want[1] and got[3] == want[3]
+
+    def test_lane_neighbors_hand_built(self):
+        ego = plain_vehicle(0, 50.0, -4.0, 20.0, lane=1, is_ego=True)
+        leader = plain_vehicle(1, 72.0, -4.0, 18.0, lane=1)
+        follower = plain_vehicle(2, 35.0, -4.0, 22.0, lane=1)
+        abeam = plain_vehicle(3, 50.0, -3.0, 20.0, lane=1)  # ds = 0: neither
+        oncoming = plain_vehicle(4, 60.0, -4.0, 20.0, heading=math.pi, lane=1)
+        # as far along as the leader and the follower: the first listed wins
+        leader_twin = plain_vehicle(5, 72.0, -5.0, 18.0, lane=1)
+        follower_twin = plain_vehicle(6, 35.0, -3.0, 22.0, lane=1)
+        state = make_state("highway", ego, [leader, follower, abeam, oncoming,
+                                            leader_twin, follower_twin])
+        assert lane_neighbors(state, ego, 1) == (leader, 17.0, follower, 10.0)
+        assert lane_neighbors(state, ego, 1) == reference_neighbors(state, ego, 1)
+        # seen from the abeam car, the ego is likewise neither
+        assert lane_neighbors(state, abeam, 1) == (leader, 17.0, follower, 10.0)
+        assert lane_neighbors(state, ego, 3) == (None, math.inf, None, math.inf)

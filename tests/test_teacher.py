@@ -40,7 +40,6 @@ from drivecoach.teacher import (
     reflect,
     retrieve,
     scripted_decide,
-    update_memory,
 )
 from drivecoach.teacher.rules import MUST_MERGE_TIME
 from drivecoach.teacher.state import EGO_BLOCK, STATE_DIM, neighbor_position, neighbor_tau
@@ -188,7 +187,7 @@ class TestMemory:
         memory.add(entry_with(np.ones(STATE_DIM)))
         assert len(memory) == 1
         for i in range(25):
-            update_memory(memory, entry_with(np.ones(STATE_DIM), ret=float(i)))
+            memory.add(entry_with(np.ones(STATE_DIM), ret=float(i)))
         assert len(memory) == 20
 
     def test_eviction_targets_lowest_return_non_lesson(self):
