@@ -26,7 +26,7 @@ from .nn import CheckpointError
 from .sim.engine import ScenarioState, TrafficEnv
 from .sim.scenarios import SCENARIO_KINDS, ScenarioConfig
 from .sim.vehicles import MANEUVER_TOKENS
-from .trainer import METRICS_HEADER, VARIANTS, EvalReport, Trainer, metrics_row
+from .trainer import METRICS_HEADER, VARIANTS, EvalReport, Trainer, append_csv_row, metrics_row
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -143,13 +143,9 @@ def cmd_eval(args) -> int:
     print(_report_line(report))
     out = Path(args.out) if args.out else ckpt.parent
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "eval.csv"
-    new = not path.exists()
-    with open(path, "a") as f:
-        if new:
-            f.write(METRICS_HEADER + "\n")
-        f.write(metrics_row(report, trainer.cfg.variant, trainer.scenario.kind,
-                            trainer.cfg.seed) + "\n")
+    append_csv_row(out / "eval.csv", METRICS_HEADER,
+                   metrics_row(report, trainer.cfg.variant, trainer.scenario.kind,
+                               trainer.cfg.seed))
     return EXIT_OK
 
 

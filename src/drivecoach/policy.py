@@ -62,8 +62,7 @@ class PolicyOutput:
     log_pi: Tensor  # (B, 5) its log, computed stably for ratios and entropy
     q_values: Tensor  # (B, 5) action values from the fused embedding
     v: Tensor  # (B, 1) state value
-    teacher_pi_hat: Tensor  # (B, 5) demonstration head on the teacher branch
-    log_teacher_pi_hat: Tensor  # (B, 5)
+    log_teacher_pi_hat: Tensor  # (B, 5) log of the demonstration head on the teacher branch
 
 
 class FusionPolicyNet:
@@ -126,7 +125,6 @@ class FusionPolicyNet:
         h_t = self._encode(xt, "f_t")
 
         teacher_logits = add(matmul(h_t, p["teacher_pi.w"]), p["teacher_pi.b"])
-        teacher_pi_hat = softmax(teacher_logits)
         log_teacher_pi_hat = log_softmax(teacher_logits)
 
         if self.use_fusion:
@@ -142,7 +140,6 @@ class FusionPolicyNet:
             log_pi=log_softmax(logits),
             q_values=add(matmul(h, p["q.w"]), p["q.b"]),
             v=add(matmul(h, p["v.w"]), p["v.b"]),
-            teacher_pi_hat=teacher_pi_hat,
             log_teacher_pi_hat=log_teacher_pi_hat,
         )
 
@@ -244,30 +241,23 @@ def ppo_policy_loss(log_pi: Tensor, actions, logp_old, advantages, clip_range: f
     return neg(tmean(surrogate))
 
 
-def kl_to_teacher(pi_student: Tensor, pi_teacher) -> Tensor:
+def kl_to_teacher(pi_student: Tensor, pi_teacher: np.ndarray) -> Tensor:
     """KL(student || teacher), per sample for batched input.
 
     The teacher distribution is floored and renormalized so a hard one-hot
     cannot produce an infinite divergence; the student side is floored only
     at the log to guard exact zeros out of a saturated softmax.
     """
-    pt = np.asarray(
-        pi_teacher.data if isinstance(pi_teacher, Tensor) else pi_teacher,
-        dtype=np.float64,
-    )
-    pt = np.maximum(pt, TEACHER_PROB_FLOOR)
+    pt = np.maximum(np.asarray(pi_teacher, dtype=np.float64), TEACHER_PROB_FLOOR)
     pt = pt / pt.sum(axis=-1, keepdims=True)
     ps = clip(pi_student, STUDENT_PROB_FLOOR, 1.0)
     return tsum(mul(ps, sub(log(ps), Tensor(np.log(pt)))), axis=-1)
 
 
-def kl_penalty(kl, sigma: float, lam: float):
+def kl_penalty(kl: Tensor, sigma: float, lam: float) -> Tensor:
     """Quadratic hinge: zero up to the tolerance, lam * (kl - sigma)^2 above."""
-    if isinstance(kl, Tensor):
-        h = relu(sub(kl, Tensor(np.asarray(float(sigma)))))
-        return scale(mul(h, h), lam)
-    h = max(0.0, float(kl) - float(sigma))
-    return float(lam) * h * h
+    h = relu(sub(kl, Tensor(np.asarray(float(sigma)))))
+    return scale(mul(h, h), lam)
 
 
 def guidance_losses(pi: Tensor, log_teacher_pi_hat: Tensor, teacher_actions,

@@ -85,35 +85,13 @@ def risk_value(tau_min: float, infraction: bool, params: RiskParams) -> float:
 INFRACTION_EVENTS = frozenset({"collision", "off_road"})
 
 
-def risk(state, maneuver, events, params: RiskParams) -> float:
-    """Omega for taking `maneuver` in `state`.
-
-    Applies the maneuver hypothetically for one decision period (the episode is
-    not touched) and scores the resulting tau_min. `events` carries anything
-    already observed for this transition; the rollout's own events and any
-    emergency clamp forced onto a follower count as infractions too.
-    """
-    from .sim.engine import preview  # deferred, the engine imports this module
-
-    next_state, rollout_events, emergency = preview(state, maneuver)
-    assessment = assess(next_state, params)
-    infraction = bool(INFRACTION_EVENTS & (set(events) | rollout_events)) or emergency
-    return risk_value(assessment.tau_min, infraction, params)
-
-
-def flag_segments(episode: Sequence, params: RiskParams) -> list[tuple[int, int]]:
+def flag_segments(omegas: Sequence[float], params: RiskParams) -> list[tuple[int, int]]:
     """Maximal index ranges with omega >= delta, each padded by 2 leading steps.
 
-    `episode` holds one entry per decision step: either a precomputed omega or
-    a (state, maneuver, ...) transition tuple to score with risk(). Ranges are
-    inclusive [start, end] and are reported per run: pads may make neighboring
-    ranges touch or overlap, but runs are never merged.
+    `omegas` holds one risk value per decision step. Ranges are inclusive
+    [start, end] and are reported per run: pads may make neighboring ranges
+    touch or overlap, but runs are never merged.
     """
-    omegas = [
-        float(entry) if isinstance(entry, (int, float))
-        else risk(entry[0], entry[1], set(), params)
-        for entry in episode
-    ]
     ranges = []
     start = None
     for i, w in enumerate(omegas):

@@ -27,7 +27,6 @@ from .engine import (
     StepOutcome,
     TrafficEnv,
     observe,
-    preview,
     reset,
     reward,
     step,

@@ -497,26 +497,15 @@ def observe(state: ScenarioState) -> Observation:
     return Observation(ego=ego_block, neighbors=cols, neighbor_count=len(ids), neighbor_ids=ids)
 
 
-def preview(state: ScenarioState, maneuver: Maneuver,
-            risk_params: risk_engine.RiskParams | None = None):
-    """Advance a private copy one decision period; the real state is untouched.
-
-    Stepping is deterministic, so previewing a maneuver and then taking it
-    produce the same successor.
-    """
-    clone = ScenarioState.from_state_dict(state.state_dict())
-    clone.done = False  # allow previewing from a freshly terminal state copy
-    outcome = step(clone, maneuver, risk_params)
-    return clone, outcome.events, bool(outcome.info["emergency_ids"])
-
-
 def trace_record(state: ScenarioState, maneuver: Maneuver, outcome: StepOutcome) -> dict:
+    ego = state.ego.to_dict()
+    neighbors = [v.to_dict() for v in state.background]
     return {
         "t": state.decision_step,
-        "ego": {k: state.ego.to_dict()[k] for k in ("x", "y", "speed", "heading", "lane")},
+        "ego": {k: ego[k] for k in ("x", "y", "speed", "heading", "lane")},
         "neighbors": [
-            {k: v.to_dict()[k] for k in ("id", "x", "y", "speed", "heading", "lane")}
-            for v in state.background
+            {k: d[k] for k in ("id", "x", "y", "speed", "heading", "lane")}
+            for d in neighbors
         ],
         "maneuver": MANEUVER_TOKENS[maneuver],
         "reward": outcome.reward,
@@ -541,8 +530,3 @@ class TrafficEnv:
         if self.state is None:
             raise UsageError("step called before reset")
         return step(self.state, maneuver, self.risk_params)
-
-    def observe(self) -> Observation:
-        if self.state is None:
-            raise UsageError("observe called before reset")
-        return observe(self.state)

@@ -33,11 +33,6 @@ def encode_state(obs, assessment, horizon: float = 6.0) -> np.ndarray:
     return z
 
 
-def neighbor_position(z: np.ndarray, slot: int) -> tuple[float, float]:
-    base = EGO_BLOCK + 4 * slot
-    return float(z[base]), float(z[base + 1])
-
-
 def neighbor_tau(z: np.ndarray, slot: int) -> float:
     return float(z[EGO_BLOCK + 4 * N_NEIGHBOR_SLOTS + slot])
 

@@ -155,6 +155,15 @@ def metrics_row(report: "EvalReport", variant: str, scenario_kind: str, seed: in
     )
 
 
+def append_csv_row(path: Path, header: str, line: str) -> None:
+    """Append one row to a CSV file, writing the header first if the file is new."""
+    new = not path.exists()
+    with open(path, "a") as f:
+        if new:
+            f.write(header + "\n")
+        f.write(line + "\n")
+
+
 def gae_advantages(rewards, values, next_values, dones, gamma: float, lam: float,
                    truncated=None) -> np.ndarray:
     """Generalized advantage estimates over one stored trajectory segment.
@@ -190,6 +199,10 @@ class EvalReport:
 
 class RolloutBuffer:
     """Fixed-capacity transition store for one collect/update cycle."""
+
+    # every per-row array, in the order checkpoints store them
+    ARRAYS = ("obs", "next_obs", "actions", "logp", "rewards", "values", "dones",
+              "truncated", "teacher_actions", "step_ids")
 
     def __init__(self, capacity: int, obs_dim: int):
         if capacity < 1:
@@ -522,16 +535,10 @@ class Trainer:
     def _append_metrics(self, report: EvalReport) -> None:
         if self.out_dir is None:
             return
-        path = self.out_dir / "metrics.csv"
-        line = metrics_row(report, self.cfg.variant, self.scenario.kind, self.cfg.seed)
-        new = not path.exists()
-        with open(path, "a") as f:
-            if new:
-                f.write(METRICS_HEADER + "\n")
-            f.write(line + "\n")
+        append_csv_row(self.out_dir / "metrics.csv", METRICS_HEADER,
+                       metrics_row(report, self.cfg.variant, self.scenario.kind, self.cfg.seed))
 
     def _append_losses(self, reports: list[LossReport], eps_clip: float, sigma: float) -> None:
-        path = self.out_dir / "losses.csv"
         mean = lambda name: float(np.mean([getattr(r, name) for r in reports]))
         line = (
             f"{self.updates_done},{self.global_step},{mean('total'):.6f},"
@@ -540,11 +547,7 @@ class Trainer:
             f"{mean('kl_value'):.6f},{mean('entropy'):.6f},"
             f"{eps_clip:.6f},{sigma:.6f}"
         )
-        new = not path.exists()
-        with open(path, "a") as f:
-            if new:
-                f.write(LOSS_HEADER + "\n")
-            f.write(line + "\n")
+        append_csv_row(self.out_dir / "losses.csv", LOSS_HEADER, line)
 
     def _write_traces(self) -> None:
         """Greedy trajectories on the eval seed set, one JSON record per step."""
@@ -573,17 +576,8 @@ class Trainer:
         for name in self.adam.m:
             arrays[f"adam_m.{name}"] = self.adam.m[name]
             arrays[f"adam_v.{name}"] = self.adam.v[name]
-        buf = self.buffer
-        arrays["buffer.obs"] = buf.obs
-        arrays["buffer.next_obs"] = buf.next_obs
-        arrays["buffer.actions"] = buf.actions.astype(np.float64)
-        arrays["buffer.logp"] = buf.logp
-        arrays["buffer.rewards"] = buf.rewards
-        arrays["buffer.values"] = buf.values
-        arrays["buffer.dones"] = buf.dones.astype(np.float64)
-        arrays["buffer.truncated"] = buf.truncated.astype(np.float64)
-        arrays["buffer.teacher_actions"] = buf.teacher_actions.astype(np.float64)
-        arrays["buffer.step_ids"] = buf.step_ids.astype(np.float64)
+        for name in RolloutBuffer.ARRAYS:
+            arrays[f"buffer.{name}"] = getattr(self.buffer, name)
         if self._ep.z_list:
             arrays["episode.z"] = np.stack(self._ep.z_list)
         meta = {
@@ -591,19 +585,14 @@ class Trainer:
             "architecture": self.policy.architecture_id(),
             "train": asdict(self.cfg),
             "scenario": self.scenario.to_dict(),
-            "risk": {
-                "beta": self.risk_params.beta,
-                "delta": self.risk_params.delta,
-                "conflict_radius": self.risk_params.conflict_radius,
-                "horizon": self.risk_params.horizon,
-            },
+            "risk": asdict(self.risk_params),
             "global_step": self.global_step,
             "updates_done": self.updates_done,
             "evals_done": self.evals_done,
             "episode_index": self.episode_index,
             "buffer_n": self.buffer.n,
             "adam_step": self.adam.step,
-            "rng": _rng_to_meta(self.rng),
+            "rng": self.rng.bit_generator.state,
             "env": self.env.state.state_dict() if self.env.state is not None else None,
             "episode": self._ep.to_meta(),
             "teacher": self.teacher.state_dict() if self.teacher is not None else None,
@@ -632,18 +621,9 @@ class Trainer:
             trainer.adam.m[name] = adam_m[name].copy()
             trainer.adam.v[name] = adam_v[name].copy()
         trainer.adam.step = int(meta["adam_step"])
-        buf = trainer.buffer
-        buf.obs[:] = arrays["buffer.obs"]
-        buf.next_obs[:] = arrays["buffer.next_obs"]
-        buf.actions[:] = arrays["buffer.actions"].astype(np.int64)
-        buf.logp[:] = arrays["buffer.logp"]
-        buf.rewards[:] = arrays["buffer.rewards"]
-        buf.values[:] = arrays["buffer.values"]
-        buf.dones[:] = arrays["buffer.dones"].astype(bool)
-        buf.truncated[:] = arrays["buffer.truncated"].astype(bool)
-        buf.teacher_actions[:] = arrays["buffer.teacher_actions"].astype(np.int64)
-        buf.step_ids[:] = arrays["buffer.step_ids"].astype(np.int64)
-        buf.n = int(meta["buffer_n"])
+        for name in RolloutBuffer.ARRAYS:
+            getattr(trainer.buffer, name)[:] = arrays[f"buffer.{name}"]
+        trainer.buffer.n = int(meta["buffer_n"])
         trainer.global_step = int(meta["global_step"])
         trainer.updates_done = int(meta["updates_done"])
         trainer.evals_done = int(meta["evals_done"])
@@ -681,10 +661,6 @@ class Trainer:
                 self.save(self.out_dir / "checkpoint_final.dckp")
                 self._write_traces()
         return self.eval_reports
-
-
-def _rng_to_meta(rng: np.random.Generator) -> dict:
-    return rng.bit_generator.state
 
 
 def _strip(arrays: dict, prefix: str) -> dict:

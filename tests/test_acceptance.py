@@ -134,7 +134,7 @@ def test_equation_oracles():
             float(np.abs(out.pi.data - pi).max()),
             float(np.abs(out.q_values.data - q).max()),
             float(np.abs(out.v.data - v).max()),
-            float(np.abs(out.teacher_pi_hat.data - tpi).max()),
+            float(np.abs(np.exp(out.log_teacher_pi_hat.data) - tpi).max()),
         )
 
     # retrieval vs exhaustive cosine sort (ties have measure zero here)

@@ -72,7 +72,7 @@ class TestForward:
         np.testing.assert_allclose(out.pi.data, ref[0], atol=1e-10)
         np.testing.assert_allclose(out.q_values.data, ref[1], atol=1e-10)
         np.testing.assert_allclose(out.v.data, ref[2], atol=1e-10)
-        np.testing.assert_allclose(out.teacher_pi_hat.data, ref[3], atol=1e-10)
+        np.testing.assert_allclose(np.exp(out.log_teacher_pi_hat.data), ref[3], atol=1e-10)
 
     def test_output_invariants(self):
         rng = np.random.default_rng(3)
@@ -80,12 +80,13 @@ class TestForward:
         out = net.forward(batch_obs(rng, 5))
         assert out.pi.data.shape == (5, ACTION_DIM)
         assert out.q_values.data.shape == (5, ACTION_DIM)
-        assert out.teacher_pi_hat.data.shape == (5, ACTION_DIM)
+        assert out.log_teacher_pi_hat.data.shape == (5, ACTION_DIM)
         assert out.v.data.shape == (5, 1)
         np.testing.assert_allclose(out.pi.data.sum(axis=-1), 1.0, atol=1e-9)
-        np.testing.assert_allclose(out.teacher_pi_hat.data.sum(axis=-1), 1.0, atol=1e-9)
-        for field in (out.pi, out.q_values, out.v, out.teacher_pi_hat):
-            assert np.all(np.isfinite(field.data))
+        teacher_pi_hat = np.exp(out.log_teacher_pi_hat.data)
+        np.testing.assert_allclose(teacher_pi_hat.sum(axis=-1), 1.0, atol=1e-9)
+        for field in (out.pi.data, out.q_values.data, out.v.data, teacher_pi_hat):
+            assert np.all(np.isfinite(field))
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -278,11 +279,14 @@ class TestKl:
         assert math.isfinite(kl) and kl > 0
 
     def test_penalty_hinge(self):
-        assert kl_penalty(0.5, sigma=1.0, lam=10.0) == 0.0
-        assert kl_penalty(1.0, sigma=1.0, lam=10.0) == 0.0
-        assert kl_penalty(1.3, sigma=1.0, lam=10.0) == pytest.approx(10.0 * 0.09)
+        def pen(k):
+            return float(kl_penalty(Tensor(np.asarray(k)), 1.0, 10.0).data)
+
+        assert pen(0.5) == 0.0
+        assert pen(1.0) == 0.0
+        assert pen(1.3) == pytest.approx(10.0 * 0.09)
         # strictly increasing above sigma
-        grid = [kl_penalty(k, 1.0, 10.0) for k in (1.1, 1.5, 2.0, 3.0)]
+        grid = [pen(k) for k in (1.1, 1.5, 2.0, 3.0)]
         assert all(a < b for a, b in zip(grid, grid[1:]))
 
     def test_penalty_on_tensor(self):

@@ -14,11 +14,10 @@ from drivecoach.risk import (
     closest_approach,
     delta_ttcp_metric,
     flag_segments,
-    risk,
     risk_value,
     ttcp,
 )
-from drivecoach.sim import Maneuver, ScenarioConfig, VehicleState, make_profile, reset, step
+from drivecoach.sim import VehicleState, make_profile
 
 
 def grid_ttcp(p_a, v_a, p_b, v_b, params):
@@ -190,53 +189,6 @@ class TestRiskValue:
         v = risk_value(0.0, False, RiskParams())
         assert math.isfinite(v)
         assert v >= risk_value(0.01, False, RiskParams())
-
-
-class TestRiskOnStates:
-    def test_infraction_events_force_floor(self):
-        state, _ = reset(ScenarioConfig(kind="highway", n_background=0, seed=0), seed=0)
-        params = RiskParams()
-        assert risk(state, Maneuver.Cruise, {"collision"}, params) >= params.beta
-        assert risk(state, Maneuver.Cruise, {"off_road"}, params) >= params.beta
-        assert risk(state, Maneuver.Cruise, {"timeout"}, params) == 0.0
-
-    def test_hypothetical_rollout_matches_recorded_transition(self):
-        # the rollout inside risk() and a real step are the same deterministic
-        # dynamics, so Omega must equal the value recomputed from step() info
-        from drivecoach.risk import INFRACTION_EVENTS
-
-        cfg = ScenarioConfig(kind="merge", n_background=6, seed=19)
-        params = RiskParams()
-        state, _ = reset(cfg, seed=19)
-        step(state, Maneuver.Cruise)
-        for m in (Maneuver.SpeedUp, Maneuver.SlowDown, Maneuver.TurnLeft):
-            before = type(state).from_state_dict(state.state_dict())
-            omega = risk(before, m, set(), params)
-            replay = type(state).from_state_dict(state.state_dict())
-            out = step(replay, m)
-            infraction = bool(INFRACTION_EVENTS & out.events) or bool(out.info["emergency_ids"])
-            assert omega == pytest.approx(risk_value(out.info["tau_min"], infraction, params))
-
-    def test_episode_does_not_advance(self):
-        cfg = ScenarioConfig(kind="highway", n_background=4, seed=6)
-        state, _ = reset(cfg, seed=6)
-        frozen = state.state_dict()
-        risk(state, Maneuver.SpeedUp, set(), RiskParams())
-        assert state.state_dict() == frozen
-
-    def test_tuple_episode_entries_flag_like_scalars(self):
-        cfg = ScenarioConfig(kind="merge", n_background=5, seed=2)
-        params = RiskParams()
-        state, _ = reset(cfg, seed=2)
-        episode = []
-        for m in [Maneuver.Cruise, Maneuver.SpeedUp, Maneuver.Cruise, Maneuver.SlowDown]:
-            if state.done:
-                break
-            pre = type(state).from_state_dict(state.state_dict())
-            step(state, m)
-            episode.append((pre, m))
-        omegas = [risk(s, m, set(), params) for s, m in episode]
-        assert flag_segments(episode, params) == flag_segments(omegas, params)
 
 
 class TestFlagSegments:

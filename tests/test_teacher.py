@@ -42,7 +42,7 @@ from drivecoach.teacher import (
     scripted_decide,
 )
 from drivecoach.teacher.rules import MUST_MERGE_TIME
-from drivecoach.teacher.state import EGO_BLOCK, STATE_DIM, neighbor_position, neighbor_tau
+from drivecoach.teacher.state import EGO_BLOCK, STATE_DIM, neighbor_tau
 from drivecoach.trainer import TrainConfig, Trainer
 
 PARAMS = RiskParams()
@@ -92,7 +92,7 @@ class TestEncodeState:
         assert z.shape == (STATE_DIM,)
         assert np.array_equal(z[:EGO_BLOCK], obs.ego)
         for slot in range(obs.neighbor_count):
-            px, py = neighbor_position(z, slot)
+            px, py = z[EGO_BLOCK + 4 * slot], z[EGO_BLOCK + 4 * slot + 1]
             assert px == pytest.approx(float(obs.neighbors[0, slot]))
             assert py == pytest.approx(float(obs.neighbors[1, slot]))
 

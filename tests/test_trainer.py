@@ -145,6 +145,12 @@ class TestRolloutBuffer:
         assert buf.n == 0
         assert buf.teacher_actions[0] == -1
 
+    def test_arrays_lists_every_column(self):
+        # a column left out of ARRAYS would silently not survive a checkpoint
+        buf = RolloutBuffer(2, 3)
+        columns = [k for k, v in vars(buf).items() if isinstance(v, np.ndarray)]
+        assert sorted(RolloutBuffer.ARRAYS) == sorted(columns)
+
 
 class TestVariantGating:
     def test_la_ppo_builds_scripted_teacher(self):
@@ -421,6 +427,21 @@ class TestCheckpointResume:
         resumed = Trainer.resume(tmp_path / "ckpt.dckp")
         np.testing.assert_array_equal(resumed.buffer.truncated, tr.buffer.truncated)
         assert resumed.buffer.truncated.sum() == 2
+
+    def test_save_resume_save_byte_identical(self, tmp_path):
+        # stop inside the teacher window: the buffer is part full and the
+        # open episode holds teacher state vectors
+        cfg = small_cfg(variant="LA-PPO", total_steps=3000, eval_interval=1000,
+                        rollout_size=64, batch_size=32)
+        tr = Trainer(merge_scenario(), cfg, out_dir=tmp_path)
+        tr.run(stop_after_step=150)
+        assert tr.global_step < window_steps(cfg)
+        assert 0 < tr.buffer.n < cfg.rollout_size
+        ckpt = tmp_path / "checkpoint_step150.dckp"
+        arrays, _ = load_checkpoint(str(ckpt))
+        assert arrays["episode.z"].shape[0] > 0
+        Trainer.resume(ckpt).save(tmp_path / "again.dckp")
+        assert (tmp_path / "again.dckp").read_bytes() == ckpt.read_bytes()
 
     def test_previous_checkpoint_format_rejected(self, tmp_path):
         cfg = small_cfg(variant="V-PPO")
