@@ -16,7 +16,7 @@ import yaml
 
 from .errors import ConfigError
 from .risk import RiskParams
-from .sim.scenarios import ScenarioConfig
+from .sim.scenarios import ScenarioConfig, SuccessRegion
 from .teacher import (
     MemoryRepository,
     RecordingBackend,
@@ -110,10 +110,16 @@ def _build_section(name: str, cls, data: dict):
     for key, value in data.items():
         anno = known[key].type
         anno = getattr(anno, "__name__", anno)  # plain class vs deferred string
-        if anno in _NUMBER_FIELDS and not isinstance(value, (int, float)):
+        if value is None and anno.endswith(" | None"):
+            coerced[key] = None
+            continue
+        anno = anno.removesuffix(" | None")
+        if anno == "SuccessRegion":
+            value = _build_section(f"{name}.{key}", SuccessRegion, value)
+        elif anno in _NUMBER_FIELDS and not isinstance(value, (int, float)):
             raise ConfigError(f"{name}.{key}: expected a number, got {value!r}")
         if anno == "int":
-            if float(value) != int(value):
+            if not float(value).is_integer():
                 raise ConfigError(f"{name}.{key}: expected an integer, got {value!r}")
             value = int(value)
         elif anno == "float":
@@ -129,10 +135,7 @@ def from_mapping(data: dict) -> GlobalConfig:
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be a mapping of sections")
     data = dict(data)
-    scenario_map = data.pop("scenario", None) or {}
-    if not isinstance(scenario_map, dict):
-        raise ConfigError(f"scenario: expected a mapping, got {scenario_map!r}")
-    scenario = ScenarioConfig.from_dict(scenario_map)
+    scenario = _build_section("scenario", ScenarioConfig, data.pop("scenario", None) or {})
     train = _build_section("train", TrainConfig, data.pop("train", None) or {})
     risk = _build_section("risk", RiskParams, data.pop("risk", None) or {})
     teacher = _build_section("teacher", TeacherConfig, data.pop("teacher", None) or {})

@@ -37,9 +37,6 @@ class ParamStore:
     def items(self):
         return self._params.items()
 
-    def names(self) -> list[str]:
-        return list(self._params)
-
     def zero_grad(self) -> None:
         for p in self._params.values():
             p.zero_grad()

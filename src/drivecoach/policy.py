@@ -7,6 +7,11 @@ a residual. Policy, action-value, and state-value heads read the fused
 vector. One demonstration head reads the raw teacher embedding, so that
 distillation trains the teacher branch without steering the student heads
 directly.
+
+Each variant builds only the weights its objective trains:
+    V-PPO   the student encoder and the policy/value heads; no teacher branch
+    A-PPO   adds the teacher encoder and the fusion
+    LA-PPO  adds the demonstration head, which only teacher labels train
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ from .nn import (
     tsum,
 )
 
+VARIANTS = ("V-PPO", "A-PPO", "LA-PPO")
+
 ACTION_DIM = 5
 EMBED_DIM = 128
 N_HEADS = 2
@@ -62,49 +69,54 @@ class PolicyOutput:
     log_pi: Tensor  # (B, 5) its log, computed stably for ratios and entropy
     q_values: Tensor  # (B, 5) action values from the fused embedding
     v: Tensor  # (B, 1) state value
-    log_teacher_pi_hat: Tensor  # (B, 5) log of the demonstration head on the teacher branch
+    log_teacher_pi_hat: Tensor | None  # (B, 5) log of the demonstration head; LA-PPO only
 
 
 class FusionPolicyNet:
     """Actor-critic with a teacher branch fused in as a residual.
 
     h = h_s + concat_i(h_t @ attn{i}.wv) @ attn_out.w, where h_s and h_t are
-    the student and teacher embeddings. With use_fusion False the fusion is
-    skipped and every head that drives behaviour reads h_s alone; the teacher
-    branch parameters still exist (keeping checkpoints shape-stable) but
-    cannot influence actions.
+    the student and teacher embeddings. V-PPO has no teacher branch and its
+    heads read h_s alone; only LA-PPO has the demonstration head.
     """
 
-    def __init__(self, input_dim: int, seed: int = 0, use_fusion: bool = True):
+    def __init__(self, input_dim: int, seed: int = 0, variant: str = "LA-PPO"):
+        if variant not in VARIANTS:
+            raise UsageError(f"unknown variant {variant!r}, expected one of {list(VARIANTS)}")
         self.input_dim = int(input_dim)
-        self.use_fusion = bool(use_fusion)
+        self.variant = variant
+        self.fused = variant != "V-PPO"
+        self.guided = variant == "LA-PPO"
         self.params = ParamStore()
         rng = np.random.default_rng(seed)
-        for enc in ("f_s", "f_t"):
-            self._linear(rng, f"{enc}.w1", f"{enc}.b1", self.input_dim, EMBED_DIM)
-            self._linear(rng, f"{enc}.w2", f"{enc}.b2", EMBED_DIM, EMBED_DIM)
-        self._linear(rng, "teacher_pi.w", "teacher_pi.b", EMBED_DIM, ACTION_DIM)
-        # Draws for weights earlier versions of the net held (a teacher-branch
-        # action-value head, per-head query and key projections) are kept and
-        # discarded: every remaining weight then starts byte-identical, so run
-        # artifacts do not change, and neither does throughput, which depends
-        # on how long the policy's episodes run.
+        # Every variant draws every array in one fixed order and drops the ones
+        # it does not keep, so each kept weight starts byte-identical across
+        # variants and versions, and so do run artifacts. That includes weights
+        # earlier versions of the net held (a teacher-branch action-value head,
+        # per-head query and key projections).
+        for enc, keep in (("f_s", True), ("f_t", self.fused)):
+            self._linear(rng, f"{enc}.w1", f"{enc}.b1", self.input_dim, EMBED_DIM, keep)
+            self._linear(rng, f"{enc}.w2", f"{enc}.b2", EMBED_DIM, EMBED_DIM, keep)
+        self._linear(rng, "teacher_pi.w", "teacher_pi.b", EMBED_DIM, ACTION_DIM, self.guided)
         _glorot(rng, EMBED_DIM, ACTION_DIM)
         for i in range(N_HEADS):
             _glorot(rng, EMBED_DIM, EMBED_DIM)
             _glorot(rng, EMBED_DIM, EMBED_DIM)
-            self._weight(rng, f"attn{i}.wv", EMBED_DIM, EMBED_DIM)
-        self._weight(rng, "attn_out.w", N_HEADS * EMBED_DIM, EMBED_DIM)
+            self._weight(rng, f"attn{i}.wv", EMBED_DIM, EMBED_DIM, self.fused)
+        self._weight(rng, "attn_out.w", N_HEADS * EMBED_DIM, EMBED_DIM, self.fused)
         self._linear(rng, "pi.w", "pi.b", EMBED_DIM, ACTION_DIM)
         self._linear(rng, "q.w", "q.b", EMBED_DIM, ACTION_DIM)
         self._linear(rng, "v.w", "v.b", EMBED_DIM, 1)
 
-    def _weight(self, rng, name, fan_in, fan_out):
-        self.params.add(name, _glorot(rng, fan_in, fan_out))
+    def _weight(self, rng, name, fan_in, fan_out, keep=True):
+        w = _glorot(rng, fan_in, fan_out)
+        if keep:
+            self.params.add(name, w)
 
-    def _linear(self, rng, w_name, b_name, fan_in, fan_out):
-        self._weight(rng, w_name, fan_in, fan_out)
-        self.params.add(b_name, np.zeros(fan_out))
+    def _linear(self, rng, w_name, b_name, fan_in, fan_out, keep=True):
+        self._weight(rng, w_name, fan_in, fan_out, keep)
+        if keep:
+            self.params.add(b_name, np.zeros(fan_out))
 
     def _encode(self, x: Tensor, prefix: str) -> Tensor:
         p = self.params
@@ -121,18 +133,15 @@ class FusionPolicyNet:
             )
         p = self.params
         xt = Tensor(x)
-        h_s = self._encode(xt, "f_s")
-        h_t = self._encode(xt, "f_t")
-
-        teacher_logits = add(matmul(h_t, p["teacher_pi.w"]), p["teacher_pi.b"])
-        log_teacher_pi_hat = log_softmax(teacher_logits)
-
-        if self.use_fusion:
+        h = self._encode(xt, "f_s")
+        log_teacher_pi_hat = None
+        if self.fused:
+            h_t = self._encode(xt, "f_t")
             heads = [matmul(h_t, p[f"attn{i}.wv"]) for i in range(N_HEADS)]
-            fused = matmul(concat(heads, axis=-1), p["attn_out.w"])
-            h = add(fused, h_s)
-        else:
-            h = h_s
+            h = add(matmul(concat(heads, axis=-1), p["attn_out.w"]), h)
+            if self.guided:
+                log_teacher_pi_hat = log_softmax(
+                    add(matmul(h_t, p["teacher_pi.w"]), p["teacher_pi.b"]))
 
         logits = add(matmul(h, p["pi.w"]), p["pi.b"])
         return PolicyOutput(
@@ -162,8 +171,8 @@ class FusionPolicyNet:
     def architecture_id(self) -> str:
         """Identity string stored in checkpoints to reject mismatched loads."""
         return (
-            f"fusion-v2:in{self.input_dim}:embed{EMBED_DIM}"
-            f":heads{N_HEADS}:act{ACTION_DIM}:fused{int(self.use_fusion)}"
+            f"fusion-v3:in{self.input_dim}:embed{EMBED_DIM}"
+            f":heads{N_HEADS}:act{ACTION_DIM}:{self.variant}"
         )
 
     def state_dict(self) -> dict:
@@ -260,7 +269,7 @@ def kl_penalty(kl: Tensor, sigma: float, lam: float) -> Tensor:
     return scale(mul(h, h), lam)
 
 
-def guidance_losses(pi: Tensor, log_teacher_pi_hat: Tensor, teacher_actions,
+def guidance_losses(pi: Tensor, log_teacher_pi_hat: Tensor | None, teacher_actions,
                     sigma: float, kl_weight: float) -> tuple:
     """KL hinge and distillation over the teacher-labeled rows of a batch.
 
@@ -268,7 +277,8 @@ def guidance_losses(pi: Tensor, log_teacher_pi_hat: Tensor, teacher_actions,
     (kl penalty, distillation, mean raw KL): the hinge on KL(student ||
     smoothed teacher) and the negative log-likelihood of the demonstrated
     action under the demonstration head, each averaged over labeled rows.
-    A batch with no labels gives zeros.
+    A batch with no labels gives zeros and never reads log_teacher_pi_hat,
+    which is None for the variants that take no teacher.
     """
     acts = np.asarray(teacher_actions, dtype=np.int64)
     mask = acts >= 0

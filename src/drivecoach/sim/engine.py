@@ -412,7 +412,6 @@ def step(state: ScenarioState, maneuver: Maneuver,
     dt = state.config.dt_physics
     events: set[str] = set()
     emergency_ids: list[int] = []
-    min_distance = math.inf
     for _ in range(state.config.substeps):
         ego = state.ego
         target = min(state.ego_target_speed, _curve_speed_cap(state, ego))
@@ -427,9 +426,6 @@ def step(state: ScenarioState, maneuver: Maneuver,
         for veh, accel, steer in controls:
             _integrate(veh, accel, steer, dt)
         _refresh_lanes(state)
-        for veh in state.background:
-            d = math.hypot(veh.x - state.ego.x, veh.y - state.ego.y)
-            min_distance = min(min_distance, d)
         events = _detect_events(state)
         if events:
             break
@@ -441,13 +437,7 @@ def step(state: ScenarioState, maneuver: Maneuver,
     state.done = bool(events)
     state.last_events = set(events)
     assessment = risk_engine.assess(state, params)
-    info = {
-        "min_distance": min_distance,
-        "tau_min": assessment.tau_min,
-        "per_vehicle_tau": assessment.per_vehicle_tau,
-        "emergency_ids": emergency_ids,
-        "decision_step": state.decision_step,
-    }
+    info = {"tau_min": assessment.tau_min, "emergency_ids": emergency_ids}
     return StepOutcome(observation=observe(state), reward=r, done=state.done,
                        events=events, info=info)
 

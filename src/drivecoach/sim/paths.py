@@ -29,10 +29,6 @@ class StraightSegment:
         dist = math.hypot(x - px, y - py)
         return clamped, lateral, self.heading, dist
 
-    def pose_at(self, s: float):
-        c, sn = math.cos(self.heading), math.sin(self.heading)
-        return self.x0 + c * s, self.y0 + sn * s, self.heading
-
 
 @dataclass(frozen=True)
 class ArcSegment:
@@ -70,12 +66,6 @@ class ArcSegment:
         dist = math.hypot(x - px, y - py)
         return s, lateral, heading, dist
 
-    def pose_at(self, s: float):
-        ang = self.angle_start + s / self.radius
-        x = self.cx + self.radius * math.cos(ang)
-        y = self.cy + self.radius * math.sin(ang)
-        return x, y, wrap_angle(ang + math.pi / 2.0)
-
 
 class Route:
     """Ordered chain of segments; projection picks the nearest segment point."""
@@ -99,13 +89,6 @@ class Route:
             if best is None or dist < best[3]:
                 best = (off + s, lat, heading, dist)
         return best[0], best[1], best[2]
-
-    def pose_at(self, s: float):
-        s = min(max(s, 0.0), self.length)
-        for seg, off in zip(reversed(self.segments), reversed(self._offsets)):
-            if s >= off:
-                return seg.pose_at(s - off)
-        return self.segments[0].pose_at(0.0)
 
     def min_radius(self, s_from: float, s_to: float) -> float:
         """Tightest curve radius on the window [s_from, s_to]; inf if straight."""

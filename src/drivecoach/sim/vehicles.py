@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 def wrap_angle(a: float) -> float:
@@ -107,19 +107,12 @@ class VehicleState:
             self.target_lane = self.lane
 
     @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
-    @property
     def velocity(self) -> tuple[float, float]:
         return (self.speed * math.cos(self.heading), self.speed * math.sin(self.heading))
 
     @property
     def wheelbase(self) -> float:
         return 0.6 * self.length
-
-    def copy(self) -> "VehicleState":
-        return replace(self)
 
     def to_dict(self) -> dict:
         return {

@@ -39,7 +39,6 @@ SLOW_FRACTION = 0.8  # of desired speed, below this the ego is dawdling
 GAP_BASE = 2.5  # m, minimum bumper gap for a lane change
 GAP_HEADWAY = 0.3  # s, time-headway part of the gap check
 GAP_CLOSING = 1.0  # s², weight on the closing-speed part of the gap check
-CONFLICT_LATERAL = 0.75  # lane widths, beyond this parallel traffic is not "ahead"
 MUST_MERGE_TIME = 5.0  # s of ramp left at the current speed, below this an unmerged ego brakes
 
 

@@ -7,7 +7,7 @@ transition; those labels drive the KL and distillation terms during updates.
 Outside the window the teacher is never queried and both terms vanish.
 
 Variants share this one loop:
-    V-PPO   no teacher, no fusion (the policy reads the student encoder only)
+    V-PPO   no teacher, no fusion (the policy holds the student encoder only)
     A-PPO   fusion on, no teacher
     LA-PPO  fusion on, teacher on
 """
@@ -32,6 +32,7 @@ from .nn import (
     save_checkpoint,
 )
 from .policy import (
+    VARIANTS,
     FusionPolicyNet,
     LossReport,
     entropy_bonus,
@@ -48,8 +49,6 @@ from .sim.engine import FLAT_OBS_DIM, TrafficEnv, observe, trace_record
 from .sim.scenarios import ScenarioConfig
 from .sim.vehicles import MANEUVER_TOKENS, Maneuver
 from .teacher import FlaggedSegment, ScriptedBackend, TeacherAgent
-
-VARIANTS = ("V-PPO", "A-PPO", "LA-PPO")
 
 METRICS_HEADER = "step,variant,scenario,success_rate,eval_reward,avg_speed,delta_ttcp,decision_time_s,seed"
 LOSS_HEADER = "update,step,total,policy_loss,value_loss,distill_loss,kl_penalty,kl_value,entropy,clip,sigma"
@@ -298,8 +297,7 @@ class Trainer:
             if teacher is not None:
                 raise ConfigError(f"train.variant: {train.variant} does not take a teacher")
             self.teacher = None
-        use_fusion = train.variant != "V-PPO"
-        self.policy = FusionPolicyNet(FLAT_OBS_DIM, seed=train.seed, use_fusion=use_fusion)
+        self.policy = FusionPolicyNet(FLAT_OBS_DIM, seed=train.seed, variant=train.variant)
         self.adam = AdamState.for_params(self.policy.params)
         self.rng = np.random.default_rng(train.seed)
         self.env = TrafficEnv(scenario, self.risk_params)

@@ -19,6 +19,7 @@ from drivecoach.config import build_teacher, load_config
 from drivecoach.nn import AdamState, adam_step, add, tmean
 from drivecoach.policy import (
     ACTION_DIM,
+    VARIANTS,
     FusionPolicyNet,
     entropy_bonus,
     guidance_losses,
@@ -216,8 +217,8 @@ def test_structural_invariants():
     rng = np.random.default_rng(0)
 
     worst_row = 0.0
-    for use_fusion in (True, False):
-        net = FusionPolicyNet(FLAT_OBS_DIM, seed=1, use_fusion=use_fusion)
+    for variant in VARIANTS:
+        net = FusionPolicyNet(FLAT_OBS_DIM, seed=1, variant=variant)
         out = net.forward(rng.normal(size=(100, FLAT_OBS_DIM)))
         worst_row = max(worst_row, float(np.abs(out.pi.data.sum(axis=1) - 1.0).max()))
 

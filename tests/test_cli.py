@@ -87,6 +87,12 @@ class TestConfigMapping:
     def test_non_numeric_value_rejected(self):
         with pytest.raises(ConfigError, match="total_steps"):
             from_mapping({"train": {"total_steps": "many"}})
+        with pytest.raises(ConfigError, match=r"scenario\.n_background"):
+            from_mapping({"scenario": {"n_background": "abc"}})
+        with pytest.raises(ConfigError, match=r"scenario\.dt_physics"):
+            from_mapping({"scenario": {"dt_physics": "abc"}})
+        with pytest.raises(ConfigError, match=r"scenario\.success_region\.min_x"):
+            from_mapping({"scenario": {"success_region": {"min_x": "abc"}}})
 
     def test_integral_float_coerced(self):
         cfg = from_mapping({"train": {"total_steps": 2e4}})
@@ -96,12 +102,25 @@ class TestConfigMapping:
     def test_fractional_int_rejected(self):
         with pytest.raises(ConfigError, match="total_steps"):
             from_mapping({"train": {"total_steps": 100.5}})
+        with pytest.raises(ConfigError, match=r"scenario\.n_background"):
+            from_mapping({"scenario": {"n_background": 2.5}})
+        with pytest.raises(ConfigError, match=r"scenario\.n_background"):
+            from_mapping({"scenario": {"n_background": float("inf")}})
+        with pytest.raises(ConfigError, match=r"scenario\.success_region\.max_lane"):
+            from_mapping({"scenario": {"success_region": {"max_lane": 0.5}}})
 
     def test_section_must_be_mapping(self):
         with pytest.raises(ConfigError, match="train"):
             from_mapping({"train": 5})
         with pytest.raises(ConfigError, match="scenario"):
             from_mapping({"scenario": [1, 2]})
+        with pytest.raises(ConfigError, match=r"scenario\.success_region"):
+            from_mapping({"scenario": {"success_region": 5}})
+
+    def test_optional_values_accept_null(self):
+        cfg = from_mapping({"scenario": {"kind": "highway", "horizon": None,
+                                         "spawn_speed_mean": None, "success_region": None}})
+        assert cfg.scenario == from_mapping({"scenario": {"kind": "highway"}}).scenario
 
     def test_missing_file_names_path(self):
         with pytest.raises(ConfigError, match="nope.yaml"):
@@ -224,10 +243,14 @@ class TestTrainCommand:
         assert "lrr" in capsys.readouterr().err
 
     def test_invalid_value_exits_2(self, small_config, tmp_path, capsys):
-        code = main(["train", "--config", str(small_config),
-                     "--out", str(tmp_path / "x"), "train.gamma=2"])
-        assert code == EXIT_CONFIG
-        assert "train.gamma" in capsys.readouterr().err
+        for override, key in (("train.gamma=2", "train.gamma"),
+                              ("scenario.n_background=2.5", "scenario.n_background"),
+                              ("scenario.success_region.min_x=abc",
+                               "scenario.success_region.min_x")):
+            code = main(["train", "--config", str(small_config),
+                         "--out", str(tmp_path / "x"), override])
+            assert code == EXIT_CONFIG
+            assert key in capsys.readouterr().err
 
     def test_runtime_failure_exits_1(self, small_config, tmp_path, monkeypatch, capsys):
         def boom(self, stop_after_step=None):
@@ -296,6 +319,15 @@ class TestEvalCommand:
         doctored = tmp_path / "doctored.dckp"
         save_checkpoint(str(doctored), arrays, meta)
         assert main(["eval", str(doctored)]) == EXIT_ARTIFACT
+
+    def test_previous_architecture_version_exits_3(self, finished_run, tmp_path, capsys):
+        arrays, meta = load_checkpoint(str(finished_run / "checkpoint_final.dckp"))
+        # what an LA-PPO run wrote before each variant built its own net
+        meta["architecture"] = "fusion-v2:in42:embed128:heads2:act5:fused1"
+        doctored = tmp_path / "doctored.dckp"
+        save_checkpoint(str(doctored), arrays, meta)
+        assert main(["eval", str(doctored)]) == EXIT_ARTIFACT
+        assert "fusion-v2" in capsys.readouterr().err
 
 
 class TestTeacherCommand:

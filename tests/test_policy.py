@@ -15,6 +15,7 @@ from drivecoach.sim.engine import FLAT_OBS_DIM
 from drivecoach.nn import Tensor, ShapeError, add
 from drivecoach.policy import (
     ACTION_DIM,
+    VARIANTS,
     FusionPolicyNet,
     LossReport,
     entropy_bonus,
@@ -33,7 +34,11 @@ IN_DIM = 42
 
 
 def reference_forward(weights: dict, x: np.ndarray):
-    """Straight-line forward pass: encoders, residual fusion, heads."""
+    """Straight-line forward pass: encoders, residual fusion, heads.
+
+    A weight set without the teacher encoder (V-PPO) reads the student
+    embedding alone; one without the demonstration head gives None for it.
+    """
 
     def mlp(prefix):
         h = np.tanh(x @ weights[f"{prefix}.w1"] + weights[f"{prefix}.b1"])
@@ -44,13 +49,14 @@ def reference_forward(weights: dict, x: np.ndarray):
         e = np.exp(z)
         return e / e.sum(axis=-1, keepdims=True)
 
-    h_s = mlp("f_s")
-    h_t = mlp("f_t")
-    teacher_pi = soft(h_t @ weights["teacher_pi.w"] + weights["teacher_pi.b"])
-
-    heads = [h_t @ weights[f"attn{i}.wv"] for i in range(2)]
-    fused = np.concatenate(heads, axis=-1) @ weights["attn_out.w"]
-    h = fused + h_s
+    h = mlp("f_s")
+    teacher_pi = None
+    if "f_t.w1" in weights:
+        h_t = mlp("f_t")
+        heads = [h_t @ weights[f"attn{i}.wv"] for i in range(2)]
+        h = np.concatenate(heads, axis=-1) @ weights["attn_out.w"] + h
+        if "teacher_pi.w" in weights:
+            teacher_pi = soft(h_t @ weights["teacher_pi.w"] + weights["teacher_pi.b"])
 
     pi = soft(h @ weights["pi.w"] + weights["pi.b"])
     q_values = h @ weights["q.w"] + weights["q.b"]
@@ -65,14 +71,19 @@ def batch_obs(rng, n=4):
 class TestForward:
     def test_matches_reference(self):
         rng = np.random.default_rng(0)
-        net = FusionPolicyNet(IN_DIM, seed=1)
         x = batch_obs(rng, 6)
-        out = net.forward(x)
-        ref = reference_forward(net.params.state_dict(), x)
-        np.testing.assert_allclose(out.pi.data, ref[0], atol=1e-10)
-        np.testing.assert_allclose(out.q_values.data, ref[1], atol=1e-10)
-        np.testing.assert_allclose(out.v.data, ref[2], atol=1e-10)
-        np.testing.assert_allclose(np.exp(out.log_teacher_pi_hat.data), ref[3], atol=1e-10)
+        for variant in VARIANTS:
+            net = FusionPolicyNet(IN_DIM, seed=1, variant=variant)
+            out = net.forward(x)
+            ref = reference_forward(net.params.state_dict(), x)
+            np.testing.assert_allclose(out.pi.data, ref[0], atol=1e-10)
+            np.testing.assert_allclose(out.q_values.data, ref[1], atol=1e-10)
+            np.testing.assert_allclose(out.v.data, ref[2], atol=1e-10)
+            if variant == "LA-PPO":
+                np.testing.assert_allclose(np.exp(out.log_teacher_pi_hat.data), ref[3],
+                                           atol=1e-10)
+            else:
+                assert out.log_teacher_pi_hat is None and ref[3] is None
 
     def test_output_invariants(self):
         rng = np.random.default_rng(3)
@@ -118,23 +129,40 @@ class TestForward:
             return e / e.sum(axis=-1, keepdims=True)
         np.testing.assert_allclose(after.pi.data, soft(h_s @ w["pi.w"] + w["pi.b"]), atol=1e-12)
 
-    def test_no_fusion_variant_ignores_teacher_encoder(self):
+    def test_v_ppo_holds_student_path_only(self):
         rng = np.random.default_rng(8)
-        net = FusionPolicyNet(IN_DIM, seed=9, use_fusion=False)
+        net = FusionPolicyNet(IN_DIM, seed=9, variant="V-PPO")
+        assert not [name for name in net.params
+                    if name.startswith(("f_t.", "attn", "teacher_pi."))]
         x = batch_obs(rng)
-        before = net.forward(x)
-        net.params["f_t.w2"].data += 1.0
-        net.params["attn0.wv"].data += 1.0
-        after = net.forward(x)
-        assert np.array_equal(before.pi.data, after.pi.data)
-        assert np.array_equal(before.q_values.data, after.q_values.data)
-        assert np.array_equal(before.v.data, after.v.data)
+        out = net.forward(x)
+        assert out.log_teacher_pi_hat is None
+        w = net.params.state_dict()
+        h_s = np.tanh(np.tanh(x @ w["f_s.w1"] + w["f_s.b1"]) @ w["f_s.w2"] + w["f_s.b2"])
+        logits = h_s @ w["pi.w"] + w["pi.b"]
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        np.testing.assert_allclose(out.pi.data, e / e.sum(axis=-1, keepdims=True), atol=1e-12)
+        np.testing.assert_allclose(out.q_values.data, h_s @ w["q.w"] + w["q.b"], atol=1e-12)
+        np.testing.assert_allclose(out.v.data, h_s @ w["v.w"] + w["v.b"], atol=1e-12)
 
     def test_parameter_inventory(self):
-        net = FusionPolicyNet(FLAT_OBS_DIM, seed=0)
-        assert len(net.params) == 19
-        assert sum(p.data.size for _, p in net.params.items()) == 111_632
-        assert net.architecture_id().startswith("fusion-v2:")
+        expected = {"V-PPO": (10, 23_435), "A-PPO": (17, 110_987), "LA-PPO": (19, 111_632)}
+        for variant, (n_tensors, n_params) in expected.items():
+            net = FusionPolicyNet(FLAT_OBS_DIM, seed=0, variant=variant)
+            assert len(net.params) == n_tensors, variant
+            assert sum(p.data.size for _, p in net.params.items()) == n_params, variant
+            assert net.architecture_id().startswith("fusion-v3:")
+            assert net.architecture_id().endswith(f":{variant}")
+
+    def test_kept_weights_start_identical_across_variants(self):
+        full = FusionPolicyNet(IN_DIM, seed=5, variant="LA-PPO").state_dict()
+        for variant in ("V-PPO", "A-PPO"):
+            for name, arr in FusionPolicyNet(IN_DIM, seed=5, variant=variant).state_dict().items():
+                assert np.array_equal(arr, full[name]), (variant, name)
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(UsageError, match="variant"):
+            FusionPolicyNet(IN_DIM, variant="la-ppo")
 
     def test_wrong_input_dimension_rejected(self):
         net = FusionPolicyNet(IN_DIM, seed=0)
@@ -489,23 +517,29 @@ class TestGradients:
                 assert numeric == pytest.approx(analytic, abs=1e-5), name
 
     def test_every_parameter_trains_under_full_objective(self):
-        """A labeled batch reaches every weight: none is stored but never trained."""
-        rng = np.random.default_rng(32)
-        net = FusionPolicyNet(IN_DIM, seed=33)
-        x = batch_obs(rng, 8)
-        actions = rng.integers(ACTION_DIM, size=8)
-        teacher_actions = rng.integers(ACTION_DIM, size=8)
-        out = net.forward(x)
-        old_logp = np.log(np.full(8, 0.2))
-        targets = rng.normal(size=8)
-        policy = ppo_policy_loss(out.log_pi, actions, old_logp, rng.normal(size=8), 0.2)
-        value = add(value_loss(out.v, targets), q_value_loss(out.q_values, actions, targets))
-        kl_pen, distill, kl_value = guidance_losses(out.pi, out.log_teacher_pi_hat,
-                                                    teacher_actions, sigma=0.01, kl_weight=10.0)
-        ent = entropy_bonus(out.pi, out.log_pi)
-        total, _ = total_loss(policy, value, distill, kl_pen, ent, kl_value)
-        net.params.zero_grad()
-        total.backward()
-        dead = [name for name, p in net.params.items()
-                if p.grad is None or not np.any(p.grad != 0.0)]
-        assert dead == []
+        """Each variant's own objective reaches every weight it holds: none is
+        stored but never trained. Only LA-PPO sees teacher labels."""
+        dead = {}
+        for variant in VARIANTS:
+            rng = np.random.default_rng(32)
+            net = FusionPolicyNet(IN_DIM, seed=33, variant=variant)
+            x = batch_obs(rng, 8)
+            actions = rng.integers(ACTION_DIM, size=8)
+            teacher_actions = rng.integers(ACTION_DIM, size=8)
+            if variant != "LA-PPO":
+                teacher_actions[:] = -1
+            out = net.forward(x)
+            old_logp = np.log(np.full(8, 0.2))
+            targets = rng.normal(size=8)
+            policy = ppo_policy_loss(out.log_pi, actions, old_logp, rng.normal(size=8), 0.2)
+            value = add(value_loss(out.v, targets), q_value_loss(out.q_values, actions, targets))
+            kl_pen, distill, kl_value = guidance_losses(out.pi, out.log_teacher_pi_hat,
+                                                        teacher_actions, sigma=0.01,
+                                                        kl_weight=10.0)
+            ent = entropy_bonus(out.pi, out.log_pi)
+            total, _ = total_loss(policy, value, distill, kl_pen, ent, kl_value)
+            net.params.zero_grad()
+            total.backward()
+            dead[variant] = [name for name, p in net.params.items()
+                             if p.grad is None or not np.any(p.grad != 0.0)]
+        assert dead == {variant: [] for variant in VARIANTS}

@@ -156,17 +156,21 @@ class TestVariantGating:
     def test_la_ppo_builds_scripted_teacher(self):
         tr = Trainer(merge_scenario(), small_cfg(variant="LA-PPO"))
         assert tr.teacher is not None
-        assert tr.policy.use_fusion
+        assert tr.policy.variant == "LA-PPO"
+        assert "attn_out.w" in tr.policy.params and "teacher_pi.w" in tr.policy.params
 
     def test_a_ppo_no_teacher_fusion_on(self):
         tr = Trainer(merge_scenario(), small_cfg(variant="A-PPO"))
         assert tr.teacher is None
-        assert tr.policy.use_fusion
+        assert tr.policy.variant == "A-PPO"
+        assert "attn_out.w" in tr.policy.params and "teacher_pi.w" not in tr.policy.params
 
     def test_v_ppo_no_teacher_no_fusion(self):
         tr = Trainer(merge_scenario(), small_cfg(variant="V-PPO"))
         assert tr.teacher is None
-        assert not tr.policy.use_fusion
+        assert tr.policy.variant == "V-PPO"
+        assert "f_t.w1" not in tr.policy.params and "attn_out.w" not in tr.policy.params
+        assert set(tr.adam.m) == set(tr.policy.params)
 
     def test_v_ppo_rejects_teacher(self):
         teacher = TeacherAgent(ScriptedBackend())
@@ -479,13 +483,14 @@ class TestCheckpointResume:
             Trainer.resume(doctored)
 
     def test_previous_architecture_version_rejected(self, tmp_path):
+        # fusion-v2 nets held all 19 tensors whatever the variant
         cfg = small_cfg(variant="V-PPO")
         tr = Trainer(merge_scenario(), cfg, out_dir=tmp_path)
         tr.run(stop_after_step=50)
         ckpt = tmp_path / "checkpoint_step50.dckp"
         arrays, meta = load_checkpoint(str(ckpt))
-        assert meta["architecture"].startswith("fusion-v2:")
-        meta["architecture"] = meta["architecture"].replace("fusion-v2:", "fusion-v1:")
+        assert meta["architecture"] == "fusion-v3:in42:embed128:heads2:act5:V-PPO"
+        meta["architecture"] = "fusion-v2:in42:embed128:heads2:act5:fused0"
         doctored = tmp_path / "doctored.dckp"
         save_checkpoint(str(doctored), arrays, meta)
         with pytest.raises(CheckpointError, match="architecture"):
