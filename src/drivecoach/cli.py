@@ -108,7 +108,7 @@ def _report_line(report: EvalReport) -> str:
     return (
         f"step {report.step}: success_rate={report.success_rate:.3f} "
         f"eval_reward={report.eval_reward:.6f} avg_speed={report.avg_speed:.6f} "
-        f"delta_ttcp={report.delta_ttcp:.6f} decision_time={report.decision_time:.3f}s"
+        f"delta_ttcp={report.delta_ttcp:.6f} decision_time={report.decision_time:.3f}s/forward"
     )
 
 

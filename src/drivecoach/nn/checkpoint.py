@@ -60,7 +60,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         blob = f.read()
     if len(blob) < len(MAGIC) + 12:
         raise CheckpointError(f"checkpoint truncated: {len(blob)} bytes")
-    body, crc_bytes = blob[:-4], blob[-4:]
+    # a view, not a slice: a copy of the body would double the file's footprint
+    body, crc_bytes = memoryview(blob)[:-4], blob[-4:]
     (stored_crc,) = struct.unpack("<I", crc_bytes)
     if zlib.crc32(body) & 0xFFFFFFFF != stored_crc:
         raise CheckpointError("checkpoint CRC mismatch")

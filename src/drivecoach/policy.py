@@ -12,6 +12,13 @@ Each variant builds only the weights its objective trains:
     V-PPO   the student encoder and the policy/value heads; no teacher branch
     A-PPO   adds the teacher encoder and the fusion
     LA-PPO  adds the demonstration head, which only teacher labels train
+
+Two passes read the same weights in the same op order. `forward` records the
+autodiff tape and serves only the training minibatches that backpropagate.
+`infer` is plain numpy and serves every call that never differentiates:
+`act` during rollouts, the bootstrap values of an update, and the batched
+greedy evaluation and trace episodes. At equal input they give bit-identical
+pi, log_pi and v.
 """
 
 from __future__ import annotations
@@ -123,7 +130,7 @@ class FusionPolicyNet:
         h = tanh(add(matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
         return tanh(add(matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"]))
 
-    def forward(self, obs) -> PolicyOutput:
+    def _batch(self, obs) -> np.ndarray:
         x = np.asarray(obs, dtype=np.float64)
         if x.ndim == 1:
             x = x[None, :]
@@ -131,8 +138,11 @@ class FusionPolicyNet:
             raise ShapeError(
                 f"expected observations of width {self.input_dim}, got {x.shape}"
             )
+        return x
+
+    def forward(self, obs) -> PolicyOutput:
         p = self.params
-        xt = Tensor(x)
+        xt = Tensor(self._batch(obs))
         h = self._encode(xt, "f_s")
         log_teacher_pi_hat = None
         if self.fused:
@@ -152,21 +162,47 @@ class FusionPolicyNet:
             log_teacher_pi_hat=log_teacher_pi_hat,
         )
 
+    def infer(self, obs) -> tuple:
+        """(pi, log_pi, v) as plain arrays, with no tape.
+
+        The ops and their order are forward's, so each output is bit-identical
+        to forward(obs)'s at the same input. Rows of a batch may differ from
+        the same rows run one at a time in the last ulp, as any gemm may.
+        """
+        x = self._batch(obs)
+        p = self.params
+
+        def encode(prefix):
+            h = np.tanh(x @ p[f"{prefix}.w1"].data + p[f"{prefix}.b1"].data)
+            return np.tanh(h @ p[f"{prefix}.w2"].data + p[f"{prefix}.b2"].data)
+
+        h = encode("f_s")
+        if self.fused:
+            h_t = encode("f_t")
+            heads = [h_t @ p[f"attn{i}.wv"].data for i in range(N_HEADS)]
+            h = np.concatenate(heads, axis=-1) @ p["attn_out.w"].data + h
+        logits = h @ p["pi.w"].data + p["pi.b"].data
+        shifted = logits - logits.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        pi = e / e.sum(axis=-1, keepdims=True)
+        log_pi = shifted - np.log(e.sum(axis=-1, keepdims=True))
+        return pi, log_pi, h @ p["v.w"].data + p["v.b"].data
+
     def act(self, obs, rng: np.random.Generator | None = None, greedy: bool = False):
         """Pick one action for a single observation.
 
         Returns (action, log-prob of that action, state value). Sampling
         needs an explicit generator so rollouts stay reproducible.
         """
-        out = self.forward(obs)
-        probs = out.pi.data[0]
+        pi, log_pi, v = self.infer(obs)
+        probs = pi[0]
         if greedy:
             action = int(np.argmax(probs))
         else:
             if rng is None:
                 raise UsageError("sampling an action requires a random generator")
             action = int(rng.choice(ACTION_DIM, p=probs))
-        return action, float(out.log_pi.data[0, action]), float(out.v.data[0, 0])
+        return action, float(log_pi[0, action]), float(v[0, 0])
 
     def architecture_id(self) -> str:
         """Identity string stored in checkpoints to reject mismatched loads."""

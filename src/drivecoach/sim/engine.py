@@ -172,10 +172,11 @@ def _refresh_lanes(state: ScenarioState) -> None:
 
 
 def _lane_member(state: ScenarioState, veh: VehicleState, lane_index: int) -> bool:
-    lane = state.geometry.lanes[lane_index]
-    if abs(wrap_angle(veh.heading - lane.heading)) > math.pi / 4:
+    # the stored lane rules most candidates out, so the heading test runs last
+    if veh.lane != lane_index:
         return False
-    return veh.lane == lane_index
+    lane = state.geometry.lanes[lane_index]
+    return abs(wrap_angle(veh.heading - lane.heading)) <= math.pi / 4
 
 
 def lane_neighbors(state: ScenarioState, veh: VehicleState, lane_index: int):

@@ -193,7 +193,9 @@ class EvalReport:
     eval_reward: float
     avg_speed: float
     delta_ttcp: float
-    decision_time: float  # s per forward pass, rounded up to 1 ms resolution
+    # s per batched forward, one of which serves every live eval episode,
+    # rounded up to 1 ms resolution
+    decision_time: float
 
 
 class RolloutBuffer:
@@ -444,7 +446,7 @@ class Trainer:
         t_mid = float(np.mean(self.buffer.step_ids[:n]))
         eps_clip = clip_schedule(t_mid, cfg)
         sigma = sigma_schedule(t_mid, cfg)
-        next_values = self.policy.forward(self.buffer.next_obs[:n]).v.data[:, 0]
+        next_values = self.policy.infer(self.buffer.next_obs[:n])[2][:, 0]
         buf = self.buffer
         targets = value_targets(buf.rewards[:n], next_values, buf.dones[:n], cfg.gamma,
                                 truncated=buf.truncated[:n])
@@ -488,43 +490,59 @@ class Trainer:
     def _eval_seed(self, episode: int) -> int:
         return 1_000_000 + self.cfg.seed * 1000 + episode
 
+    def _greedy_lockstep(self, n: int, step) -> list[float]:
+        """Run the first n eval seeds side by side under the greedy policy.
+
+        Every episode resets first. Each decision step then makes one batched
+        `infer` over the episodes still running, takes each row's argmax, and
+        calls step(episode, env, maneuver), which steps env and returns the
+        outcome. Greedy play draws no randomness, so each episode takes the
+        path it would take alone, unless an argmax is within an ulp of a tie.
+        Returns the wall time of each batched forward.
+        """
+        envs = [TrafficEnv(self.scenario, self.risk_params) for _ in range(n)]
+        live = {e: env.reset(seed=self._eval_seed(e)).flat() for e, env in enumerate(envs)}
+        forward_s = []
+        while live:
+            t0 = time.perf_counter()
+            pi, _, _ = self.policy.infer(np.stack(list(live.values())))
+            forward_s.append(time.perf_counter() - t0)
+            for e, action in zip(list(live), np.argmax(pi, axis=1)):
+                out = step(e, envs[e], Maneuver(int(action)))
+                if out.done:
+                    del live[e]
+                else:
+                    live[e] = out.observation.flat()
+        return forward_s
+
     def evaluate(self, n_episodes: int | None = None) -> EvalReport:
         """Greedy policy on a fixed seed set; the training episode is untouched."""
         n = self.cfg.eval_episodes if n_episodes is None else n_episodes
         if n < 1:
             raise UsageError("evaluate needs at least one episode")
-        env = TrafficEnv(self.scenario, self.risk_params)
-        returns, speeds, margins, latencies = [], [], [], []
-        successes = 0
-        for e in range(n):
-            flat = env.reset(seed=self._eval_seed(e)).flat()
-            done = False
-            ep_ret = 0.0
-            ep_speeds, ep_taus = [], []
-            while not done:
-                t0 = time.perf_counter()
-                action, _, _ = self.policy.act(flat, greedy=True)
-                latencies.append(time.perf_counter() - t0)
-                out = env.step(Maneuver(action))
-                ep_ret += out.reward
-                ep_speeds.append(out.observation.ego_speed)
-                ep_taus.append(out.info["tau_min"])
-                flat = out.observation.flat()
-                done = out.done
-            returns.append(ep_ret)
-            speeds.append(float(np.mean(ep_speeds)))
-            margins.append(delta_ttcp_metric(ep_taus, self.risk_params))
-            if "success" in env.state.last_events:
-                successes += 1
+        returns = [0.0] * n
+        speeds = [[] for _ in range(n)]
+        taus = [[] for _ in range(n)]
+        success = [False] * n
+
+        def step(e, env, maneuver):
+            out = env.step(maneuver)
+            returns[e] += out.reward
+            speeds[e].append(out.observation.ego_speed)
+            taus[e].append(out.info["tau_min"])
+            success[e] = "success" in out.events
+            return out
+
+        forward_s = self._greedy_lockstep(n, step)
         # wall time is reported at millisecond resolution, rounded up, so the
         # figure is reproducible across identical runs and never reads as zero
-        decision_time = math.ceil(float(np.mean(latencies)) * 1000.0) / 1000.0
+        decision_time = math.ceil(float(np.mean(forward_s)) * 1000.0) / 1000.0
         return EvalReport(
             step=self.global_step,
-            success_rate=successes / n,
+            success_rate=sum(success) / n,
             eval_reward=float(np.mean(returns)),
-            avg_speed=float(np.mean(speeds)),
-            delta_ttcp=float(np.mean(margins)),
+            avg_speed=float(np.mean([np.mean(s) for s in speeds])),
+            delta_ttcp=float(np.mean([delta_ttcp_metric(t, self.risk_params) for t in taus])),
             decision_time=decision_time,
         )
 
@@ -549,21 +567,21 @@ class Trainer:
 
     def _write_traces(self) -> None:
         """Greedy trajectories on the eval seed set, one JSON record per step."""
-        env = TrafficEnv(self.scenario, self.risk_params)
+        lines = [[] for _ in range(self.cfg.eval_episodes)]
+
+        def step(e, env, maneuver):
+            pre = env.state.state_dict()
+            out = env.step(maneuver)
+            record = trace_record(env.state, maneuver, out)
+            record["episode"] = e
+            record["state"] = pre
+            lines[e].append(json.dumps(record, sort_keys=True) + "\n")
+            return out
+
+        self._greedy_lockstep(self.cfg.eval_episodes, step)
         with open(self.out_dir / "traces.jsonl", "w") as f:
-            for e in range(self.cfg.eval_episodes):
-                flat = env.reset(seed=self._eval_seed(e)).flat()
-                done = False
-                while not done:
-                    pre = env.state.state_dict()
-                    action, _, _ = self.policy.act(flat, greedy=True)
-                    out = env.step(Maneuver(action))
-                    record = trace_record(env.state, Maneuver(action), out)
-                    record["episode"] = e
-                    record["state"] = pre
-                    f.write(json.dumps(record, sort_keys=True) + "\n")
-                    flat = out.observation.flat()
-                    done = out.done
+            for episode in lines:
+                f.writelines(episode)
 
     # --- checkpointing ----------------------------------------------------------
 
@@ -616,8 +634,8 @@ class Trainer:
         adam_m = _strip(arrays, "adam_m.")
         adam_v = _strip(arrays, "adam_v.")
         for name in trainer.adam.m:
-            trainer.adam.m[name] = adam_m[name].copy()
-            trainer.adam.v[name] = adam_v[name].copy()
+            trainer.adam.m[name] = adam_m[name]
+            trainer.adam.v[name] = adam_v[name]
         trainer.adam.step = int(meta["adam_step"])
         for name in RolloutBuffer.ARRAYS:
             getattr(trainer.buffer, name)[:] = arrays[f"buffer.{name}"]

@@ -190,6 +190,28 @@ class TestForward:
         a = [net.act(x, rng=np.random.default_rng(3))[0] for _ in range(3)]
         assert a[0] == a[1] == a[2]
 
+    def test_infer_bit_identical_to_forward(self):
+        rng = np.random.default_rng(13)
+        for variant in VARIANTS:
+            net = FusionPolicyNet(IN_DIM, seed=14, variant=variant)
+            for batch in (1, 128):
+                x = batch_obs(rng, batch)
+                out = net.forward(x)
+                pi, log_pi, v = net.infer(x)
+                assert np.array_equal(pi, out.pi.data), (variant, batch)
+                assert np.array_equal(log_pi, out.log_pi.data), (variant, batch)
+                assert np.array_equal(v, out.v.data), (variant, batch)
+            # a single observation is a batch of one, as in forward
+            pi, _, _ = net.infer(x[0])
+            assert np.array_equal(pi, net.forward(x[0]).pi.data), variant
+
+    def test_infer_wrong_input_dimension_rejected(self):
+        net = FusionPolicyNet(IN_DIM, seed=0)
+        with pytest.raises(ShapeError):
+            net.infer(np.zeros((3, IN_DIM + 1)))
+        with pytest.raises(ShapeError):
+            net.infer(np.zeros(IN_DIM - 1))
+
 
 class TestValueLoss:
     def test_zero_when_exact(self):

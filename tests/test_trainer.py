@@ -1,6 +1,7 @@
 """Trainer tests: schedules, buffer, collection gating, updates, artifacts."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 
 from drivecoach.errors import ConfigError, UsageError
 from drivecoach.nn import CheckpointError, load_checkpoint, save_checkpoint
+from drivecoach.risk import delta_ttcp_metric
+from drivecoach.sim.engine import TrafficEnv, trace_record
 from drivecoach.sim.scenarios import ScenarioConfig
+from drivecoach.sim.vehicles import Maneuver
 from drivecoach.teacher import ScriptedBackend, TeacherAgent
 from drivecoach.trainer import (
     LOSS_HEADER,
@@ -320,9 +324,6 @@ class TestEvaluate:
         assert tr.env.state.state_dict() == snapshot
 
     def test_single_episode_reward_matches_manual_rollout(self):
-        from drivecoach.sim.engine import TrafficEnv
-        from drivecoach.sim.vehicles import Maneuver
-
         tr = self._trainer()
         report = tr.evaluate(n_episodes=1)
         env = TrafficEnv(merge_scenario())
@@ -335,6 +336,113 @@ class TestEvaluate:
             flat = out.observation.flat()
             done = out.done
         assert report.eval_reward == pytest.approx(total)
+
+
+def step_record(action, out):
+    return (int(action), out.reward, sorted(out.events), out.observation.ego_speed,
+            out.info["tau_min"])
+
+
+def sequential_greedy(tr, n):
+    """Reference: each eval episode alone, one B=1 greedy act per decision."""
+    episodes = []
+    for e in range(n):
+        env = TrafficEnv(tr.scenario, tr.risk_params)
+        flat = env.reset(seed=tr._eval_seed(e)).flat()
+        steps, done = [], False
+        while not done:
+            action, _, _ = tr.policy.act(flat, greedy=True)
+            out = env.step(Maneuver(action))
+            steps.append(step_record(action, out))
+            flat = out.observation.flat()
+            done = out.done
+        episodes.append(steps)
+    return episodes
+
+
+def sequential_traces(tr) -> bytes:
+    """Reference traces.jsonl: episode after episode, one B=1 greedy act per step."""
+    lines = []
+    env = TrafficEnv(tr.scenario, tr.risk_params)
+    for e in range(tr.cfg.eval_episodes):
+        flat = env.reset(seed=tr._eval_seed(e)).flat()
+        done = False
+        while not done:
+            pre = env.state.state_dict()
+            action, _, _ = tr.policy.act(flat, greedy=True)
+            out = env.step(Maneuver(action))
+            record = trace_record(env.state, Maneuver(action), out)
+            record["episode"] = e
+            record["state"] = pre
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+            flat = out.observation.flat()
+            done = out.done
+    return "".join(lines).encode()
+
+
+class TestLockstepEvaluation:
+    """Batched greedy episodes against the same episodes run one at a time."""
+
+    N = 6
+
+    def _trainer(self, out_dir=None):
+        # merge with 5 vehicles: seed 0's untrained A-PPO policy ends its six
+        # eval episodes after 16, 30, 18, 14, 16 and 26 steps, by success,
+        # timeout and leaving the road
+        cfg = small_cfg(total_steps=100, eval_interval=100, eval_episodes=self.N,
+                        rollout_size=50, batch_size=25, variant="A-PPO")
+        return Trainer(merge_scenario(n_background=5), cfg, out_dir=out_dir)
+
+    def test_matches_sequential_rollouts(self, monkeypatch):
+        tr = self._trainer()
+        want = sequential_greedy(tr, self.N)
+        lengths = [len(ep) for ep in want]
+        assert len(set(lengths)) > 2
+        assert len({ep[-1][2][0] for ep in want}) > 1
+
+        logs = {}
+        reset, step = TrafficEnv.reset, TrafficEnv.step
+
+        def logged_reset(env, seed=None):
+            env.log = logs.setdefault(seed, [])
+            return reset(env, seed=seed)
+
+        def logged_step(env, maneuver):
+            out = step(env, maneuver)
+            env.log.append(step_record(maneuver, out))
+            return out
+
+        batches = []
+        infer = tr.policy.infer
+
+        def counted_infer(obs):
+            batches.append(len(obs))
+            return infer(obs)
+
+        monkeypatch.setattr(TrafficEnv, "reset", logged_reset)
+        monkeypatch.setattr(TrafficEnv, "step", logged_step)
+        monkeypatch.setattr(tr.policy, "infer", counted_infer)
+        report = tr.evaluate(self.N)
+
+        returns = []
+        for e, ep in enumerate(want):
+            assert logs[tr._eval_seed(e)] == ep, e  # every step's action and outcome
+            ret = 0.0
+            for step_ in ep:
+                ret += step_[1]
+            returns.append(ret)
+        assert report.eval_reward == float(np.mean(returns))
+        assert report.success_rate == sum("success" in ep[-1][2] for ep in want) / self.N
+        assert report.avg_speed == float(np.mean([np.mean([s[3] for s in ep]) for ep in want]))
+        assert report.delta_ttcp == float(np.mean(
+            [delta_ttcp_metric([s[4] for s in ep], tr.risk_params) for ep in want]))
+        # one forward per step of the longest episode, over the episodes still running
+        assert batches == [sum(n > t for n in lengths) for t in range(max(lengths))]
+
+    def test_traces_match_sequential_writer(self, tmp_path):
+        tr = self._trainer(out_dir=tmp_path)
+        tr.run()
+        assert (tmp_path / "traces.jsonl").read_bytes() == sequential_traces(tr)
 
 
 class TestRunArtifacts:
