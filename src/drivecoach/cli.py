@@ -16,6 +16,7 @@ from .config import (
     GlobalConfig,
     PRESETS,
     apply_overrides,
+    build_section,
     build_teacher,
     from_mapping,
     load_mapping,
@@ -188,7 +189,8 @@ def cmd_teacher(args) -> int:
             continue
         try:
             record = json.loads(line)
-            state = ScenarioState.from_state_dict(record["state"])
+            config = build_section("state.config", ScenarioConfig, record["state"]["config"])
+            state = ScenarioState.from_state_dict(record["state"], config)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"state file {path} line {i}: {err}") from err
         decision, _ = teacher.decide_step(state)

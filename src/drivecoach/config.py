@@ -99,7 +99,9 @@ class GlobalConfig:
 _NUMBER_FIELDS = {"int", "float"}
 
 
-def _build_section(name: str, cls, data: dict):
+def build_section(name: str, cls, data: dict):
+    """One config dataclass from a mapping: unknown keys and mistyped numbers
+    raise ConfigError naming `name.key`; nested success regions recurse."""
     if not isinstance(data, dict):
         raise ConfigError(f"{name}: expected a mapping, got {data!r}")
     known = cls.__dataclass_fields__
@@ -115,7 +117,7 @@ def _build_section(name: str, cls, data: dict):
             continue
         anno = anno.removesuffix(" | None")
         if anno == "SuccessRegion":
-            value = _build_section(f"{name}.{key}", SuccessRegion, value)
+            value = build_section(f"{name}.{key}", SuccessRegion, value)
         elif anno in _NUMBER_FIELDS and not isinstance(value, (int, float)):
             raise ConfigError(f"{name}.{key}: expected a number, got {value!r}")
         if anno == "int":
@@ -135,10 +137,10 @@ def from_mapping(data: dict) -> GlobalConfig:
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be a mapping of sections")
     data = dict(data)
-    scenario = _build_section("scenario", ScenarioConfig, data.pop("scenario", None) or {})
-    train = _build_section("train", TrainConfig, data.pop("train", None) or {})
-    risk = _build_section("risk", RiskParams, data.pop("risk", None) or {})
-    teacher = _build_section("teacher", TeacherConfig, data.pop("teacher", None) or {})
+    scenario = build_section("scenario", ScenarioConfig, data.pop("scenario", None) or {})
+    train = build_section("train", TrainConfig, data.pop("train", None) or {})
+    risk = build_section("risk", RiskParams, data.pop("risk", None) or {})
+    teacher = build_section("teacher", TeacherConfig, data.pop("teacher", None) or {})
     out_dir = data.pop("out_dir", GlobalConfig.out_dir)
     if data:
         raise ConfigError(f"config: unknown key {sorted(data)[0]!r}")

@@ -33,9 +33,8 @@ class RiskParams:
 
 @dataclass
 class ConflictAssessment:
-    per_vehicle_tau: list[tuple[int, float, float]]  # (vehicle id, tau, distance at tau)
+    taus: dict[int, float]  # background vehicle id -> conflict time, inf when none
     tau_min: float
-    risky: bool
 
 
 def closest_approach(ego: VehicleState, other: VehicleState, horizon: float):
@@ -62,14 +61,8 @@ def ttcp(ego: VehicleState, other: VehicleState, params: RiskParams) -> float:
 
 def assess(state, params: RiskParams) -> ConflictAssessment:
     """Per-vehicle conflict times against the ego; state exposes .ego/.background."""
-    per_vehicle = []
-    tau_min = INF
-    for veh in state.background:
-        t, d = closest_approach(state.ego, veh, params.horizon)
-        tau = t if d <= params.conflict_radius else INF
-        per_vehicle.append((veh.id, tau, d))
-        tau_min = min(tau_min, tau)
-    return ConflictAssessment(per_vehicle_tau=per_vehicle, tau_min=tau_min, risky=tau_min < params.horizon)
+    taus = {veh.id: ttcp(state.ego, veh, params) for veh in state.background}
+    return ConflictAssessment(taus=taus, tau_min=min(taus.values(), default=INF))
 
 
 def risk_value(tau_min: float, infraction: bool, params: RiskParams) -> float:

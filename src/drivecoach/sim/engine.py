@@ -111,8 +111,9 @@ class ScenarioState:
         }
 
     @classmethod
-    def from_state_dict(cls, d: dict) -> "ScenarioState":
-        config = ScenarioConfig.from_dict(d["config"])
+    def from_state_dict(cls, d: dict, config: ScenarioConfig) -> "ScenarioState":
+        """Rebuild a state under `config`, which the caller has parsed and
+        checked; d["config"] is not read."""
         kind = config.kind
         state = cls(
             config=config,

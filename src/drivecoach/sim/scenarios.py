@@ -57,13 +57,6 @@ class SuccessRegion:
     def to_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SuccessRegion":
-        unknown = set(d) - {"min_x", "max_x", "max_lane"}
-        if unknown:
-            raise ConfigError(f"scenario.success_region: unknown key {sorted(unknown)[0]!r}")
-        return cls(**d)
-
 
 @dataclass
 class ScenarioConfig:
@@ -120,17 +113,6 @@ class ScenarioConfig:
         d = dict(self.__dict__)
         d["success_region"] = self.success_region.to_dict()
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioConfig":
-        d = dict(d)
-        if "success_region" in d and isinstance(d["success_region"], dict):
-            d["success_region"] = SuccessRegion.from_dict(d["success_region"])
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"scenario: unknown key {sorted(unknown)[0]!r}")
-        return cls(**d)
 
 
 def default_success_region(kind: str) -> SuccessRegion:

@@ -1,4 +1,5 @@
 from .agent import (
+    N_SHOT,
     ReflectionOutcome,
     TeacherAgent,
     TeacherDecision,
@@ -25,7 +26,6 @@ from .memory import (
 )
 from .prompts import (
     MAX_PROMPT_TOKENS,
-    N_SHOT,
     FlaggedSegment,
     Prompt,
     build_prompt,

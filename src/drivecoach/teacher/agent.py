@@ -20,22 +20,15 @@ import numpy as np
 from ..risk import RiskParams, assess
 from ..sim.engine import observe
 from ..sim.vehicles import TOKEN_TO_MANEUVER, Maneuver
-from .backends import BackendError, ChatBackend
+from .backends import BackendError, ChatBackend, scripted_pick
 from .constraints import ConstraintRule
 from .memory import MemoryEntry, MemoryRepository, retrieve
-from .prompts import (
-    N_SHOT,
-    FlaggedSegment,
-    Prompt,
-    build_prompt,
-    build_reflection_prompt,
-    parse_constraints,
-    parse_telemetry,
-)
-from .rules import build_telemetry, scripted_decide
+from .prompts import FlaggedSegment, Prompt, build_prompt, build_reflection_prompt
+from .rules import build_telemetry
 from .state import encode_state
 
 MAX_ATTEMPTS = 3  # first try plus two retries
+N_SHOT = 3  # exemplars retrieved per decision
 
 _SOURCE_BY_KIND = {"remote": "llm", "replay": "llm", "scripted": "scripted"}
 
@@ -91,12 +84,9 @@ def decide(prompt: Prompt, backend: ChatBackend) -> TeacherDecision:
             action, reason = parsed
             source = _SOURCE_BY_KIND.get(backend.kind, "llm")
             return TeacherDecision(action, reason, source, time.perf_counter() - start)
-    telemetry = parse_telemetry(prompt)
-    constraints = parse_constraints(prompt)
-    if telemetry is not None:
-        action = scripted_decide(telemetry, constraints)
-    else:
-        action = Maneuver.SlowDown  # nothing recoverable: brake gently
+    picked = scripted_pick(prompt)
+    # nothing recoverable: brake gently
+    action = picked[0] if picked is not None else Maneuver.SlowDown
     return TeacherDecision(action, "backend unavailable, scripted fallback",
                            "fallback", time.perf_counter() - start)
 
@@ -159,17 +149,16 @@ class TeacherAgent:
         self._prev_tau = assessment.tau_min
         z = encode_state(obs, assessment, horizon=self.risk_params.horizon)
         retrieved = retrieve(z, self.memory, self.n_shot) if len(self.memory) else []
-        prompt = build_prompt(z, obs, assessment, retrieved,
-                              constraints=self.constraints, telemetry=telemetry,
-                              lessons=self.lessons)
+        prompt = build_prompt(obs, assessment, retrieved, telemetry,
+                              constraints=self.constraints, lessons=self.lessons)
         self.last_prompt = prompt
         self.decision_queries += 1
         return decide(prompt, self.backend), z
 
     def record_episode(self, z, scenario_kind: str, action: Maneuver,
-                       outcome: str, episode_return: float, lesson: str = "") -> None:
+                       outcome: str, episode_return: float) -> None:
         entry = MemoryEntry(z=z, scenario_kind=scenario_kind, action=action,
-                            outcome=outcome, episode_return=episode_return, lesson=lesson)
+                            outcome=outcome, episode_return=episode_return)
         self.memory.add(entry)
 
     def run_reflection(self, flagged: list[FlaggedSegment]) -> ReflectionOutcome:

@@ -8,12 +8,13 @@ import os
 from pathlib import Path
 
 from ..errors import ConfigError
-from ..sim.vehicles import MANEUVER_TOKENS
+from ..sim.vehicles import MANEUVER_TOKENS, Maneuver
 from .prompts import Prompt, parse_constraints, parse_telemetry
-from .rules import scripted_decide
+from .rules import Telemetry, scripted_decide
 
 API_KEY_VAR = "TELL_LLM_API_KEY"
 DEFAULT_TIMEOUT = 30.0
+MAX_REPLY_TOKENS = 512
 
 
 class BackendError(RuntimeError):
@@ -23,9 +24,7 @@ class BackendError(RuntimeError):
 class ChatBackend:
     kind = "abstract"
 
-    def chat(self, messages: list[tuple[str, str]], temperature: float | None = None,
-             max_tokens: int = 512) -> str:
-        # temperature None means the backend's own default
+    def chat(self, messages: list[tuple[str, str]]) -> str:
         raise NotImplementedError
 
 
@@ -43,7 +42,7 @@ class RemoteBackend(ChatBackend):
         self.timeout = timeout
         self.temperature = temperature
 
-    def chat(self, messages, temperature=None, max_tokens=512):
+    def chat(self, messages):
         import requests
 
         key = os.environ.get(API_KEY_VAR, "")
@@ -52,8 +51,8 @@ class RemoteBackend(ChatBackend):
         payload = {
             "model": self.model,
             "messages": [{"role": role, "content": text} for role, text in messages],
-            "temperature": self.temperature if temperature is None else temperature,
-            "max_tokens": max_tokens,
+            "temperature": self.temperature,
+            "max_tokens": MAX_REPLY_TOKENS,
         }
         try:
             response = requests.post(
@@ -84,6 +83,15 @@ def _system_text(messages) -> str:
     return ""
 
 
+def scripted_pick(prompt: Prompt) -> tuple[Maneuver, Telemetry] | None:
+    """The rule cascade's maneuver on a prompt's TELEMETRY and CONSTRAINTS
+    lines, with the telemetry it ran on; None when the prompt carries none."""
+    telemetry = parse_telemetry(prompt)
+    if telemetry is None:
+        return None
+    return scripted_decide(telemetry, parse_constraints(prompt)), telemetry
+
+
 class ScriptedBackend(ChatBackend):
     """Deterministic offline teacher.
 
@@ -94,16 +102,14 @@ class ScriptedBackend(ChatBackend):
 
     kind = "scripted"
 
-    def chat(self, messages, temperature=None, max_tokens=512):
+    def chat(self, messages):
         user = _last_user_text(messages)
-        prompt = Prompt(system=_system_text(messages), user=user)
         if "REFLECTION: " in user:
             return self._reflect(user)
-        telemetry = parse_telemetry(prompt)
-        if telemetry is None:
+        picked = scripted_pick(Prompt(system=_system_text(messages), user=user))
+        if picked is None:
             raise BackendError("prompt carries no telemetry line")
-        constraints = parse_constraints(prompt)
-        action = scripted_decide(telemetry, constraints)
+        action, telemetry = picked
         token = MANEUVER_TOKENS[action]
         reason = (
             f"tau_min {telemetry.tau_min:g} s, "
@@ -164,7 +170,7 @@ class ReplayBackend(ChatBackend):
         if len(kinds) == 1:
             self.kind = kinds.pop()
 
-    def chat(self, messages, temperature=None, max_tokens=512):
+    def chat(self, messages):
         if self._cursor >= len(self._responses):
             raise BackendError(f"transcript {self.path} exhausted after {self._cursor} calls")
         text = self._responses[self._cursor]
@@ -173,22 +179,18 @@ class ReplayBackend(ChatBackend):
 
 
 class RecordingBackend(ChatBackend):
-    """Wraps another backend and appends (request, response) pairs to a JSONL file."""
+    """Wraps another backend and appends (messages, response) pairs to a JSONL file."""
 
     def __init__(self, inner: ChatBackend, path):
         self.inner = inner
         self.path = Path(path)
         self.kind = inner.kind
 
-    def chat(self, messages, temperature=None, max_tokens=512):
-        text = self.inner.chat(messages, temperature=temperature, max_tokens=max_tokens)
+    def chat(self, messages):
+        text = self.inner.chat(messages)
         record = {
             "kind": self.kind,
-            "request": {
-                "messages": [[role, body] for role, body in messages],
-                "temperature": temperature,
-                "max_tokens": max_tokens,
-            },
+            "request": {"messages": [[role, body] for role, body in messages]},
             "response": text,
         }
         with self.path.open("a") as handle:

@@ -20,7 +20,6 @@ from .rules import Telemetry
 from .state import ego_speed_of, neighbor_tau
 
 MAX_PROMPT_TOKENS = 4000
-N_SHOT = 3
 
 ACTION_VOCABULARY = ", ".join(MANEUVER_TOKENS.values())
 
@@ -75,25 +74,22 @@ def _exemplar_block(index: int, entry, similarity: float) -> str:
 def _vehicle_line(obs, assessment, slot: int) -> str:
     px, py, vx, vy = (float(v) for v in obs.neighbors[:4, slot])
     vid = obs.neighbor_ids[slot]
-    tau = next((t for i, t, _d in assessment.per_vehicle_tau if i == vid), math.inf)
+    tau = assessment.taus[vid]
     dist = math.hypot(px, py)
     conflict = f"conflict in {tau:.1f} s" if math.isfinite(tau) else "no conflict"
     return f"- vehicle {vid}: {dist:.1f} m away at ({px:.1f}, {py:.1f}) m, relative velocity ({vx:.1f}, {vy:.1f}) m/s, {conflict}"
 
 
-def build_prompt(state_vector, obs, assessment, retrieved: Sequence,
+def build_prompt(obs, assessment, retrieved: Sequence, telemetry: Telemetry,
                  constraints: Sequence[ConstraintRule] = (),
-                 telemetry: Telemetry | None = None,
                  lessons: Sequence[str] = (),
                  max_tokens: int = MAX_PROMPT_TOKENS) -> Prompt:
     """Compose the system+user message pair for one decision.
 
-    `retrieved` holds (entry, similarity) pairs in descending similarity, at
-    most N_SHOT of them. When the budget is exceeded, the farthest vehicles
+    `retrieved` holds (entry, similarity) pairs in descending similarity; each
+    becomes one exemplar. When the budget is exceeded, the farthest vehicles
     drop out first, then the least similar exemplars.
     """
-    entries = list(retrieved)[:N_SHOT]
-
     if constraints:
         described = "\n".join(f"- {rule.describe()}" for rule in constraints)
         constraint_text = f"Active constraints:\n{described}\n"
@@ -110,19 +106,18 @@ def build_prompt(state_vector, obs, assessment, retrieved: Sequence,
         constraint_json=json.dumps([rule.to_dict() for rule in constraints]),
     )
 
-    kind = telemetry.scenario_kind if telemetry is not None else "unspecified"
+    kind = telemetry.scenario_kind
     road = _ROAD_TEXT.get(kind, "road scene")
     ego_x, ego_y, ego_vx, ego_vy = (float(v) for v in obs.ego[:4])
     ego_speed = math.hypot(ego_vx, ego_vy)
-    header = [f"Scenario: {kind} ({road}).",
-              f"Ego: position ({ego_x:.1f}, {ego_y:.1f}) m, speed {ego_speed:.1f} m/s."]
-    if telemetry is not None:
-        header.append(
-            f"Ego is in lane {telemetry.lane}"
-            + (f", goal lane {telemetry.goal_lane}" if telemetry.goal_lane is not None else "")
-            + (f", {telemetry.ramp_left:.1f} m before the ramp ends."
-               if math.isfinite(telemetry.ramp_left) else ".")
-        )
+    header = [
+        f"Scenario: {kind} ({road}).",
+        f"Ego: position ({ego_x:.1f}, {ego_y:.1f}) m, speed {ego_speed:.1f} m/s.",
+        f"Ego is in lane {telemetry.lane}"
+        + (f", goal lane {telemetry.goal_lane}" if telemetry.goal_lane is not None else "")
+        + (f", {telemetry.ramp_left:.1f} m before the ramp ends."
+           if math.isfinite(telemetry.ramp_left) else "."),
+    ]
 
     vehicle_lines = [_vehicle_line(obs, assessment, s) for s in range(obs.neighbor_count)]
 
@@ -131,12 +126,10 @@ def build_prompt(state_vector, obs, assessment, retrieved: Sequence,
     else:
         risk_line = "Risk: no conflicts within the horizon."
 
-    telemetry_line = "TELEMETRY: " + json.dumps(
-        telemetry.to_dict() if telemetry is not None else {}
-    )
+    telemetry_line = "TELEMETRY: " + json.dumps(telemetry.to_dict())
 
     exemplar_blocks = [
-        _exemplar_block(i + 1, entry, sim) for i, (entry, sim) in enumerate(entries)
+        _exemplar_block(i + 1, entry, sim) for i, (entry, sim) in enumerate(retrieved)
     ]
 
     def assemble() -> str:
@@ -226,8 +219,7 @@ def build_reflection_prompt(segments: Sequence[FlaggedSegment]) -> Prompt:
 def parse_telemetry(prompt: Prompt) -> Telemetry | None:
     for line in prompt.user.splitlines():
         if line.startswith("TELEMETRY: "):
-            payload = json.loads(line[len("TELEMETRY: "):])
-            return Telemetry.from_dict(payload) if payload else None
+            return Telemetry.from_dict(json.loads(line[len("TELEMETRY: "):]))
     return None
 
 

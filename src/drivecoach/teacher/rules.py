@@ -59,7 +59,7 @@ class Telemetry:
 
     def to_dict(self) -> dict:
         def enc(v):
-            return None if isinstance(v, float) and math.isinf(v) else v
+            return None if math.isinf(v) else round(v, 3)
 
         return {
             "scenario_kind": self.scenario_kind,
@@ -67,13 +67,13 @@ class Telemetry:
             "desired_speed": round(self.desired_speed, 3),
             "lane": self.lane,
             "goal_lane": self.goal_lane,
-            "tau_min": enc(round(self.tau_min, 3) if math.isfinite(self.tau_min) else self.tau_min),
+            "tau_min": enc(self.tau_min),
             "conflict_ahead": self.conflict_ahead,
-            "gap_lead": enc(round(self.gap_lead, 3) if math.isfinite(self.gap_lead) else self.gap_lead),
+            "gap_lead": enc(self.gap_lead),
             "lead_speed": round(self.lead_speed, 3),
-            "gap_follow": enc(round(self.gap_follow, 3) if math.isfinite(self.gap_follow) else self.gap_follow),
+            "gap_follow": enc(self.gap_follow),
             "follower_speed": round(self.follower_speed, 3),
-            "ramp_left": enc(round(self.ramp_left, 3) if math.isfinite(self.ramp_left) else self.ramp_left),
+            "ramp_left": enc(self.ramp_left),
         }
 
     @classmethod
@@ -98,12 +98,15 @@ class Telemetry:
 
 
 def _conflict_ahead(state, assessment) -> bool:
-    """Is the closest-conflict vehicle ahead of the ego or on a crossing course?"""
-    finite = [(tau, vid) for vid, tau, _d in assessment.per_vehicle_tau if math.isfinite(tau)]
-    if not finite:
+    """Is the closest-conflict vehicle ahead of the ego or on a crossing course?
+
+    The closest is the smallest finite conflict time, ties to the lowest id.
+    """
+    taus = assessment.taus
+    other = min((v for v in state.background if math.isfinite(taus[v.id])),
+                key=lambda v: (taus[v.id], v.id), default=None)
+    if other is None:
         return False
-    _tau, vid = min(finite)
-    other = next(v for v in state.background if v.id == vid)
     ego = state.ego
     dx, dy = other.x - ego.x, other.y - ego.y
     c, s = math.cos(ego.heading), math.sin(ego.heading)

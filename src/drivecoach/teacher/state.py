@@ -22,14 +22,12 @@ STATE_DIM = EGO_BLOCK + 5 * N_NEIGHBOR_SLOTS  # 36
 def encode_state(obs, assessment, horizon: float = 6.0) -> np.ndarray:
     z = np.zeros(STATE_DIM)
     z[:EGO_BLOCK] = obs.ego
-    tau_by_id = {vid: tau for vid, tau, _dist in assessment.per_vehicle_tau}
     tau_offset = EGO_BLOCK + 4 * N_NEIGHBOR_SLOTS
     z[tau_offset:] = horizon
     for slot in range(min(obs.neighbor_count, N_NEIGHBOR_SLOTS)):
         base = EGO_BLOCK + 4 * slot
         z[base:base + 4] = obs.neighbors[:4, slot]
-        tau = tau_by_id.get(obs.neighbor_ids[slot], math.inf)
-        z[tau_offset + slot] = min(tau, horizon)
+        z[tau_offset + slot] = min(assessment.taus[obs.neighbor_ids[slot]], horizon)
     return z
 
 

@@ -620,9 +620,11 @@ class Trainer:
         arrays, meta = load_checkpoint(str(path))
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointError(f"unsupported checkpoint format: {meta.get('format')!r}")
-        train = TrainConfig(**meta["train"])
-        scenario = ScenarioConfig.from_dict(meta["scenario"])
-        risk = RiskParams(**meta["risk"])
+        from .config import build_section
+
+        train = build_section("train", TrainConfig, meta["train"])
+        scenario = build_section("scenario", ScenarioConfig, meta["scenario"])
+        risk = build_section("risk", RiskParams, meta["risk"])
         trainer = cls(scenario, train, risk, teacher=teacher, out_dir=out_dir)
         want = trainer.policy.architecture_id()
         if meta["architecture"] != want:
@@ -648,7 +650,7 @@ class Trainer:
         if meta["env"] is not None:
             from .sim.engine import ScenarioState
 
-            trainer.env.state = ScenarioState.from_state_dict(meta["env"])
+            trainer.env.state = ScenarioState.from_state_dict(meta["env"], scenario)
         trainer._ep = EpisodeAccumulator.from_meta(meta["episode"], arrays.get("episode.z"))
         if trainer.env.state is not None and not trainer.env.state.done:
             trainer._obs = observe(trainer.env.state).flat()

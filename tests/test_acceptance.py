@@ -195,21 +195,21 @@ def test_equation_oracles():
 class _TimeoutBackend(ChatBackend):
     kind = "remote"
 
-    def chat(self, messages, temperature=None, max_tokens=512):
+    def chat(self, messages):
         raise BackendError("request timed out")
 
 
 class _GarbageBackend(ChatBackend):
     kind = "remote"
 
-    def chat(self, messages, temperature=None, max_tokens=512):
+    def chat(self, messages):
         return "%%% certainly! here is some prose with no payload %%%"
 
 
 class _EmptyBackend(ChatBackend):
     kind = "remote"
 
-    def chat(self, messages, temperature=None, max_tokens=512):
+    def chat(self, messages):
         return ""
 
 

@@ -25,6 +25,7 @@ from drivecoach.config import (
 )
 from drivecoach.errors import ConfigError
 from drivecoach.nn import load_checkpoint, save_checkpoint
+from drivecoach.sim import ScenarioConfig, reset
 from drivecoach.teacher import MemoryEntry, MemoryRepository, RecordingBackend, ReplayBackend
 from drivecoach.trainer import Trainer
 
@@ -367,6 +368,28 @@ class TestTeacherCommand:
         code = main(["teacher", "--state", str(path)])
         assert code == EXIT_CONFIG
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("dt_physics", "abc", "state.config.dt_physics"),
+        ("n_background", "abc", "state.config.n_background"),
+        ("success_region", 5, "state.config.success_region"),
+        ("success_region.min_x", "abc", "state.config.success_region.min_x"),
+    ])
+    def test_invalid_state_config_exits_2(self, tmp_path, capsys, key, value, named):
+        state, _ = reset(ScenarioConfig(kind="merge", n_background=2), seed=0)
+        record = {"state": state.state_dict()}
+        *parents, leaf = key.split(".")
+        node = record["state"]["config"]
+        for part in parents:
+            node = node[part]
+        node[leaf] = value
+        path = tmp_path / "bad_config.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        code = main(["teacher", "--state", str(path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "line 1" in err
+        assert f"{named}:" in err
 
     def test_requires_state_or_live(self, capsys):
         assert main(["teacher"]) == EXIT_CONFIG

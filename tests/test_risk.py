@@ -144,8 +144,7 @@ class TestAssess:
     def test_no_traffic(self):
         a = assess(FakeState(vehicle(0, 0, 0, 10, 0, is_ego=True), []), RiskParams())
         assert a.tau_min == math.inf
-        assert not a.risky
-        assert a.per_vehicle_tau == []
+        assert a.taus == {}
 
     def test_exhaustive_over_background(self):
         rng = np.random.default_rng(14)
@@ -158,13 +157,8 @@ class TestAssess:
                 for i in range(5)
             ]
             a = assess(FakeState(ego, bg), params)
-            taus = [ttcp(ego, v, params) for v in bg]
-            assert a.tau_min == min(taus)
-            assert len(a.per_vehicle_tau) == 5
-            for (vid, tau, _dist), v, expect in zip(a.per_vehicle_tau, bg, taus):
-                assert vid == v.id
-                assert tau == expect
-            assert a.risky == (min(taus) < params.horizon)
+            assert a.taus == {v.id: ttcp(ego, v, params) for v in bg}
+            assert a.tau_min == min(ttcp(ego, v, params) for v in bg)
 
 
 class TestRiskValue:

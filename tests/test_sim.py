@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from drivecoach.config import build_section
 from drivecoach.errors import ConfigError, UsageError
 from drivecoach.sim import (
     EMERGENCY_DECEL,
@@ -86,12 +87,12 @@ class TestConfig:
 
     def test_round_trip(self):
         cfg = ScenarioConfig(kind="merge", n_background=7, seed=5)
-        again = ScenarioConfig.from_dict(cfg.to_dict())
+        again = build_section("scenario", ScenarioConfig, cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="wind_speed"):
-            ScenarioConfig.from_dict({"kind": "merge", "wind_speed": 3})
+            build_section("scenario", ScenarioConfig, {"kind": "merge", "wind_speed": 3})
 
 
 class TestSpawn:
@@ -407,7 +408,8 @@ class TestSerialization:
         state, _ = reset(cfg, seed=33)
         for m in (Maneuver.SpeedUp, Maneuver.Cruise, Maneuver.TurnLeft):
             step(state, m)
-        clone = ScenarioState.from_state_dict(state.state_dict())
+        d = state.state_dict()
+        clone = ScenarioState.from_state_dict(d, build_section("scenario", ScenarioConfig, d["config"]))
         assert clone.state_dict() == state.state_dict()
         out_a = step(state, Maneuver.Cruise)
         out_b = step(clone, Maneuver.Cruise)
@@ -485,7 +487,7 @@ class TestLaneBookkeeping:
         d["ego"]["lane"] = 0  # the ego spawns on lane 2 at y = -8
         for v in d["background"]:
             v["lane"] = (v["lane"] + 1) % 4
-        clone = ScenarioState.from_state_dict(d)
+        clone = ScenarioState.from_state_dict(d, state.config)
         assert clone.ego.lane == 2
         assert [v.lane for v in clone.background] == [v.lane for v in state.background]
         for veh in clone.vehicles:

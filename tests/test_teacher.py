@@ -75,7 +75,7 @@ class FixedBackend(ChatBackend):
         self.replies = list(replies)
         self.calls = 0
 
-    def chat(self, messages, temperature=0.2, max_tokens=512):
+    def chat(self, messages):
         reply = self.replies[min(self.calls, len(self.replies) - 1)]
         self.calls += 1
         if isinstance(reply, Exception):
@@ -101,9 +101,8 @@ class TestEncodeState:
         obs = observe(state)
         assessment = assess(state, PARAMS)
         z = encode_state(obs, assessment, horizon=PARAMS.horizon)
-        tau_by_id = {vid: tau for vid, tau, _ in assessment.per_vehicle_tau}
         for slot in range(obs.neighbor_count):
-            expected = min(tau_by_id[obs.neighbor_ids[slot]], PARAMS.horizon)
+            expected = min(assessment.taus[obs.neighbor_ids[slot]], PARAMS.horizon)
             assert neighbor_tau(z, slot) == pytest.approx(expected)
 
     def test_no_neighbors_horizon_fill(self):
@@ -420,6 +419,29 @@ class TestScriptedDecide:
             assert scripted_decide(t, [rule]) is not forbidden
 
 
+class TestConflictAhead:
+    def tied_state(self, ahead_id, behind_id):
+        """Ego at 20 m/s between a 10 m/s car 20 m ahead and a 30 m/s car 20 m
+        behind, all in one lane: both close at 10 m/s, so both conflict times
+        are exactly 2 s."""
+        state, _ = reset(ScenarioConfig(kind="highway", n_background=2, seed=0), seed=0)
+        ego = state.ego
+        ego.x, ego.speed, ego.heading = 100.0, 20.0, 0.0
+        placed = zip(state.background, (ahead_id, behind_id), (20.0, -20.0), (10.0, 30.0))
+        for veh, vid, dx, speed in placed:
+            veh.id, veh.x, veh.y, veh.speed, veh.heading = vid, ego.x + dx, ego.y, speed, 0.0
+            veh.lane = veh.target_lane = ego.lane
+        return state
+
+    def test_tie_follows_lowest_id(self):
+        for ahead_id, behind_id, ahead in ((1, 2, True), (2, 1, False)):
+            state = self.tied_state(ahead_id, behind_id)
+            assessment = assess(state, PARAMS)
+            assert assessment.taus == {ahead_id: 2.0, behind_id: 2.0}
+            assert assessment.tau_min == 2.0
+            assert build_telemetry(state, assessment).conflict_ahead is ahead
+
+
 class TestBuildPrompt:
     def scene(self):
         state = highway_state()
@@ -430,7 +452,7 @@ class TestBuildPrompt:
 
     def test_no_exemplars_still_complete(self):
         z, obs, assessment, telemetry = self.scene()
-        prompt = build_prompt(z, obs, assessment, [], telemetry=telemetry)
+        prompt = build_prompt(obs, assessment, [], telemetry=telemetry)
         assert "Past cases" not in prompt.user
         assert "TELEMETRY: " in prompt.user
         assert "Decide now." in prompt.user
@@ -439,7 +461,7 @@ class TestBuildPrompt:
     def test_literal_tau_in_risk_line(self):
         z, obs, assessment, telemetry = self.scene()
         fudged = dataclasses.replace(assessment, tau_min=1.2)
-        prompt = build_prompt(z, obs, fudged, [], telemetry=telemetry)
+        prompt = build_prompt(obs, fudged, [], telemetry=telemetry)
         assert "tau_min = 1.2 s" in prompt.user
 
     def test_three_exemplars_in_similarity_order(self):
@@ -449,7 +471,7 @@ class TestBuildPrompt:
         for _ in range(10):
             memory.add(entry_with(rng.normal(size=STATE_DIM)))
         retrieved = retrieve(z, memory, 3)
-        prompt = build_prompt(z, obs, assessment, retrieved, telemetry=telemetry)
+        prompt = build_prompt(obs, assessment, retrieved, telemetry=telemetry)
         sims = [float(m) for m in re.findall(r"similarity (-?\d+\.\d+)", prompt.user)]
         assert len(sims) == 3
         assert sims == sorted(sims, reverse=True)
@@ -457,10 +479,10 @@ class TestBuildPrompt:
 
     def test_truncation_drops_farthest_vehicle_first(self):
         z, obs, assessment, telemetry = self.scene()
-        full = build_prompt(z, obs, assessment, [], telemetry=telemetry)
+        full = build_prompt(obs, assessment, [], telemetry=telemetry)
         n_lines = full.user.count("- vehicle ")
         assert n_lines >= 3
-        tight = build_prompt(z, obs, assessment, [], telemetry=telemetry,
+        tight = build_prompt(obs, assessment, [], telemetry=telemetry,
                              max_tokens=full.tokens - 1)
         assert tight.user.count("- vehicle ") == n_lines - 1
         # the surviving lines are the closest ones, in the original order
@@ -475,18 +497,18 @@ class TestBuildPrompt:
             memory.add(entry_with(rng.normal(size=STATE_DIM),
                                   lesson="always check the mirror twice before moving"))
         retrieved = retrieve(z, memory, 3)
-        prompt = build_prompt(z, obs, assessment, retrieved, telemetry=telemetry)
+        prompt = build_prompt(obs, assessment, retrieved, telemetry=telemetry)
         assert prompt.tokens <= 4000
 
     def test_extreme_budget_never_raises(self):
         z, obs, assessment, telemetry = self.scene()
-        prompt = build_prompt(z, obs, assessment, [], telemetry=telemetry, max_tokens=1)
+        prompt = build_prompt(obs, assessment, [], telemetry=telemetry, max_tokens=1)
         assert "TELEMETRY: " in prompt.user
 
     def test_telemetry_line_round_trips(self):
         z, obs, assessment, telemetry = self.scene()
         rule = ConstraintRule("highway", Maneuver.SpeedUp, {"tau_min_lt": 2.0})
-        prompt = build_prompt(z, obs, assessment, [], constraints=[rule],
+        prompt = build_prompt(obs, assessment, [], constraints=[rule],
                               telemetry=telemetry)
         recovered = parse_telemetry(prompt)
         assert recovered.lane == telemetry.lane
@@ -502,7 +524,7 @@ class TestBuildPrompt:
         assert "before the ramp ends" not in prompt.user
 
         on_ramp = dataclasses.replace(telemetry, goal_lane=1, ramp_left=42.1234)
-        prompt = build_prompt(z, obs, assessment, [], telemetry=on_ramp)
+        prompt = build_prompt(obs, assessment, [], telemetry=on_ramp)
         assert parse_telemetry(prompt).ramp_left == pytest.approx(42.123, abs=1e-9)
         assert "goal lane 1, 42.1 m before the ramp ends." in prompt.user
 
@@ -519,7 +541,7 @@ class TestDecide:
         assessment = assess(state, PARAMS)
         z = encode_state(obs, assessment)
         telemetry = build_telemetry(state, assessment)
-        return build_prompt(z, obs, assessment, [], telemetry=telemetry), telemetry
+        return build_prompt(obs, assessment, [], telemetry=telemetry), telemetry
 
     def test_well_formed_reply_parses(self):
         prompt, _ = self.scene_prompt()
@@ -586,7 +608,7 @@ class TestScriptedBackend:
         assessment = assess(state, PARAMS)
         z = encode_state(obs, assessment)
         telemetry = build_telemetry(state, assessment)
-        prompt = build_prompt(z, obs, assessment, [], telemetry=telemetry)
+        prompt = build_prompt(obs, assessment, [], telemetry=telemetry)
         backend = ScriptedBackend()
         first = backend.chat(prompt.messages())
         second = backend.chat(prompt.messages())
@@ -753,12 +775,25 @@ class TestTeacherAgent:
             else:
                 assert got == pytest.approx(want, abs=1e-3)
 
+    def test_n_shot_sets_exemplar_count(self):
+        rng = np.random.default_rng(5)
+        memory = MemoryRepository()
+        for _ in range(6):
+            memory.add(entry_with(rng.normal(size=STATE_DIM)))
+        agent = TeacherAgent(ScriptedBackend(), memory=memory, n_shot=5)
+        _decision, z = agent.decide_step(highway_state())
+        user = agent.last_prompt.user
+        sims = [float(m) for m in re.findall(r"similarity (-?\d+\.\d+)", user)]
+        assert user.count("Example ") == 5
+        assert sims == [round(sim, 2) for _entry, sim in retrieve(z, memory, 5)]
+        assert sims == sorted(sims, reverse=True)
+
     def test_state_dict_round_trip(self):
         state = highway_state()
         agent = TeacherAgent(ScriptedBackend())
         agent.decide_step(state)
         agent.record_episode(np.ones(STATE_DIM), "highway", Maneuver.Cruise,
-                             "success", 4.2, lesson="steady does it")
+                             "success", 4.2)
         seg = FlaggedSegment("highway", ["speed_up"], [9.0], [1.1], [9.0])
         agent.run_reflection([seg])
         agent._prev_tau = 2.5
