@@ -190,6 +190,7 @@ def cmd_teacher(args) -> int:
         try:
             record = json.loads(line)
             config = build_section("state.config", ScenarioConfig, record["state"]["config"])
+            config.validate("state.config")
             state = ScenarioState.from_state_dict(record["state"], config)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"state file {path} line {i}: {err}") from err

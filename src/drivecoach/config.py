@@ -201,10 +201,6 @@ def apply_overrides(mapping: dict, overrides) -> dict:
     return mapping
 
 
-def load_config(source) -> GlobalConfig:
-    return from_mapping(load_mapping(source))
-
-
 def save_config(cfg: GlobalConfig, path) -> None:
     Path(path).write_text(yaml.safe_dump(to_mapping(cfg), sort_keys=True))
 

@@ -234,14 +234,6 @@ def teacher_distribution(action) -> np.ndarray:
     return d
 
 
-def terminal_mask(dones, truncated=None) -> np.ndarray:
-    """1.0 on rows whose successor is a true terminal state, else 0.0."""
-    terminal = np.asarray(dones, dtype=bool)
-    if truncated is not None:
-        terminal = terminal & ~np.asarray(truncated, dtype=bool)
-    return terminal.astype(np.float64)
-
-
 def value_targets(rewards, next_values, dones, gamma: float, truncated=None) -> np.ndarray:
     """One-step bootstrap targets; terminal transitions use the reward alone.
 
@@ -252,7 +244,10 @@ def value_targets(rewards, next_values, dones, gamma: float, truncated=None) -> 
     """
     r = np.asarray(rewards, dtype=np.float64)
     nv = np.asarray(next_values, dtype=np.float64)
-    return r + gamma * nv * (1.0 - terminal_mask(dones, truncated))
+    terminal = np.asarray(dones, dtype=bool)
+    if truncated is not None:
+        terminal = terminal & ~np.asarray(truncated, dtype=bool)
+    return r + gamma * nv * (1.0 - terminal.astype(np.float64))
 
 
 def value_loss(values: Tensor, targets) -> Tensor:

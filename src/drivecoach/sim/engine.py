@@ -14,7 +14,7 @@ through the spawn RNG, never during stepping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -59,11 +59,14 @@ class Observation:
 
     ego: np.ndarray  # (6,) [x, y, vx, vy, cos h, sin h]
     neighbors: np.ndarray  # (6, N) feature-by-slot, zero-padded
-    neighbor_count: int
-    neighbor_ids: list[int] = field(default_factory=list)
+    neighbor_ids: list[int]  # one per filled slot, closest first
 
     def flat(self) -> np.ndarray:
         return np.concatenate([self.ego, self.neighbors.T.ravel()])
+
+    @property
+    def neighbor_count(self) -> int:
+        return len(self.neighbor_ids)
 
     @property
     def ego_speed(self) -> float:
@@ -92,7 +95,6 @@ class ScenarioState:
     decision_step: int = 0
     ego_target_speed: float = 0.0
     done: bool = False
-    last_events: set[str] = field(default_factory=set)
 
     @property
     def vehicles(self) -> list[VehicleState]:
@@ -107,7 +109,6 @@ class ScenarioState:
             "decision_step": self.decision_step,
             "ego_target_speed": self.ego_target_speed,
             "done": self.done,
-            "last_events": sorted(self.last_events),
         }
 
     @classmethod
@@ -124,7 +125,6 @@ class ScenarioState:
             decision_step=d["decision_step"],
             ego_target_speed=d["ego_target_speed"],
             done=d["done"],
-            last_events=set(d["last_events"]),
         )
         # a state file may come from outside the program: derive each lane
         # from the positions rather than trust the recorded one
@@ -132,10 +132,10 @@ class ScenarioState:
         return state
 
 
-def reset(config: ScenarioConfig, seed: int | None = None):
+def reset(config: ScenarioConfig, seed: int):
     """Spawn a fresh episode; identical (config, seed) pairs spawn identically."""
     config.validate()
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     geometry = build_geometry(config.kind)
     table = spawn(config, geometry, rng)
     state = ScenarioState(
@@ -437,7 +437,6 @@ def step(state: ScenarioState, maneuver: Maneuver,
         events = {"timeout"}
     r = reward(state, maneuver, events)
     state.done = bool(events)
-    state.last_events = set(events)
     assessment = risk_engine.assess(state, params)
     info = {"tau_min": assessment.tau_min, "emergency_ids": emergency_ids}
     return StepOutcome(observation=observe(state), reward=r, done=state.done,
@@ -486,7 +485,7 @@ def observe(state: ScenarioState) -> Observation:
         cols[4, slot] = math.cos(veh.heading)
         cols[5, slot] = math.sin(veh.heading)
         ids.append(veh.id)
-    return Observation(ego=ego_block, neighbors=cols, neighbor_count=len(ids), neighbor_ids=ids)
+    return Observation(ego=ego_block, neighbors=cols, neighbor_ids=ids)
 
 
 def trace_record(state: ScenarioState, maneuver: Maneuver, outcome: StepOutcome) -> dict:
@@ -514,7 +513,7 @@ class TrafficEnv:
         self.risk_params = risk_params or risk_engine.RiskParams()
         self.state: ScenarioState | None = None
 
-    def reset(self, seed: int | None = None) -> Observation:
+    def reset(self, seed: int) -> Observation:
         self.state, obs = reset(self.config, seed)
         return obs
 

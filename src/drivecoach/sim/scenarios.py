@@ -69,7 +69,6 @@ class ScenarioConfig:
     decision_period: float = 1.0
     horizon: int | None = None  # decision steps; None -> per-kind default
     success_region: SuccessRegion | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.spawn_speed_mean is None:
@@ -81,29 +80,30 @@ class ScenarioConfig:
         if self.success_region is None:
             self.success_region = default_success_region(self.kind)
 
-    def validate(self) -> None:
+    def validate(self, section: str = "scenario") -> None:
+        """Range checks; errors name the key as `section.key`."""
         if self.kind not in SCENARIO_KINDS:
-            raise ConfigError(f"scenario.kind: {self.kind!r} is not one of {SCENARIO_KINDS}")
+            raise ConfigError(f"{section}.kind: {self.kind!r} is not one of {SCENARIO_KINDS}")
         if self.n_background < 0:
-            raise ConfigError(f"scenario.n_background: must be >= 0, got {self.n_background}")
+            raise ConfigError(f"{section}.n_background: must be >= 0, got {self.n_background}")
         if not 0.0 <= self.disturbance_fraction <= 1.0:
             raise ConfigError(
-                f"scenario.disturbance_fraction: must be in [0, 1], got {self.disturbance_fraction}"
+                f"{section}.disturbance_fraction: must be in [0, 1], got {self.disturbance_fraction}"
             )
         if self.dt_physics <= 0:
-            raise ConfigError(f"scenario.dt_physics: must be > 0, got {self.dt_physics}")
+            raise ConfigError(f"{section}.dt_physics: must be > 0, got {self.dt_physics}")
         ratio = self.decision_period / self.dt_physics
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ConfigError(
-                "scenario.decision_period: must be a positive integer multiple of "
+                f"{section}.decision_period: must be a positive integer multiple of "
                 f"dt_physics, got {self.decision_period} vs {self.dt_physics}"
             )
         if self.horizon <= 0:
-            raise ConfigError(f"scenario.horizon: must be > 0, got {self.horizon}")
+            raise ConfigError(f"{section}.horizon: must be > 0, got {self.horizon}")
         if self.spawn_speed_mean <= 0:
-            raise ConfigError(f"scenario.spawn_speed_mean: must be > 0, got {self.spawn_speed_mean}")
+            raise ConfigError(f"{section}.spawn_speed_mean: must be > 0, got {self.spawn_speed_mean}")
         if self.spawn_speed_std < 0:
-            raise ConfigError(f"scenario.spawn_speed_std: must be >= 0, got {self.spawn_speed_std}")
+            raise ConfigError(f"{section}.spawn_speed_std: must be >= 0, got {self.spawn_speed_std}")
 
     @property
     def substeps(self) -> int:
@@ -148,7 +148,6 @@ class Lane:
 
 @dataclass
 class Geometry:
-    kind: str
     lanes: list[Lane]  # all drivable lanes, including cross-road ones
     ego_lane_count: int  # lanes the ego may target via lane changes
     ego_route: Route | None  # curved reference path (intersection only)
@@ -157,10 +156,10 @@ class Geometry:
 def build_geometry(kind: str) -> Geometry:
     if kind == "merge":
         lanes = [Lane(i, 0.0, -LANE_WIDTH * i, 0.0) for i in range(3)]
-        return Geometry(kind, lanes, ego_lane_count=3, ego_route=None)
+        return Geometry(lanes, ego_lane_count=3, ego_route=None)
     if kind == "highway":
         lanes = [Lane(i, 0.0, -LANE_WIDTH * i, 0.0) for i in range(4)]
-        return Geometry(kind, lanes, ego_lane_count=4, ego_route=None)
+        return Geometry(lanes, ego_lane_count=4, ego_route=None)
     if kind == "intersection":
         eastbound = Lane(0, 0.0, -2.0, 0.0)
         westbound = Lane(1, 0.0, 2.0, math.pi)
@@ -171,7 +170,7 @@ def build_geometry(kind: str) -> Geometry:
                 StraightSegment(-4.0, 2.0, math.pi, 76.0),  # westbound exit
             ]
         )
-        return Geometry(kind, [eastbound, westbound], ego_lane_count=1, ego_route=route)
+        return Geometry([eastbound, westbound], ego_lane_count=1, ego_route=route)
     raise ConfigError(f"scenario.kind: {kind!r} is not one of {SCENARIO_KINDS}")
 
 

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ConfigError, UsageError
 from ..sim.vehicles import MANEUVER_TOKENS, TOKEN_TO_MANEUVER, Maneuver
-from .constraints import ConstraintRule
 
 CAPACITY = 20
 MAX_LESSON_CHARS = 2000
@@ -26,7 +25,6 @@ class MemoryEntry:
     outcome: str
     episode_return: float
     lesson: str = ""
-    constraints: list[ConstraintRule] = field(default_factory=list)
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=float)
@@ -45,7 +43,6 @@ class MemoryEntry:
             "outcome": self.outcome,
             "return": float(self.episode_return),
             "lesson": self.lesson,
-            "constraints": [c.to_dict() for c in self.constraints],
         }
 
     @classmethod
@@ -57,7 +54,6 @@ class MemoryEntry:
             outcome=data["outcome"],
             episode_return=float(data["return"]),
             lesson=data.get("lesson", ""),
-            constraints=[ConstraintRule.from_dict(c) for c in data.get("constraints", [])],
         )
 
 

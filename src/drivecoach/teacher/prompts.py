@@ -165,7 +165,6 @@ class FlaggedSegment:
     actions: list[str]  # maneuver tokens, one per step
     omegas: list[float]
     tau_mins: list[float]
-    speeds: list[float]
 
     @property
     def peak_index(self) -> int:

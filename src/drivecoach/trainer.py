@@ -39,7 +39,6 @@ from .policy import (
     guidance_losses,
     ppo_policy_loss,
     q_value_loss,
-    terminal_mask,
     total_loss,
     value_loss,
     value_targets,
@@ -53,7 +52,9 @@ from .teacher import FlaggedSegment, ScriptedBackend, TeacherAgent
 METRICS_HEADER = "step,variant,scenario,success_rate,eval_reward,avg_speed,delta_ttcp,decision_time_s,seed"
 LOSS_HEADER = "update,step,total,policy_loss,value_loss,distill_loss,kl_penalty,kl_value,entropy,clip,sigma"
 
-CHECKPOINT_FORMAT = 2  # 2: the buffer stores time-limit truncation apart from termination
+# 2: the buffer stores time-limit truncation apart from termination
+# 3: the buffer drops its step ids, and the meta its copy of the scenario config
+CHECKPOINT_FORMAT = 3
 
 
 def normalize_variant(name: str) -> str:
@@ -163,20 +164,15 @@ def append_csv_row(path: Path, header: str, line: str) -> None:
         f.write(line + "\n")
 
 
-def gae_advantages(rewards, values, next_values, dones, gamma: float, lam: float,
-                   truncated=None) -> np.ndarray:
+def gae_advantages(targets, values, dones, gamma: float, lam: float) -> np.ndarray:
     """Generalized advantage estimates over one stored trajectory segment.
 
-    next_values holds the bootstrap estimate of each transition's successor
-    state. Terminal transitions ignore it. A done row that is truncated by
-    the time limit still bootstraps from it, since its successor is an
-    ordinary state (see value_targets). Every done row, truncated or not,
-    cuts the recursion: the next stored row belongs to a new episode.
+    targets are value_targets' one-step bootstraps, so each TD residual is
+    targets - values, and a time-limit truncation bootstraps there. Every
+    done row, truncated or not, cuts the recursion: the next stored row
+    belongs to a new episode.
     """
-    r = np.asarray(rewards, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    nv = np.asarray(next_values, dtype=np.float64)
-    deltas = r + gamma * nv * (1.0 - terminal_mask(dones, truncated)) - v
+    deltas = np.asarray(targets, dtype=np.float64) - np.asarray(values, dtype=np.float64)
     same_episode = 1.0 - np.asarray(dones, dtype=np.float64)
     adv = np.zeros_like(deltas)
     carry = 0.0
@@ -203,7 +199,7 @@ class RolloutBuffer:
 
     # every per-row array, in the order checkpoints store them
     ARRAYS = ("obs", "next_obs", "actions", "logp", "rewards", "values", "dones",
-              "truncated", "teacher_actions", "step_ids")
+              "truncated", "teacher_actions")
 
     def __init__(self, capacity: int, obs_dim: int):
         if capacity < 1:
@@ -218,14 +214,13 @@ class RolloutBuffer:
         self.dones = np.zeros(capacity, dtype=bool)
         self.truncated = np.zeros(capacity, dtype=bool)  # done by the time limit only
         self.teacher_actions = np.full(capacity, -1, dtype=np.int64)  # -1: unlabeled
-        self.step_ids = np.zeros(capacity, dtype=np.int64)
         self.n = 0
 
     @property
     def full(self) -> bool:
         return self.n >= self.capacity
 
-    def add(self, *, obs, action, logp, reward, value, done, next_obs, step_id,
+    def add(self, *, obs, action, logp, reward, value, done, next_obs,
             teacher_action=None, truncated=False) -> None:
         if self.full:
             raise UsageError("rollout buffer is full")
@@ -238,7 +233,6 @@ class RolloutBuffer:
         self.values[i] = value
         self.dones[i] = bool(done)
         self.truncated[i] = bool(truncated)
-        self.step_ids[i] = int(step_id)
         if teacher_action is not None:
             self.teacher_actions[i] = int(teacher_action)
         self.n += 1
@@ -258,7 +252,6 @@ class EpisodeAccumulator:
     actions: list = field(default_factory=list)
     omegas: list = field(default_factory=list)
     taus: list = field(default_factory=list)
-    speeds: list = field(default_factory=list)
     z_steps: list = field(default_factory=list)  # step index of each teacher query
     z_list: list = field(default_factory=list)
 
@@ -266,7 +259,7 @@ class EpisodeAccumulator:
         return {
             "seed": self.seed, "ret": self.ret, "length": self.length,
             "actions": self.actions, "omegas": self.omegas, "taus": self.taus,
-            "speeds": self.speeds, "z_steps": self.z_steps,
+            "z_steps": self.z_steps,
         }
 
     @classmethod
@@ -275,7 +268,6 @@ class EpisodeAccumulator:
                  actions=[int(a) for a in d["actions"]],
                  omegas=[float(w) for w in d["omegas"]],
                  taus=[float(t) for t in d["taus"]],
-                 speeds=[float(s) for s in d["speeds"]],
                  z_steps=[int(i) for i in d["z_steps"]])
         if z_rows is not None:
             ep.z_list = [z_rows[i].copy() for i in range(z_rows.shape[0])]
@@ -311,7 +303,6 @@ class Trainer:
         self.eval_reports: list[EvalReport] = []
         self._obs: np.ndarray | None = None
         self._ep = EpisodeAccumulator()
-        self._episodes_this_collect = 0
         self._stop_at: int | None = None
         self._stopped = False
         self.out_dir = Path(out_dir) if out_dir is not None else None
@@ -349,7 +340,7 @@ class Trainer:
         next_flat = out.observation.flat()
         self.buffer.add(obs=self._obs, action=action, logp=logp, reward=out.reward,
                         value=value, done=out.done, next_obs=next_flat,
-                        step_id=self.global_step, teacher_action=teacher_action,
+                        teacher_action=teacher_action,
                         truncated="timeout" in out.events)
         ep = self._ep
         ep.ret += out.reward
@@ -357,7 +348,6 @@ class Trainer:
         ep.actions.append(action)
         ep.omegas.append(omega)
         ep.taus.append(float(out.info["tau_min"]))
-        ep.speeds.append(out.observation.ego_speed)
         self.global_step += 1
         if out.done:
             self._finish_episode(out.events)
@@ -405,31 +395,17 @@ class Trainer:
                             actions=[MANEUVER_TOKENS[Maneuver(a)] for a in ep.actions[s:e + 1]],
                             omegas=ep.omegas[s:e + 1],
                             tau_mins=ep.taus[s:e + 1],
-                            speeds=ep.speeds[s:e + 1],
                         )
                         for s, e in ranges
                     ]
                     self.teacher.run_reflection(segments)
         self.episode_index += 1
-        self._episodes_this_collect += 1
         self._obs = None
 
     def _fill_buffer(self) -> None:
         while (not self.buffer.full and self.global_step < self.cfg.total_steps
                and not self._stopped):
             self._collect_one_step()
-
-    def collect_rollout(self) -> dict:
-        """Fill the buffer from the live environment; returns collection stats."""
-        if self.buffer.n:
-            raise UsageError("collect_rollout expects an empty buffer")
-        self._episodes_this_collect = 0
-        start = self.global_step
-        self._fill_buffer()
-        return {
-            "steps": self.global_step - start,
-            "episodes": self._episodes_this_collect,
-        }
 
     # --- optimization ---------------------------------------------------------
 
@@ -443,15 +419,16 @@ class Trainer:
         if n == 0:
             raise UsageError("update needs collected transitions")
         cfg = self.cfg
-        t_mid = float(np.mean(self.buffer.step_ids[:n]))
+        # collection is contiguous and update() empties the buffer, so it holds
+        # steps global_step - n .. global_step - 1; this is their exact mean
+        t_mid = self.global_step - (n + 1) / 2
         eps_clip = clip_schedule(t_mid, cfg)
         sigma = sigma_schedule(t_mid, cfg)
         next_values = self.policy.infer(self.buffer.next_obs[:n])[2][:, 0]
         buf = self.buffer
         targets = value_targets(buf.rewards[:n], next_values, buf.dones[:n], cfg.gamma,
                                 truncated=buf.truncated[:n])
-        adv = gae_advantages(buf.rewards[:n], buf.values[:n], next_values, buf.dones[:n],
-                             cfg.gamma, cfg.gae_lambda, truncated=buf.truncated[:n])
+        adv = gae_advantages(targets, buf.values[:n], buf.dones[:n], cfg.gamma, cfg.gae_lambda)
         reports = []
         for _ in range(cfg.epochs):
             perm = self.rng.permutation(n)
@@ -596,6 +573,10 @@ class Trainer:
             arrays[f"buffer.{name}"] = getattr(self.buffer, name)
         if self._ep.z_list:
             arrays["episode.z"] = np.stack(self._ep.z_list)
+        env = None
+        if self.env.state is not None:
+            env = self.env.state.state_dict()
+            del env["config"]  # meta["scenario"] holds it
         meta = {
             "format": CHECKPOINT_FORMAT,
             "architecture": self.policy.architecture_id(),
@@ -609,7 +590,7 @@ class Trainer:
             "buffer_n": self.buffer.n,
             "adam_step": self.adam.step,
             "rng": self.rng.bit_generator.state,
-            "env": self.env.state.state_dict() if self.env.state is not None else None,
+            "env": env,
             "episode": self._ep.to_meta(),
             "teacher": self.teacher.state_dict() if self.teacher is not None else None,
         }

@@ -15,7 +15,7 @@ import numpy as np
 from test_policy import reference_forward
 
 from drivecoach.cli import main as cli_main
-from drivecoach.config import build_teacher, load_config
+from drivecoach.config import build_teacher, from_mapping, load_mapping
 from drivecoach.nn import AdamState, adam_step, add, tmean
 from drivecoach.policy import (
     ACTION_DIM,
@@ -301,7 +301,7 @@ def test_guided_training_beats_vanilla(tmp_path):
     slowest = 0.0
     for variant in ("LA-PPO", "V-PPO"):
         for seed in seeds:
-            cfg = load_config("merge-lite")
+            cfg = from_mapping(load_mapping("merge-lite"))
             cfg.train.variant = variant
             cfg.train.seed = seed
             teacher = build_teacher(cfg) if variant == "LA-PPO" else None
@@ -315,7 +315,7 @@ def test_guided_training_beats_vanilla(tmp_path):
     # Success rates are k / eval_episodes, and a difference of two such floats
     # can land just under the margin (0.7 - 0.6 < 0.1), so the 0.10 margin is
     # compared as episode counts: 2 more successes out of 20.
-    episodes = load_config("merge-lite").train.eval_episodes
+    episodes = from_mapping(load_mapping("merge-lite")).train.eval_episodes
     margin = round(0.10 * episodes)
     wins = 0
     details = []
@@ -372,7 +372,7 @@ def test_run_determinism(tmp_path):
     assert cli_main(["train", "--config", str(config), "--out", str(b)]) == 0
     identical = (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
-    cfg = load_config(str(config))
+    cfg = from_mapping(load_mapping(str(config)))
     partial = Trainer(cfg.scenario, cfg.train, cfg.risk, teacher=build_teacher(cfg),
                       out_dir=tmp_path / "part")
     partial.run(stop_after_step=250)
@@ -390,7 +390,7 @@ def test_run_determinism(tmp_path):
 
 def test_reflection_loop():
     params = RiskParams()
-    env = TrafficEnv(ScenarioConfig(kind="merge", n_background=1, seed=3), params)
+    env = TrafficEnv(ScenarioConfig(kind="merge", n_background=1), params)
     env.reset(seed=3)
     ego = env.state.ego
     blocker = env.state.background[0]
@@ -400,7 +400,7 @@ def test_reflection_loop():
     blocker.lane = ego.lane
     blocker.speed = 0.0
     blocker.heading = ego.heading
-    omegas, taus, actions, speeds = [], [], [], []
+    omegas, taus, actions = [], [], []
     events = set()
     for _ in range(6):
         out = env.step(Maneuver.SpeedUp)
@@ -408,7 +408,6 @@ def test_reflection_loop():
                                  bool(INFRACTION_EVENTS & out.events), params))
         taus.append(float(out.info["tau_min"]))
         actions.append("speed_up")
-        speeds.append(env.state.ego.speed)
         events |= out.events
         if out.done:
             break
@@ -420,8 +419,7 @@ def test_reflection_loop():
     teacher.run_reflection([FlaggedSegment(scenario_kind="merge",
                                            actions=actions[start:end + 1],
                                            omegas=omegas[start:end + 1],
-                                           tau_mins=taus[start:end + 1],
-                                           speeds=speeds[start:end + 1])])
+                                           tau_mins=taus[start:end + 1])])
     one_rule = len(teacher.constraints) == 1
     rule = teacher.constraints[0]
     threshold = rule.guard["tau_min_lt"]

@@ -19,7 +19,7 @@ from drivecoach.config import (
     apply_overrides,
     build_teacher,
     from_mapping,
-    load_config,
+    load_mapping,
     save_config,
     to_mapping,
 )
@@ -57,17 +57,17 @@ class TestConfigMapping:
     def test_file_round_trip_identity(self, tmp_path):
         cfg = from_mapping({"train": {"seed": 7, "variant": "a-ppo"}})
         save_config(cfg, tmp_path / "c.yaml")
-        assert load_config(tmp_path / "c.yaml") == cfg
+        assert from_mapping(load_mapping(tmp_path / "c.yaml")) == cfg
 
     def test_merge_lite_preset(self):
-        cfg = load_config("merge-lite")
+        cfg = from_mapping(load_mapping("merge-lite"))
         assert cfg.scenario.kind == "merge"
         assert cfg.scenario.n_background == 5
         assert cfg.train.total_steps == 20_000
         assert cfg.train.rollout_size == 640
 
     def test_paper_preset_is_defaults(self):
-        assert load_config("paper") == GlobalConfig()
+        assert from_mapping(load_mapping("paper")) == GlobalConfig()
 
     def test_unknown_section_named(self):
         with pytest.raises(ConfigError, match="trian"):
@@ -80,6 +80,12 @@ class TestConfigMapping:
     def test_unknown_scenario_key_named(self):
         with pytest.raises(ConfigError, match="n_cars"):
             from_mapping({"scenario": {"n_cars": 3}})
+
+    def test_scenario_seed_rejected(self, capsys):
+        # episodes draw their seeds from train.seed; the scenario has no seed
+        code = main(["train", "--config", "merge-lite", "scenario.seed=3"])
+        assert code == EXIT_CONFIG
+        assert "scenario: unknown key 'seed'" in capsys.readouterr().err
 
     def test_unknown_teacher_key_named(self):
         with pytest.raises(ConfigError, match="modle"):
@@ -125,13 +131,13 @@ class TestConfigMapping:
 
     def test_missing_file_names_path(self):
         with pytest.raises(ConfigError, match="nope.yaml"):
-            load_config("/definitely/nope.yaml")
+            load_mapping("/definitely/nope.yaml")
 
     def test_non_mapping_file_rejected(self, tmp_path):
         path = tmp_path / "list.yaml"
         path.write_text("- 1\n- 2\n")
         with pytest.raises(ConfigError, match="mapping"):
-            load_config(path)
+            load_mapping(path)
 
 
 class TestOverrides:
@@ -374,6 +380,9 @@ class TestTeacherCommand:
         ("n_background", "abc", "state.config.n_background"),
         ("success_region", 5, "state.config.success_region"),
         ("success_region.min_x", "abc", "state.config.success_region.min_x"),
+        ("dt_physics", 0.0, "state.config.dt_physics"),
+        ("decision_period", -1.0, "state.config.decision_period"),
+        ("horizon", -5, "state.config.horizon"),
     ])
     def test_invalid_state_config_exits_2(self, tmp_path, capsys, key, value, named):
         state, _ = reset(ScenarioConfig(kind="merge", n_background=2), seed=0)

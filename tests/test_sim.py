@@ -86,7 +86,7 @@ class TestConfig:
             ScenarioConfig(kind="roundabout").validate()
 
     def test_round_trip(self):
-        cfg = ScenarioConfig(kind="merge", n_background=7, seed=5)
+        cfg = ScenarioConfig(kind="merge", n_background=7)
         again = build_section("scenario", ScenarioConfig, cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
 
@@ -97,32 +97,32 @@ class TestConfig:
 
 class TestSpawn:
     def test_same_seed_identical(self):
-        cfg = ScenarioConfig(kind="merge", n_background=8, seed=7)
+        cfg = ScenarioConfig(kind="merge", n_background=8)
         s1, _ = reset(cfg, seed=7)
         s2, _ = reset(cfg, seed=7)
         assert s1.state_dict() == s2.state_dict()
 
     def test_disturbed_count(self):
-        cfg = ScenarioConfig(kind="highway", n_background=20, disturbance_fraction=0.15, seed=3)
+        cfg = ScenarioConfig(kind="highway", n_background=20, disturbance_fraction=0.15)
         state, _ = reset(cfg, seed=3)
         assert len(state.disturbed_ids) == round(0.15 * 20) == 3
 
     def test_empty_traffic(self):
-        cfg = ScenarioConfig(kind="merge", n_background=0, seed=1)
+        cfg = ScenarioConfig(kind="merge", n_background=0)
         state, obs = reset(cfg, seed=1)
         assert state.background == []
         assert obs.neighbor_count == 0
         assert not obs.neighbors.any()
 
     def test_speeds_within_truncation(self):
-        cfg = ScenarioConfig(kind="highway", n_background=30, seed=11)
+        cfg = ScenarioConfig(kind="highway", n_background=30)
         state, _ = reset(cfg, seed=11)
         for veh in state.background:
             assert 0.0 <= veh.speed <= 1.7 * cfg.spawn_speed_mean + 1e-9
 
     def test_no_initial_overlap(self):
         for seed in range(5):
-            cfg = ScenarioConfig(kind="highway", n_background=12, seed=seed)
+            cfg = ScenarioConfig(kind="highway", n_background=12)
             state, _ = reset(cfg, seed=seed)
             vehicles = state.vehicles
             for i in range(len(vehicles)):
@@ -172,7 +172,7 @@ class TestIdm:
 
 class TestStep:
     def test_cruise_holds_speed_on_empty_road(self):
-        cfg = ScenarioConfig(kind="highway", n_background=0, seed=0)
+        cfg = ScenarioConfig(kind="highway", n_background=0)
         state, _ = reset(cfg, seed=0)
         state.ego.speed = state.ego_target_speed
         v0 = state.ego.speed
@@ -180,13 +180,13 @@ class TestStep:
         assert abs(state.ego.speed - v0) < 0.1
 
     def test_turn_left_monotone_approach(self):
-        cfg = ScenarioConfig(kind="highway", n_background=0, seed=0)
+        cfg = ScenarioConfig(kind="highway", n_background=0)
         state, _ = reset(cfg, seed=0)
         assert state.ego.lane == 2
         target_y = -LANE_WIDTH * 1
         offsets = [abs(state.ego.y - target_y)]
         # sample sub-step granularity by running decision steps at dt period
-        fine = ScenarioConfig(kind="highway", n_background=0, seed=0,
+        fine = ScenarioConfig(kind="highway", n_background=0,
                               decision_period=0.1, dt_physics=0.1, horizon=200)
         fstate, _ = reset(fine, seed=0)
         step(fstate, Maneuver.TurnLeft)
@@ -198,7 +198,7 @@ class TestStep:
         assert all(b < a for a, b in zip(offsets, offsets[1:]))
 
     def test_turn_left_from_leftmost_is_clamped(self):
-        cfg = ScenarioConfig(kind="highway", n_background=0, seed=0)
+        cfg = ScenarioConfig(kind="highway", n_background=0)
         state, _ = reset(cfg, seed=0)
         state.ego.lane = state.ego.target_lane = 0
         state.ego.y = 0.0
@@ -236,7 +236,7 @@ class TestStep:
         assert out.reward > 5.0 - 1e-9
 
     def test_timeout_at_horizon(self):
-        cfg = ScenarioConfig(kind="highway", n_background=0, seed=0, horizon=3)
+        cfg = ScenarioConfig(kind="highway", n_background=0, horizon=3)
         state, _ = reset(cfg, seed=0)
         state.ego.speed = state.ego_target_speed = 0.1  # crawl, never reaching the goal
         events = None
@@ -249,7 +249,7 @@ class TestStep:
     def test_every_episode_terminates_within_horizon(self):
         rng = np.random.default_rng(5)
         for kind in ("merge", "highway", "intersection"):
-            cfg = ScenarioConfig(kind=kind, n_background=4, seed=9)
+            cfg = ScenarioConfig(kind=kind, n_background=4)
             state, _ = reset(cfg, seed=9)
             steps = 0
             while not state.done:
@@ -260,7 +260,7 @@ class TestStep:
             assert steps <= cfg.horizon
 
     def test_speed_never_negative_and_accel_bounded(self):
-        fine = ScenarioConfig(kind="merge", n_background=6, seed=4,
+        fine = ScenarioConfig(kind="merge", n_background=6,
                               decision_period=0.1, dt_physics=0.1, horizon=400)
         state, _ = reset(fine, seed=4)
         prev = {v.id: v.speed for v in state.vehicles}
@@ -275,7 +275,7 @@ class TestStep:
                 prev[v.id] = v.speed
 
     def test_deterministic_trajectories(self):
-        cfg = ScenarioConfig(kind="intersection", n_background=6, seed=21)
+        cfg = ScenarioConfig(kind="intersection", n_background=6)
         seq = [Maneuver.Cruise, Maneuver.SlowDown, Maneuver.SpeedUp] * 4
         dicts = []
         for _ in range(2):
@@ -299,7 +299,7 @@ class TestObserve:
         assert not obs.neighbors[:, 1:].any()
 
     def test_flat_dimension(self):
-        cfg = ScenarioConfig(kind="highway", n_background=3, seed=2)
+        cfg = ScenarioConfig(kind="highway", n_background=3)
         _, obs = reset(cfg, seed=2)
         assert obs.flat().shape == (FLAT_OBS_DIM,)
 
@@ -360,7 +360,7 @@ class TestReward:
         assert r <= -10.0 + 0.4
 
     def test_episode_return_matches_recomputation(self):
-        cfg = ScenarioConfig(kind="merge", n_background=5, seed=17)
+        cfg = ScenarioConfig(kind="merge", n_background=5)
         state, _ = reset(cfg, seed=17)
         seq = [Maneuver.SpeedUp, Maneuver.Cruise, Maneuver.TurnLeft, Maneuver.Cruise, Maneuver.Cruise]
         total = 0.0
@@ -404,7 +404,7 @@ class TestCollisionGeometry:
 
 class TestSerialization:
     def test_mid_episode_round_trip(self):
-        cfg = ScenarioConfig(kind="merge", n_background=6, seed=33)
+        cfg = ScenarioConfig(kind="merge", n_background=6)
         state, _ = reset(cfg, seed=33)
         for m in (Maneuver.SpeedUp, Maneuver.Cruise, Maneuver.TurnLeft):
             step(state, m)
@@ -418,7 +418,7 @@ class TestSerialization:
         np.testing.assert_array_equal(out_a.observation.flat(), out_b.observation.flat())
 
     def test_env_wrapper(self):
-        env = TrafficEnv(ScenarioConfig(kind="highway", n_background=3, seed=2))
+        env = TrafficEnv(ScenarioConfig(kind="highway", n_background=3))
         with pytest.raises(UsageError):
             env.step(Maneuver.Cruise)
         obs = env.reset(seed=2)
@@ -433,7 +433,7 @@ MANEUVER_CYCLE = (Maneuver.SpeedUp, Maneuver.TurnLeft, Maneuver.Cruise,
 
 def rollout_states(kind: str, n_background: int, seed: int):
     """The state after reset and after every step of a fixed maneuver cycle."""
-    state, _ = reset(ScenarioConfig(kind=kind, n_background=n_background, seed=seed), seed=seed)
+    state, _ = reset(ScenarioConfig(kind=kind, n_background=n_background), seed=seed)
     yield state
     i = 0
     while not state.done:
@@ -482,7 +482,7 @@ class TestLaneBookkeeping:
                     assert veh.lane == nearest_lane_index(state, veh), (seed, state.decision_step, veh.id)
 
     def test_from_state_dict_derives_lane_from_position(self):
-        state, _ = reset(ScenarioConfig(kind="highway", n_background=5, seed=4), seed=4)
+        state, _ = reset(ScenarioConfig(kind="highway", n_background=5), seed=4)
         d = state.state_dict()
         d["ego"]["lane"] = 0  # the ego spawns on lane 2 at y = -8
         for v in d["background"]:

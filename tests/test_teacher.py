@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from drivecoach.config import load_config
+from drivecoach.config import from_mapping, load_mapping
 from drivecoach.errors import ConfigError, UsageError
 from drivecoach.risk import RiskParams, assess
 from drivecoach.sim import MERGE_RAMP_END, Maneuver, ScenarioConfig, TrafficEnv, observe, reset, step
@@ -49,7 +49,7 @@ PARAMS = RiskParams()
 
 
 def highway_state(seed=3, n_background=8):
-    state, _ = reset(ScenarioConfig(kind="highway", n_background=n_background, seed=seed),
+    state, _ = reset(ScenarioConfig(kind="highway", n_background=n_background),
                      seed=seed)
     return state
 
@@ -106,7 +106,7 @@ class TestEncodeState:
             assert neighbor_tau(z, slot) == pytest.approx(expected)
 
     def test_no_neighbors_horizon_fill(self):
-        state, _ = reset(ScenarioConfig(kind="highway", n_background=0, seed=0), seed=0)
+        state, _ = reset(ScenarioConfig(kind="highway", n_background=0), seed=0)
         z = encode_state(observe(state), assess(state, PARAMS), horizon=PARAMS.horizon)
         assert np.all(z[EGO_BLOCK:EGO_BLOCK + 24] == 0.0)
         assert np.all(z[EGO_BLOCK + 24:] == PARAMS.horizon)
@@ -225,11 +225,9 @@ class TestMemory:
     def test_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         memory = MemoryRepository()
-        rule = ConstraintRule("merge", Maneuver.SpeedUp, {"tau_min_lt": 1.5})
         memory.add(MemoryEntry(z=rng.normal(size=STATE_DIM), scenario_kind="merge",
                                action=Maneuver.TurnLeft, outcome="success",
-                               episode_return=12.5, lesson="wait for the gap",
-                               constraints=[rule]))
+                               episode_return=12.5, lesson="wait for the gap"))
         path = tmp_path / "memory.json"
         memory.save(path)
         loaded = MemoryRepository.load(path)
@@ -240,7 +238,15 @@ class TestMemory:
         assert got.outcome == "success"
         assert got.episode_return == 12.5
         assert got.lesson == "wait for the gap"
-        assert got.constraints == [rule]
+
+    def test_entry_with_constraints_key_loads(self):
+        # memory files written while entries still carried a (never filled)
+        # constraints list load as before; the key is ignored
+        entry = entry_with(np.ones(STATE_DIM), lesson="keep the gap")
+        data = entry.to_dict()
+        data["constraints"] = [
+            ConstraintRule("merge", Maneuver.SpeedUp, {"tau_min_lt": 1.5}).to_dict()]
+        assert MemoryEntry.from_dict(data).to_dict() == entry.to_dict()
 
     def test_schema_version_checked(self):
         data = MemoryRepository().to_dict()
@@ -424,7 +430,7 @@ class TestConflictAhead:
         """Ego at 20 m/s between a 10 m/s car 20 m ahead and a 30 m/s car 20 m
         behind, all in one lane: both close at 10 m/s, so both conflict times
         are exactly 2 s."""
-        state, _ = reset(ScenarioConfig(kind="highway", n_background=2, seed=0), seed=0)
+        state, _ = reset(ScenarioConfig(kind="highway", n_background=2), seed=0)
         ego = state.ego
         ego.x, ego.speed, ego.heading = 100.0, 20.0, 0.0
         placed = zip(state.background, (ahead_id, behind_id), (20.0, -20.0), (10.0, 30.0))
@@ -636,7 +642,7 @@ class TestRecordReplay:
         agent_path = tmp_path / "transcript.jsonl"
 
         def run_episode(backend):
-            state, _ = reset(ScenarioConfig(kind="merge", n_background=5, seed=6), seed=6)
+            state, _ = reset(ScenarioConfig(kind="merge", n_background=5), seed=6)
             agent = TeacherAgent(backend)
             actions = []
             while not state.done and state.decision_step < 6:
@@ -675,7 +681,7 @@ class TestRecordReplay:
 class TestReflect:
     def test_canonical_rule_from_scripted_backend(self):
         seg = FlaggedSegment("intersection", ["speed_up", "slow_down"],
-                             [10.0, 10.0], [0.8, 0.3], [5.0, 4.0])
+                             [10.0, 10.0], [0.8, 0.3])
         outcome = reflect([seg], ScriptedBackend())
         assert len(outcome.constraint_delta) == 1
         rule = outcome.constraint_delta[0]
@@ -686,14 +692,14 @@ class TestReflect:
 
     def test_braking_culprit_yields_no_rule(self):
         seg = FlaggedSegment("merge", ["slow_down", "slow_down"],
-                             [10.0, 12.0], [1.0, 0.4], [8.0, 6.0])
+                             [10.0, 12.0], [1.0, 0.4])
         outcome = reflect([seg], ScriptedBackend())
         assert outcome.constraint_delta == []
         assert outcome.policy_delta
 
     def test_guard_clamped_to_clear_threshold(self):
         seg = FlaggedSegment("merge", ["cruise", "slow_down"],
-                             [8.0, 10.0], [5.6, 0.2], [20.0, 18.0])
+                             [8.0, 10.0], [5.6, 0.2])
         outcome = reflect([seg], ScriptedBackend())
         assert outcome.constraint_delta[0].guard == {"tau_min_lt": 4.0}
 
@@ -704,7 +710,7 @@ class TestReflect:
             "constraints": [{"scenario_kind": "merge", "forbidden_action": "hyperdrive",
                              "guard": {"tau_min_lt": 1.0}}],
         })
-        seg = FlaggedSegment("merge", ["cruise"], [8.0], [1.0], [10.0])
+        seg = FlaggedSegment("merge", ["cruise"], [8.0], [1.0])
         with pytest.warns(UserWarning, match="malformed"):
             outcome = reflect([seg], FixedBackend([reply]))
         assert outcome.constraint_delta == []
@@ -712,15 +718,15 @@ class TestReflect:
         assert outcome.prompt_delta == "mention the margin"
 
     def test_backend_failure_empty_outcome(self):
-        seg = FlaggedSegment("merge", ["cruise"], [8.0], [1.0], [10.0])
+        seg = FlaggedSegment("merge", ["cruise"], [8.0], [1.0])
         outcome = reflect([seg], FixedBackend([BackendError("down")]))
         assert outcome.policy_delta == ""
         assert outcome.prompt_delta == ""
         assert outcome.constraint_delta == []
 
     def test_prompt_narrates_every_segment(self):
-        segs = [FlaggedSegment("merge", ["cruise"], [8.0], [1.0], [10.0]),
-                FlaggedSegment("merge", ["speed_up"], [12.0], [0.5], [12.0])]
+        segs = [FlaggedSegment("merge", ["cruise"], [8.0], [1.0]),
+                FlaggedSegment("merge", ["speed_up"], [12.0], [0.5])]
         prompt = build_reflection_prompt(segs)
         assert "Segment 1" in prompt.user and "Segment 2" in prompt.user
         # the summary points at the worst segment
@@ -739,13 +745,13 @@ class TestTeacherAgent:
         assert agent.reflection_queries == 0
         agent.run_reflection([])
         assert agent.reflection_queries == 0  # empty list is gated out
-        seg = FlaggedSegment("highway", ["cruise"], [8.0], [1.0], [10.0])
+        seg = FlaggedSegment("highway", ["cruise"], [8.0], [1.0])
         agent.run_reflection([seg])
         assert agent.reflection_queries == 1
 
     def test_reflection_deduplicates(self):
         agent = TeacherAgent(ScriptedBackend())
-        seg = FlaggedSegment("highway", ["speed_up"], [9.0], [1.1], [9.0])
+        seg = FlaggedSegment("highway", ["speed_up"], [9.0], [1.1])
         agent.run_reflection([seg])
         agent.run_reflection([seg])
         assert len(agent.constraints) == 1
@@ -753,7 +759,7 @@ class TestTeacherAgent:
 
     def test_tau_hysteresis_visible_in_prompts(self, tmp_path):
         """A conflict that vanishes for one reading still gates the cascade."""
-        state, _ = reset(ScenarioConfig(kind="intersection", n_background=5, seed=3),
+        state, _ = reset(ScenarioConfig(kind="intersection", n_background=5),
                          seed=3)
         path = tmp_path / "t.jsonl"
         agent = TeacherAgent(RecordingBackend(ScriptedBackend(), path))
@@ -794,7 +800,7 @@ class TestTeacherAgent:
         agent.decide_step(state)
         agent.record_episode(np.ones(STATE_DIM), "highway", Maneuver.Cruise,
                              "success", 4.2)
-        seg = FlaggedSegment("highway", ["speed_up"], [9.0], [1.1], [9.0])
+        seg = FlaggedSegment("highway", ["speed_up"], [9.0], [1.1])
         agent.run_reflection([seg])
         agent._prev_tau = 2.5
 
@@ -810,7 +816,7 @@ class TestTeacherAgent:
     def staged_merge(self, ego_x):
         """Ego on the ramp at 20 m/s with a mainline car 3 m behind it in the
         goal lane, so no gap is safe."""
-        state, _ = reset(ScenarioConfig(kind="merge", n_background=1, seed=0), seed=0)
+        state, _ = reset(ScenarioConfig(kind="merge", n_background=1), seed=0)
         state.ego.x, state.ego.speed = ego_x, 20.0
         other = state.background[0]
         other.x, other.y, other.speed = ego_x - 3.0, -4.0, 20.0
@@ -832,7 +838,7 @@ class TestTeacherAgent:
 
     def test_scripted_pipeline_deterministic(self):
         def run():
-            state, _ = reset(ScenarioConfig(kind="merge", n_background=5, seed=4), seed=4)
+            state, _ = reset(ScenarioConfig(kind="merge", n_background=5), seed=4)
             agent = TeacherAgent(ScriptedBackend())
             actions = []
             while not state.done:
@@ -849,7 +855,7 @@ class TestScriptedTeacherAsDriver:
         """The scripted teacher, driving merge-lite itself, on the 60 eval
         seeds of train seeds 0-2. A teacher weaker than the students it
         guides pulls them down; before the must-merge rule it reached 44."""
-        cfg = load_config("merge-lite")
+        cfg = from_mapping(load_mapping("merge-lite"))
         env = TrafficEnv(cfg.scenario, cfg.risk)
         successes = 0
         seeds = []
@@ -859,9 +865,10 @@ class TestScriptedTeacherAsDriver:
         for seed in seeds:
             env.reset(seed=seed)
             agent = TeacherAgent(ScriptedBackend(), cfg.risk)
+            out = None
             while not env.state.done:
                 decision, _z = agent.decide_step(env.state)
-                env.step(decision.action)
-            successes += "success" in env.state.last_events
+                out = env.step(decision.action)
+            successes += "success" in out.events
         assert len(seeds) == 60
         assert successes >= 51, f"{successes}/60"

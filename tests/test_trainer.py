@@ -9,6 +9,7 @@ import pytest
 
 from drivecoach.errors import ConfigError, UsageError
 from drivecoach.nn import CheckpointError, load_checkpoint, save_checkpoint
+from drivecoach.policy import value_targets
 from drivecoach.risk import delta_ttcp_metric
 from drivecoach.sim.engine import TrafficEnv, trace_record
 from drivecoach.sim.scenarios import ScenarioConfig
@@ -17,6 +18,7 @@ from drivecoach.teacher import ScriptedBackend, TeacherAgent
 from drivecoach.trainer import (
     LOSS_HEADER,
     METRICS_HEADER,
+    EpisodeAccumulator,
     EvalReport,
     RolloutBuffer,
     TrainConfig,
@@ -29,8 +31,8 @@ from drivecoach.trainer import (
 )
 
 
-def merge_scenario(n_background=2, seed=0):
-    return ScenarioConfig(kind="merge", n_background=n_background, seed=seed)
+def merge_scenario(n_background=2):
+    return ScenarioConfig(kind="merge", n_background=n_background)
 
 
 def small_cfg(**overrides):
@@ -39,6 +41,11 @@ def small_cfg(**overrides):
                 variant="LA-PPO")
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def collect(tr):
+    """Fill a fresh trainer's buffer once, as run() does before its first update."""
+    tr.run(stop_after_step=tr.cfg.rollout_size)
 
 
 class TestTrainConfig:
@@ -95,36 +102,48 @@ class TestSchedules:
         assert window_steps(TrainConfig()) == 10_000
 
 
+def gae_from_rows(rewards, values, next_values, dones, gamma, lam, truncated=None):
+    """Advantages as update() computes them: targets first, then GAE."""
+    targets = value_targets(rewards, next_values, dones, gamma, truncated=truncated)
+    return gae_advantages(targets, values, dones, gamma, lam)
+
+
 class TestGae:
     def test_hand_computed_with_terminal_cut(self):
         # gamma 0.5, lam 0.5: deltas are [1.0, 1.0, 2.5]; the done at t=1
         # blocks both bootstrap and carry, so adv = [1.25, 1.0, 2.5]
-        adv = gae_advantages(rewards=[1.0, 2.0, 3.0], values=[0.5, 1.0, 1.5],
-                             next_values=[1.0, 1.5, 2.0], dones=[False, True, False],
-                             gamma=0.5, lam=0.5)
+        adv = gae_from_rows(rewards=[1.0, 2.0, 3.0], values=[0.5, 1.0, 1.5],
+                            next_values=[1.0, 1.5, 2.0], dones=[False, True, False],
+                            gamma=0.5, lam=0.5)
         np.testing.assert_allclose(adv, [1.25, 1.0, 2.5], atol=1e-12)
 
     def test_hand_computed_with_truncated_row(self):
         # same rows as above, but the done at t=1 is a time limit: its delta
         # bootstraps, 2.0 + 0.5 * 1.5 - 1.0 = 1.75, and the carry from t=2
         # (a new episode) is still cut, so adv = [1.0 + 0.25 * 1.75, 1.75, 2.5]
-        adv = gae_advantages(rewards=[1.0, 2.0, 3.0], values=[0.5, 1.0, 1.5],
-                             next_values=[1.0, 1.5, 2.0], dones=[False, True, False],
-                             gamma=0.5, lam=0.5, truncated=[False, True, False])
+        adv = gae_from_rows(rewards=[1.0, 2.0, 3.0], values=[0.5, 1.0, 1.5],
+                            next_values=[1.0, 1.5, 2.0], dones=[False, True, False],
+                            gamma=0.5, lam=0.5, truncated=[False, True, False])
         np.testing.assert_allclose(adv, [1.4375, 1.75, 2.5], atol=1e-12)
 
     def test_undiscounted_chain_accumulates(self):
-        adv = gae_advantages(rewards=[0.0, 0.0], values=[0.0, 0.0],
-                             next_values=[5.0, 10.0], dones=[False, False],
-                             gamma=1.0, lam=1.0)
+        adv = gae_from_rows(rewards=[0.0, 0.0], values=[0.0, 0.0],
+                            next_values=[5.0, 10.0], dones=[False, False],
+                            gamma=1.0, lam=1.0)
         np.testing.assert_allclose(adv, [15.0, 10.0], atol=1e-12)
+
+    def test_residual_is_target_minus_value(self):
+        # lam 0 leaves only the one-step residual of each row
+        adv = gae_advantages(targets=[3.0, -1.0], values=[1.0, 0.5], dones=[False, True],
+                             gamma=0.9, lam=0.0)
+        np.testing.assert_allclose(adv, [2.0, -1.5], atol=1e-12)
 
 
 class TestRolloutBuffer:
     def test_fill_and_overflow(self):
         buf = RolloutBuffer(2, 3)
         row = dict(obs=np.zeros(3), action=1, logp=-1.0, reward=0.5, value=0.1,
-                   done=False, next_obs=np.ones(3), step_id=0)
+                   done=False, next_obs=np.ones(3))
         buf.add(**row)
         assert not buf.full
         buf.add(**row)
@@ -135,16 +154,16 @@ class TestRolloutBuffer:
     def test_teacher_columns(self):
         buf = RolloutBuffer(2, 3)
         buf.add(obs=np.zeros(3), action=1, logp=0.0, reward=0.0, value=0.0,
-                done=False, next_obs=np.zeros(3), step_id=0, teacher_action=2)
+                done=False, next_obs=np.zeros(3), teacher_action=2)
         buf.add(obs=np.zeros(3), action=1, logp=0.0, reward=0.0, value=0.0,
-                done=False, next_obs=np.zeros(3), step_id=1)
+                done=False, next_obs=np.zeros(3))
         assert buf.teacher_actions[0] == 2
         assert buf.teacher_actions[1] == -1
 
     def test_clear_resets_labels(self):
         buf = RolloutBuffer(1, 3)
         buf.add(obs=np.zeros(3), action=0, logp=0.0, reward=0.0, value=0.0,
-                done=False, next_obs=np.zeros(3), step_id=0, teacher_action=1)
+                done=False, next_obs=np.zeros(3), teacher_action=1)
         buf.clear()
         assert buf.n == 0
         assert buf.teacher_actions[0] == -1
@@ -154,6 +173,14 @@ class TestRolloutBuffer:
         buf = RolloutBuffer(2, 3)
         columns = [k for k, v in vars(buf).items() if isinstance(v, np.ndarray)]
         assert sorted(RolloutBuffer.ARRAYS) == sorted(columns)
+
+
+class TestEpisodeAccumulator:
+    def test_episode_meta_lists_every_field(self):
+        # a field left out of to_meta would silently not survive a checkpoint;
+        # z_list travels as the episode.z array instead
+        fields = {f.name for f in dataclasses.fields(EpisodeAccumulator)}
+        assert set(EpisodeAccumulator().to_meta()) == fields - {"z_list"}
 
 
 class TestVariantGating:
@@ -187,36 +214,28 @@ class TestCollect:
         cfg = small_cfg(total_steps=100, eval_interval=1000, rollout_size=60,
                         batch_size=20, variant="V-PPO")
         tr = Trainer(merge_scenario(), cfg)
-        stats = tr.collect_rollout()
+        collect(tr)
         assert tr.buffer.n == 60
-        assert stats["steps"] == 60
+        assert tr.global_step == 60
         # a merge episode lasts at most the 30-step horizon
-        assert stats["episodes"] >= 60 // 30
+        assert tr.episode_index >= 60 // 30
 
     def test_time_limit_marks_truncated(self):
         # two decision steps cannot reach x = 240 m or the ramp end from x = 20 m,
         # so every episode ends on the time limit
         scenario = ScenarioConfig(kind="merge", n_background=0, horizon=2)
         tr = Trainer(scenario, small_cfg(variant="V-PPO"))
-        tr.collect_rollout()
+        collect(tr)
         buf = tr.buffer
         assert buf.dones[:buf.n].sum() == 25
         np.testing.assert_array_equal(buf.truncated[:buf.n], buf.dones[:buf.n])
-
-    def test_nonempty_buffer_rejected(self):
-        cfg = small_cfg(total_steps=100, eval_interval=1000, rollout_size=10,
-                        batch_size=5, variant="V-PPO")
-        tr = Trainer(merge_scenario(), cfg)
-        tr.collect_rollout()
-        with pytest.raises(UsageError):
-            tr.collect_rollout()
 
     def test_window_gates_teacher_labels(self):
         # window is int(0.1 * 100) = 10 steps of a 30-step rollout
         cfg = small_cfg(total_steps=100, eval_interval=1000, rollout_size=30,
                         batch_size=10, variant="LA-PPO")
         tr = Trainer(merge_scenario(), cfg)
-        tr.collect_rollout()
+        collect(tr)
         labeled = tr.buffer.teacher_actions[:30] >= 0
         assert labeled[:10].all()
         assert not labeled[10:].any()
@@ -226,7 +245,7 @@ class TestCollect:
         cfg = small_cfg(total_steps=100, eval_interval=1000, rollout_size=20,
                         batch_size=10, variant="V-PPO")
         tr = Trainer(merge_scenario(), cfg)
-        tr.collect_rollout()
+        collect(tr)
         assert (tr.buffer.teacher_actions[:20] == -1).all()
 
     def test_env_fault_aborts_with_diagnostic(self):
@@ -239,15 +258,15 @@ class TestCollect:
 
         tr.env.step = boom
         with pytest.raises(RuntimeError, match="environment fault"):
-            tr.collect_rollout()
+            collect(tr)
 
     def test_window_episode_feeds_teacher_memory(self):
         cfg = small_cfg(total_steps=60, eval_interval=1000, rollout_size=60,
                         batch_size=20, teacher_window_fraction=0.9,
                         variant="LA-PPO")
         tr = Trainer(merge_scenario(), cfg)
-        stats = tr.collect_rollout()
-        assert stats["episodes"] >= 1
+        collect(tr)
+        assert tr.episode_index >= 1
         assert len(tr.teacher.memory) >= 1
 
 
@@ -256,7 +275,7 @@ class TestUpdate:
         cfg = small_cfg(total_steps=100, eval_interval=1000, rollout_size=40,
                         batch_size=20, epochs=2, variant=variant, **overrides)
         tr = Trainer(merge_scenario(), cfg)
-        tr.collect_rollout()
+        collect(tr)
         return tr
 
     def test_empty_buffer_rejected(self):
@@ -311,14 +330,14 @@ class TestEvaluate:
 
     def test_teacher_not_queried(self):
         tr = self._trainer()
-        tr.collect_rollout()
+        collect(tr)
         before = tr.teacher.decision_queries
         tr.evaluate()
         assert tr.teacher.decision_queries == before
 
     def test_training_episode_untouched(self):
         tr = self._trainer()
-        tr.collect_rollout()
+        collect(tr)
         snapshot = tr.env.state.state_dict()
         tr.evaluate()
         assert tr.env.state.state_dict() == snapshot
@@ -515,6 +534,13 @@ class TestCheckpointResume:
         tail = [r for r in full_rows[1:] if int(r.split(",")[0]) > 90]
         assert resumed_rows[1:] == tail
         assert tail
+        # the stop falls inside a rollout, so the first resumed update derives
+        # its schedule midpoint from a buffer filled on both sides of the stop
+        full_losses = (tmp_path / "full" / "losses.csv").read_text().splitlines()
+        resumed_losses = (tmp_path / "resumed" / "losses.csv").read_text().splitlines()
+        after = [r for r in full_losses[1:] if int(r.split(",")[1]) > 90]
+        assert resumed_losses[1:] == after
+        assert after
 
     def test_resume_restores_counters_and_teacher(self, tmp_path):
         cfg = small_cfg(variant="LA-PPO")
@@ -560,8 +586,10 @@ class TestCheckpointResume:
         tr = Trainer(merge_scenario(), cfg, out_dir=tmp_path)
         tr.run(stop_after_step=50)
         arrays, meta = load_checkpoint(str(tmp_path / "checkpoint_step50.dckp"))
-        del arrays["buffer.truncated"]
-        meta["format"] = 1
+        # format 2 stored each row's global step and a copy of the scenario config
+        arrays["buffer.step_ids"] = np.zeros(cfg.rollout_size, dtype=np.int64)
+        meta["env"]["config"] = meta["scenario"]
+        meta["format"] = 2
         doctored = tmp_path / "doctored.dckp"
         save_checkpoint(str(doctored), arrays, meta)
         with pytest.raises(CheckpointError, match="format"):
