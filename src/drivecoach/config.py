@@ -15,8 +15,9 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
+from .records import build_section
 from .risk import RiskParams
-from .sim.scenarios import ScenarioConfig, SuccessRegion
+from .sim.scenarios import ScenarioConfig
 from .teacher import (
     MemoryRepository,
     RecordingBackend,
@@ -96,40 +97,6 @@ class GlobalConfig:
             raise ConfigError("out_dir: must not be empty")
 
 
-_NUMBER_FIELDS = {"int", "float"}
-
-
-def build_section(name: str, cls, data: dict):
-    """One config dataclass from a mapping: unknown keys and mistyped numbers
-    raise ConfigError naming `name.key`; nested success regions recurse."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{name}: expected a mapping, got {data!r}")
-    known = cls.__dataclass_fields__
-    unknown = set(data) - set(known)
-    if unknown:
-        raise ConfigError(f"{name}: unknown key {sorted(unknown)[0]!r}")
-    coerced = {}
-    for key, value in data.items():
-        anno = known[key].type
-        anno = getattr(anno, "__name__", anno)  # plain class vs deferred string
-        if value is None and anno.endswith(" | None"):
-            coerced[key] = None
-            continue
-        anno = anno.removesuffix(" | None")
-        if anno == "SuccessRegion":
-            value = build_section(f"{name}.{key}", SuccessRegion, value)
-        elif anno in _NUMBER_FIELDS and not isinstance(value, (int, float)):
-            raise ConfigError(f"{name}.{key}: expected a number, got {value!r}")
-        if anno == "int":
-            if not float(value).is_integer():
-                raise ConfigError(f"{name}.{key}: expected an integer, got {value!r}")
-            value = int(value)
-        elif anno == "float":
-            value = float(value)
-        coerced[key] = value
-    return cls(**coerced)
-
-
 def from_mapping(data: dict) -> GlobalConfig:
     """Build a GlobalConfig from a plain mapping, rejecting unknown keys."""
     if data is None:
@@ -149,13 +116,7 @@ def from_mapping(data: dict) -> GlobalConfig:
 
 
 def to_mapping(cfg: GlobalConfig) -> dict:
-    return {
-        "scenario": cfg.scenario.to_dict(),
-        "train": asdict(cfg.train),
-        "risk": asdict(cfg.risk),
-        "teacher": asdict(cfg.teacher),
-        "out_dir": cfg.out_dir,
-    }
+    return {**asdict(cfg), "scenario": cfg.scenario.to_dict()}
 
 
 def load_mapping(source) -> dict:

@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .. import risk as risk_engine
-from ..errors import UsageError
+from ..errors import ConfigError, UsageError
+from ..records import build_section
 from .idm import EMERGENCY_DECEL, idm_accel_flagged, mobil_accepts
 from .scenarios import (
     LANE_WIDTH,
@@ -31,7 +32,7 @@ from .scenarios import (
     build_geometry,
     spawn,
 )
-from .vehicles import MANEUVER_TOKENS, Maneuver, VehicleState, rects_overlap, wrap_angle
+from .vehicles import MANEUVER_TOKENS, Maneuver, VehicleState, make_profile, rects_overlap, wrap_angle
 
 # lateral steering gains and actuator limit; the limit leaves headroom above
 # the 0.46 rad feedforward a radius-6 arc demands at wheelbase 3
@@ -112,29 +113,34 @@ class ScenarioState:
         }
 
     @classmethod
-    def from_state_dict(cls, d: dict, config: ScenarioConfig) -> "ScenarioState":
-        """Rebuild a state under `config`, which the caller has parsed and
-        checked; d["config"] is not read."""
+    def from_state_dict(cls, d: dict, config: ScenarioConfig, section: str = "state") -> "ScenarioState":
+        """Rebuild a state under `config`, which the caller has parsed and checked;
+        d["config"] is not read. A bad field raises ConfigError naming `section.key`."""
         kind = config.kind
-        state = cls(
-            config=config,
-            geometry=build_geometry(kind),
-            ego=VehicleState.from_dict(d["ego"], kind),
-            background=[VehicleState.from_dict(v, kind) for v in d["background"]],
-            disturbed_ids=list(d["disturbed_ids"]),
-            decision_step=d["decision_step"],
-            ego_target_speed=d["ego_target_speed"],
-            done=d["done"],
-        )
+        record = {**d, "config": config, "geometry": build_geometry(kind),
+                  "ego": _read_vehicle(f"{section}.ego", d.get("ego"), kind)}
+        if isinstance(d.get("background"), list):
+            record["background"] = [_read_vehicle(f"{section}.background[{i}]", v, kind)
+                                    for i, v in enumerate(d["background"])]
+        state = build_section(section, cls, record)
         # a state file may come from outside the program: derive each lane
         # from the positions rather than trust the recorded one
         _refresh_lanes(state)
         return state
 
 
+def _read_vehicle(name: str, record, kind: str) -> VehicleState:
+    """A vehicle from its `to_dict` record; a bad field raises ConfigError naming `name.key`."""
+    if isinstance(record, dict) and "profile" in record:
+        try:
+            record = {**record, "profile": make_profile(record["profile"], kind)}
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{name}.profile: {err}") from err
+    return build_section(name, VehicleState, record)
+
+
 def reset(config: ScenarioConfig, seed: int):
-    """Spawn a fresh episode; identical (config, seed) pairs spawn identically."""
-    config.validate()
+    """Spawn a fresh episode under a validated config; identical (config, seed) pairs spawn identically."""
     rng = np.random.default_rng(seed)
     geometry = build_geometry(config.kind)
     table = spawn(config, geometry, rng)

@@ -204,7 +204,6 @@ def _draw_speeds(rng: np.random.Generator, profiles, config: ScenarioConfig):
 
 
 def spawn(config: ScenarioConfig, geometry: Geometry, rng: np.random.Generator) -> SpawnTable:
-    config.validate()
     kind = config.kind
     styles = list(rng.choice(_STYLES, size=config.n_background, p=_STYLE_WEIGHTS))
     profiles = [make_profile(str(s), kind) for s in styles]

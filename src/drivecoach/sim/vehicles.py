@@ -129,22 +129,6 @@ class VehicleState:
             "profile": self.profile.name,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict, scenario_kind: str) -> "VehicleState":
-        return cls(
-            id=d["id"],
-            x=d["x"],
-            y=d["y"],
-            speed=d["speed"],
-            heading=d["heading"],
-            lane=d["lane"],
-            target_lane=d["target_lane"],
-            length=d["length"],
-            width=d["width"],
-            is_ego=d["is_ego"],
-            profile=make_profile(d["profile"], scenario_kind),
-        )
-
 
 def rect_corners(v: VehicleState):
     """World-frame corners of the vehicle's footprint rectangle."""

@@ -177,6 +177,8 @@ class TeacherAgent:
 
     def state_dict(self) -> dict:
         return {
+            "kind": self.backend.kind,
+            "n_shot": self.n_shot,
             "memory": self.memory.to_dict(),
             "constraints": [rule.to_dict() for rule in self.constraints],
             "lessons": list(self.lessons),
@@ -186,6 +188,9 @@ class TeacherAgent:
         }
 
     def load_state_dict(self, data: dict) -> None:
+        if data["kind"] != self.backend.kind:
+            warnings.warn(f"teacher saved on the {data['kind']!r} backend resumes on {self.backend.kind!r}", stacklevel=2)
+        self.n_shot = int(data["n_shot"])
         self.memory = MemoryRepository.from_dict(data["memory"])
         self.constraints = [ConstraintRule.from_dict(raw) for raw in data["constraints"]]
         self.lessons = list(data["lessons"])

@@ -43,7 +43,9 @@ class RemoteBackend(ChatBackend):
         self.temperature = temperature
 
     def chat(self, messages):
-        import requests
+        # imported here: they load ssl (7 MB, 50 ms), which runs without a remote model never need
+        import http.client
+        import urllib.request
 
         key = os.environ.get(API_KEY_VAR, "")
         if not key:
@@ -54,16 +56,16 @@ class RemoteBackend(ChatBackend):
             "temperature": self.temperature,
             "max_tokens": MAX_REPLY_TOKENS,
         }
+        request = urllib.request.Request(
+            self.endpoint,
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Authorization": f"Bearer {key}", "Content-Type": "application/json"},
+        )
         try:
-            response = requests.post(
-                self.endpoint,
-                json=payload,
-                headers={"Authorization": f"Bearer {key}"},
-                timeout=self.timeout,
-            )
-            response.raise_for_status()
-            return response.json()["choices"][0]["message"]["content"]
-        except requests.RequestException as err:
+            with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                return json.load(response)["choices"][0]["message"]["content"]
+        # URLError, HTTPError and timeouts are all OSErrors
+        except (OSError, http.client.HTTPException) as err:
             raise BackendError(f"remote backend request failed: {err}") from err
         except (KeyError, IndexError, TypeError, ValueError) as err:
             raise BackendError(f"remote backend returned an unexpected shape: {err}") from err

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +43,9 @@ from .policy import (
     value_loss,
     value_targets,
 )
+from .records import build_section
 from .risk import INFRACTION_EVENTS, RiskParams, delta_ttcp_metric, flag_segments, risk_value
-from .sim.engine import FLAT_OBS_DIM, TrafficEnv, observe, trace_record
+from .sim.engine import FLAT_OBS_DIM, ScenarioState, TrafficEnv, observe, trace_record
 from .sim.scenarios import ScenarioConfig
 from .sim.vehicles import MANEUVER_TOKENS, Maneuver
 from .teacher import FlaggedSegment, ScriptedBackend, TeacherAgent
@@ -54,7 +55,8 @@ LOSS_HEADER = "update,step,total,policy_loss,value_loss,distill_loss,kl_penalty,
 
 # 2: the buffer stores time-limit truncation apart from termination
 # 3: the buffer drops its step ids, and the meta its copy of the scenario config
-CHECKPOINT_FORMAT = 3
+# 4: the teacher block records its n_shot and backend kind
+CHECKPOINT_FORMAT = 4
 
 
 def normalize_variant(name: str) -> str:
@@ -249,29 +251,15 @@ class EpisodeAccumulator:
     seed: int = 0
     ret: float = 0.0
     length: int = 0
-    actions: list = field(default_factory=list)
-    omegas: list = field(default_factory=list)
-    taus: list = field(default_factory=list)
-    z_steps: list = field(default_factory=list)  # step index of each teacher query
-    z_list: list = field(default_factory=list)
+    actions: list[int] = field(default_factory=list)
+    omegas: list[float] = field(default_factory=list)
+    taus: list[float] = field(default_factory=list)
+    z_steps: list[int] = field(default_factory=list)  # step index of each teacher query
+    z_list: list[np.ndarray] = field(default_factory=list)
 
     def to_meta(self) -> dict:
-        return {
-            "seed": self.seed, "ret": self.ret, "length": self.length,
-            "actions": self.actions, "omegas": self.omegas, "taus": self.taus,
-            "z_steps": self.z_steps,
-        }
-
-    @classmethod
-    def from_meta(cls, d: dict, z_rows: np.ndarray | None) -> "EpisodeAccumulator":
-        ep = cls(seed=int(d["seed"]), ret=float(d["ret"]), length=int(d["length"]),
-                 actions=[int(a) for a in d["actions"]],
-                 omegas=[float(w) for w in d["omegas"]],
-                 taus=[float(t) for t in d["taus"]],
-                 z_steps=[int(i) for i in d["z_steps"]])
-        if z_rows is not None:
-            ep.z_list = [z_rows[i].copy() for i in range(z_rows.shape[0])]
-        return ep
+        """Every field but z_list, which checkpoints store as the episode.z array."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "z_list"}
 
 
 class Trainer:
@@ -280,7 +268,6 @@ class Trainer:
     def __init__(self, scenario: ScenarioConfig, train: TrainConfig,
                  risk: RiskParams | None = None, teacher: TeacherAgent | None = None,
                  out_dir=None):
-        scenario.validate()
         train.validate()
         self.scenario = scenario
         self.cfg = train
@@ -597,16 +584,15 @@ class Trainer:
         save_checkpoint(str(path), arrays, meta)
 
     @classmethod
-    def resume(cls, path, out_dir=None, teacher: TeacherAgent | None = None) -> "Trainer":
+    def resume(cls, path, out_dir=None) -> "Trainer":
+        """Rebuild a run from its checkpoint alone; an LA-PPO teacher comes back on the scripted backend."""
         arrays, meta = load_checkpoint(str(path))
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointError(f"unsupported checkpoint format: {meta.get('format')!r}")
-        from .config import build_section
-
         train = build_section("train", TrainConfig, meta["train"])
         scenario = build_section("scenario", ScenarioConfig, meta["scenario"])
         risk = build_section("risk", RiskParams, meta["risk"])
-        trainer = cls(scenario, train, risk, teacher=teacher, out_dir=out_dir)
+        trainer = cls(scenario, train, risk, out_dir=out_dir)
         want = trainer.policy.architecture_id()
         if meta["architecture"] != want:
             raise CheckpointError(
@@ -629,13 +615,12 @@ class Trainer:
         trainer.episode_index = int(meta["episode_index"])
         trainer.rng.bit_generator.state = meta["rng"]
         if meta["env"] is not None:
-            from .sim.engine import ScenarioState
-
-            trainer.env.state = ScenarioState.from_state_dict(meta["env"], scenario)
-        trainer._ep = EpisodeAccumulator.from_meta(meta["episode"], arrays.get("episode.z"))
+            trainer.env.state = ScenarioState.from_state_dict(meta["env"], scenario, section="env")
+        trainer._ep = build_section("episode", EpisodeAccumulator, {
+            **meta["episode"], "z_list": list(arrays.get("episode.z", ()))})
         if trainer.env.state is not None and not trainer.env.state.done:
             trainer._obs = observe(trainer.env.state).flat()
-        if trainer.teacher is not None and meta["teacher"] is not None:
+        if trainer.teacher is not None:
             trainer.teacher.load_state_dict(meta["teacher"])
         return trainer
 

@@ -253,7 +253,9 @@ class TestTrainCommand:
         for override, key in (("train.gamma=2", "train.gamma"),
                               ("scenario.n_background=2.5", "scenario.n_background"),
                               ("scenario.success_region.min_x=abc",
-                               "scenario.success_region.min_x")):
+                               "scenario.success_region.min_x"),
+                              ("scenario.n_background=true", "scenario.n_background"),
+                              ("train.lr=yes", "train.lr")):
             code = main(["train", "--config", str(small_config),
                          "--out", str(tmp_path / "x"), override])
             assert code == EXIT_CONFIG
@@ -383,14 +385,27 @@ class TestTeacherCommand:
         ("dt_physics", 0.0, "state.config.dt_physics"),
         ("decision_period", -1.0, "state.config.decision_period"),
         ("horizon", -5, "state.config.horizon"),
+        ("done", "yes", "state.done"),
+        ("ego_target_speed", "abc", "state.ego_target_speed"),
+        ("decision_step", "x", "state.decision_step"),
+        ("disturbed_ids", 3, "state.disturbed_ids"),
+        ("ego.lane", 1.5, "state.ego.lane"),
+        ("ego.speed", "abc", "state.ego.speed"),
+        ("ego.is_ego", 1, "state.ego.is_ego"),
+        ("ego.profile", "reckless", "state.ego.profile"),
+        ("background.2.lane", 1.5, "state.background[2].lane"),
+        ("background.2.speed", -1.0, "state.background[2]"),
     ])
     def test_invalid_state_config_exits_2(self, tmp_path, capsys, key, value, named):
-        state, _ = reset(ScenarioConfig(kind="merge", n_background=2), seed=0)
+        state, _ = reset(ScenarioConfig(kind="merge", n_background=3), seed=0)
         record = {"state": state.state_dict()}
+        # `key` is the path below state.config for a config field, else below state
+        node = record["state"]
+        if named.startswith("state.config."):
+            node = node["config"]
         *parents, leaf = key.split(".")
-        node = record["state"]["config"]
         for part in parents:
-            node = node[part]
+            node = node[int(part)] if isinstance(node, list) else node[part]
         node[leaf] = value
         path = tmp_path / "bad_config.jsonl"
         path.write_text(json.dumps(record) + "\n")

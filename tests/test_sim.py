@@ -3,6 +3,7 @@ rewards, events, serialization, and lane bookkeeping."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -416,6 +417,31 @@ class TestSerialization:
         assert out_a.reward == out_b.reward
         assert out_a.events == out_b.events
         np.testing.assert_array_equal(out_a.observation.flat(), out_b.observation.flat())
+
+    @pytest.mark.parametrize("kind", ["merge", "highway", "intersection"])
+    def test_state_dict_round_trip_field_for_field(self, kind):
+        state, _ = reset(ScenarioConfig(kind=kind, n_background=5), seed=7)
+        for m in (Maneuver.SpeedUp, Maneuver.TurnLeft, Maneuver.Cruise):
+            step(state, m)
+        assert not state.done
+        clone = ScenarioState.from_state_dict(state.state_dict(), state.config)
+        for f in dataclasses.fields(ScenarioState):
+            if f.name != "geometry":
+                assert getattr(clone, f.name) == getattr(state, f.name), f.name
+        # the geometry is rebuilt from the kind, and a Route compares by identity
+        def parts(geometry):
+            route = geometry.ego_route
+            return geometry.lanes, geometry.ego_lane_count, route and route.segments
+
+        assert parts(clone.geometry) == parts(state.geometry)
+
+    def test_reset_does_not_validate_again(self, monkeypatch):
+        env = TrafficEnv(ScenarioConfig(kind="merge", n_background=3))
+        calls = []
+        monkeypatch.setattr(ScenarioConfig, "validate", lambda self, *a, **k: calls.append(a))
+        for seed in range(10):
+            env.reset(seed)
+        assert calls == []
 
     def test_env_wrapper(self):
         env = TrafficEnv(ScenarioConfig(kind="highway", n_background=3))

@@ -5,9 +5,13 @@ fallback path are the deterministic reference implementations.
 """
 
 import dataclasses
+import io
 import json
 import math
 import re
+import sys
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from drivecoach.errors import ConfigError, UsageError
 from drivecoach.risk import RiskParams, assess
 from drivecoach.sim import MERGE_RAMP_END, Maneuver, ScenarioConfig, TrafficEnv, observe, reset, step
 from drivecoach.teacher import (
+    API_KEY_VAR,
     ChatBackend,
     BackendError,
     ConstraintRule,
@@ -25,6 +30,7 @@ from drivecoach.teacher import (
     MemoryRepository,
     Prompt,
     RecordingBackend,
+    RemoteBackend,
     ReplayBackend,
     ScriptedBackend,
     TeacherAgent,
@@ -676,6 +682,63 @@ class TestRecordReplay:
     def test_unreadable_transcript_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="transcript"):
             ReplayBackend(tmp_path / "missing.jsonl")
+
+
+class TestRemoteBackend:
+    """The remote backend's one POST, against a stand-in for `urlopen` (there
+    is no network), with `requests` blocked: the standard library serves it."""
+
+    MESSAGES = [("system", "be brief"), ("user", "decide")]
+    URL = "http://llm.invalid/v1/chat/completions"
+
+    @pytest.fixture
+    def backend(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)
+        monkeypatch.setenv(API_KEY_VAR, "k123")
+        return RemoteBackend(self.URL, "m", timeout=7.5, temperature=0.3)
+
+    @staticmethod
+    def serve(monkeypatch, reply) -> list:
+        """urlopen returns the bytes `reply`, or raises it when it is an
+        exception; returns the list of (request, timeout) calls it saw."""
+        seen = []
+
+        def fake_urlopen(request, timeout):
+            seen.append((request, timeout))
+            if isinstance(reply, Exception):
+                raise reply
+            return io.BytesIO(reply)
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        return seen
+
+    def test_good_reply(self, backend, monkeypatch):
+        reply = {"choices": [{"message": {"content": "ok"}}]}
+        seen = self.serve(monkeypatch, json.dumps(reply).encode())
+        assert backend.chat(self.MESSAGES) == "ok"
+        [(request, timeout)] = seen
+        assert timeout == 7.5
+        assert (request.get_method(), request.full_url) == ("POST", self.URL)
+        assert request.get_header("Authorization") == "Bearer k123"
+        body = json.loads(request.data)
+        assert (body["model"], body["temperature"]) == ("m", 0.3)
+        assert body["messages"] == [{"role": "system", "content": "be brief"},
+                                    {"role": "user", "content": "decide"}]
+
+    def test_http_500(self, backend, monkeypatch):
+        self.serve(monkeypatch, urllib.error.HTTPError(self.URL, 500, "Server Error", {}, None))
+        with pytest.raises(BackendError, match="request failed.*500"):
+            backend.chat(self.MESSAGES)
+
+    def test_timeout(self, backend, monkeypatch):
+        self.serve(monkeypatch, TimeoutError("timed out"))
+        with pytest.raises(BackendError, match="request failed: timed out"):
+            backend.chat(self.MESSAGES)
+
+    def test_reply_without_choices(self, backend, monkeypatch):
+        self.serve(monkeypatch, json.dumps({"error": "overloaded"}).encode())
+        with pytest.raises(BackendError, match="unexpected shape"):
+            backend.chat(self.MESSAGES)
 
 
 class TestReflect:

@@ -556,6 +556,31 @@ class TestCheckpointResume:
         for k, v in tr.policy.state_dict().items():
             np.testing.assert_array_equal(resumed.policy.state_dict()[k], v)
 
+    def test_resume_restores_teacher_n_shot(self, tmp_path):
+        cfg = small_cfg(variant="LA-PPO", total_steps=3000, eval_interval=1000,
+                        rollout_size=64, batch_size=32)
+        teacher = TeacherAgent(ScriptedBackend(), n_shot=5)
+        tr = Trainer(merge_scenario(), cfg, teacher=teacher, out_dir=tmp_path)
+        tr.run(stop_after_step=250)
+        assert tr.global_step + 1 < window_steps(cfg)
+        assert len(tr.teacher.memory) >= 5
+        resumed = Trainer.resume(tmp_path / "checkpoint_step250.dckp")
+        assert resumed.teacher.n_shot == 5
+        resumed.run(stop_after_step=251)
+        assert resumed.teacher.last_prompt.user.count("\nExample ") == 5
+
+    def test_resume_warns_when_teacher_was_not_scripted(self, tmp_path):
+        tr = Trainer(merge_scenario(), small_cfg(variant="LA-PPO"), out_dir=tmp_path)
+        tr.run(stop_after_step=50)
+        arrays, meta = load_checkpoint(str(tmp_path / "checkpoint_step50.dckp"))
+        meta["teacher"]["kind"] = "remote"
+        doctored = tmp_path / "remote.dckp"
+        save_checkpoint(str(doctored), arrays, meta)
+        with pytest.warns(UserWarning, match="'remote' backend"):
+            resumed = Trainer.resume(doctored)
+        assert resumed.teacher.backend.kind == "scripted"
+        assert resumed.evaluate(n_episodes=1).step == 50
+
     def test_truncated_flags_survive_round_trip(self, tmp_path):
         cfg = small_cfg(variant="V-PPO")
         tr = Trainer(merge_scenario(), cfg)
@@ -582,14 +607,13 @@ class TestCheckpointResume:
         assert (tmp_path / "again.dckp").read_bytes() == ckpt.read_bytes()
 
     def test_previous_checkpoint_format_rejected(self, tmp_path):
-        cfg = small_cfg(variant="V-PPO")
+        cfg = small_cfg(variant="LA-PPO")
         tr = Trainer(merge_scenario(), cfg, out_dir=tmp_path)
         tr.run(stop_after_step=50)
         arrays, meta = load_checkpoint(str(tmp_path / "checkpoint_step50.dckp"))
-        # format 2 stored each row's global step and a copy of the scenario config
-        arrays["buffer.step_ids"] = np.zeros(cfg.rollout_size, dtype=np.int64)
-        meta["env"]["config"] = meta["scenario"]
-        meta["format"] = 2
+        # format 3 did not record the teacher's n_shot or backend kind
+        del meta["teacher"]["n_shot"], meta["teacher"]["kind"]
+        meta["format"] = 3
         doctored = tmp_path / "doctored.dckp"
         save_checkpoint(str(doctored), arrays, meta)
         with pytest.raises(CheckpointError, match="format"):
