@@ -96,9 +96,9 @@ def resolve_config(args) -> GlobalConfig:
         flag_overrides.append(f"train.variant={args.variant}")
     if getattr(args, "scenario", None):
         flag_overrides.append(f"scenario.kind={args.scenario}")
-    if getattr(args, "out", None):
-        flag_overrides.append(f"out_dir={args.out}")
     apply_overrides(mapping, flag_overrides)
+    if getattr(args, "out", None):
+        mapping["out_dir"] = args.out  # a path, not a YAML value
     apply_overrides(mapping, getattr(args, "overrides", []) or [])
     cfg = from_mapping(mapping)
     cfg.validate()

@@ -158,59 +158,93 @@ def reset(config: ScenarioConfig, seed: int):
 # --- lane bookkeeping -------------------------------------------------------
 
 def nearest_lane_index(state: ScenarioState, veh: VehicleState) -> int:
+    """Index of the lane whose centerline is nearest; the lowest index wins a tie.
+
+    Merge and highway lanes are straight and parallel, lane i along
+    y = -LANE_WIDTH * i, so `|lateral|` shrinks toward -y / LANE_WIDTH and
+    only the two lanes around it can be nearest. Comparing those two by the
+    same values as `min` over every lane gives its answer for every finite
+    point with |y| < 2**50, ties included.
+    """
     lanes = state.geometry.lanes
-    best = min(lanes, key=lambda lane: abs(lane.lateral(veh.x, veh.y)))
-    return best.index
+    if state.geometry.ego_route is not None:
+        return min(lanes, key=lambda lane: abs(lane.lateral(veh.x, veh.y))).index
+    first = int(min(max(0.0, -veh.y / LANE_WIDTH), len(lanes) - 2))
+    left, right = lanes[first], lanes[first + 1]
+    # as in min(), the later lane wins only when strictly nearer
+    if abs(right.lateral(veh.x, veh.y)) < abs(left.lateral(veh.x, veh.y)):
+        return right.index
+    return left.index
 
 
 def _refresh_lanes(state: ScenarioState) -> None:
     """Set every vehicle's `lane` to the lane whose centerline is nearest.
 
-    Invariant: `veh.lane == nearest_lane_index(state, veh)` for every vehicle
-    whenever a lane query runs, so the queries read `veh.lane` and this is the
-    only caller of `nearest_lane_index`. `spawn` gives each vehicle the lane
-    nearest its spawn point; `step` calls this after every substep, since
-    only the substep's integration moves vehicles; and
-    `ScenarioState.from_state_dict` calls it on states read from outside the
-    program.
+    `spawn` gives each vehicle the lane nearest its spawn point,
+    `ScenarioState.from_state_dict` calls this on states read from outside
+    the program, and `step` calls it after every substep, since only the
+    substep's integration moves vehicles.
+
+    Invariant: lane queries read stored lanes and positions through a
+    `LaneTable`, and no table outlives the positions it was built from.
+    `step` builds one per substep, once the positions are fixed and before
+    `_integrate` moves anything, and drops it; `lane_neighbors` builds one
+    per query. Nothing stores a table, so a vehicle a caller moves by hand
+    between steps is queried where it now stands.
     """
     for veh in state.vehicles:
         veh.lane = nearest_lane_index(state, veh)
 
 
-def _lane_member(state: ScenarioState, veh: VehicleState, lane_index: int) -> bool:
-    # the stored lane rules most candidates out, so the heading test runs last
-    if veh.lane != lane_index:
-        return False
-    lane = state.geometry.lanes[lane_index]
-    return abs(wrap_angle(veh.heading - lane.heading)) <= math.pi / 4
+def _lane_member(lane, veh: VehicleState) -> bool:
+    """A vehicle counts on `lane` when its stored lane is that lane and its
+    heading is within pi/4 of the lane's."""
+    return veh.lane == lane.index and abs(wrap_angle(veh.heading - lane.heading)) <= math.pi / 4
+
+
+class LaneTable:
+    """Each lane's members as (vehicle, position along the lane), in
+    `state.vehicles` order, for the positions and stored lanes at build time.
+    Build a new table once anything moves (see `_refresh_lanes`)."""
+
+    def __init__(self, state: ScenarioState):
+        self.lanes = state.geometry.lanes
+        self.members: list[list[tuple[VehicleState, float]]] = [[] for _ in self.lanes]
+        for veh in state.vehicles:
+            lane = self.lanes[veh.lane]
+            if _lane_member(lane, veh):
+                self.members[veh.lane].append((veh, lane.along(veh.x, veh.y)))
+
+    def neighbors(self, veh: VehicleState, lane_index: int):
+        """Closest members ahead of and behind `veh` along a lane.
+
+        Returns (leader, gap_lead, follower, gap_follow) with bumper gaps; an
+        empty slot is None with an infinite gap. `veh` itself never counts. A
+        vehicle exactly abeam (ds = 0) is neither leader nor follower, and
+        among equally distant ones the first in `state.vehicles` wins.
+        """
+        lane = self.lanes[lane_index]
+        s0 = lane.along(veh.x, veh.y)
+        leader = follower = None
+        lead_ds = follow_ds = math.inf
+        for other, s in self.members[lane_index]:
+            if other.id == veh.id:
+                continue
+            ds = s - s0
+            if 0.0 < ds < lead_ds:
+                leader, lead_ds = other, ds
+            elif 0.0 < -ds < follow_ds:
+                follower, follow_ds = other, -ds
+        gap_lead = math.inf if leader is None else lead_ds - (veh.length + leader.length) / 2.0
+        gap_follow = math.inf if follower is None else follow_ds - (veh.length + follower.length) / 2.0
+        return leader, gap_lead, follower, gap_follow
 
 
 def lane_neighbors(state: ScenarioState, veh: VehicleState, lane_index: int):
-    """Closest vehicles ahead of and behind `veh` along a lane, in one scan.
-
-    Returns (leader, gap_lead, follower, gap_follow) with bumper gaps; an
-    empty slot is None with an infinite gap. A candidate counts when its
-    heading is within pi/4 of the lane's and its stored `lane` is
-    `lane_index`, which the `_refresh_lanes` invariant keeps geometric. A
-    vehicle exactly abeam (ds = 0) is neither leader nor follower, and among
-    equally distant ones the first in `state.vehicles` wins.
-    """
-    lane = state.geometry.lanes[lane_index]
-    s0 = lane.along(veh.x, veh.y)
-    leader = follower = None
-    lead_ds = follow_ds = math.inf
-    for other in state.vehicles:
-        if other.id == veh.id or not _lane_member(state, other, lane_index):
-            continue
-        ds = lane.along(other.x, other.y) - s0
-        if 0.0 < ds < lead_ds:
-            leader, lead_ds = other, ds
-        elif 0.0 < -ds < follow_ds:
-            follower, follow_ds = other, -ds
-    gap_lead = math.inf if leader is None else lead_ds - (veh.length + leader.length) / 2.0
-    gap_follow = math.inf if follower is None else follow_ds - (veh.length + follower.length) / 2.0
-    return leader, gap_lead, follower, gap_follow
+    """`LaneTable.neighbors` on a table built for this one query and dropped
+    on return, so it reads the state as it stands now. `step` builds one
+    table per substep and answers all of that substep's queries from it."""
+    return LaneTable(state).neighbors(veh, lane_index)
 
 
 # --- controllers ------------------------------------------------------------
@@ -259,9 +293,9 @@ def _crossing_ego_gap(state: ScenarioState, veh: VehicleState):
     lane) or None.
     """
     ego = state.ego
-    if _lane_member(state, ego, veh.lane):
-        return None
     lane = state.geometry.lanes[veh.lane]
+    if _lane_member(lane, ego):
+        return None
     if abs(lane.lateral(ego.x, ego.y)) > (LANE_WIDTH + ego.width) / 2.0:
         return None
     ds = lane.along(ego.x, ego.y) - lane.along(veh.x, veh.y)
@@ -272,12 +306,12 @@ def _crossing_ego_gap(state: ScenarioState, veh: VehicleState):
     return ds - (veh.length + ego.length) / 2.0, max(0.0, v_along)
 
 
-def _background_control(state: ScenarioState, veh: VehicleState):
+def _background_control(state: ScenarioState, table: LaneTable, veh: VehicleState):
     """IDM acceleration (current and target lane) plus lane-tracking steering."""
     emergency_on_ego = False
     accel = math.inf
     for lane_index in {veh.lane, veh.target_lane}:
-        leader, gap, _, _ = lane_neighbors(state, veh, lane_index)
+        leader, gap, _, _ = table.neighbors(veh, lane_index)
         a, flagged = idm_accel_flagged(gap, veh.speed, leader.speed if leader else 0.0,
                                        veh.profile)
         accel = min(accel, a)
@@ -307,7 +341,7 @@ def _integrate(veh: VehicleState, accel: float, steer: float, dt: float) -> None
 
 # --- lane changes for background traffic ------------------------------------
 
-def _bg_lane_change_pass(state: ScenarioState) -> None:
+def _bg_lane_change_pass(state: ScenarioState, table: LaneTable) -> None:
     if state.config.kind == "intersection":
         return  # cross traffic stays in its lane
     max_lane = 1 if state.config.kind == "merge" else state.geometry.ego_lane_count - 1
@@ -315,22 +349,22 @@ def _bg_lane_change_pass(state: ScenarioState) -> None:
         lane = state.geometry.lanes[veh.lane]
         if veh.target_lane != veh.lane or abs(lane.lateral(veh.x, veh.y)) > 0.5:
             continue  # mid-change; settle first
-        lead, gap, old_f, old_f_gap = lane_neighbors(state, veh, veh.lane)
+        lead, gap, old_f, old_f_gap = table.neighbors(veh, veh.lane)
         a_before, _ = idm_accel_flagged(gap, veh.speed, lead.speed if lead else 0.0,
                                         veh.profile)
         for cand in (veh.lane - 1, veh.lane + 1):
             if not 0 <= cand <= max_lane:
                 continue
-            if _try_lane_change(state, veh, cand, lead, a_before, old_f, old_f_gap):
+            if _try_lane_change(table, veh, cand, lead, a_before, old_f, old_f_gap):
                 break
 
 
-def _try_lane_change(state, veh, cand, cur_lead, a_before, old_f, old_f_gap) -> bool:
-    new_lead, new_lead_gap, new_f, new_f_gap = lane_neighbors(state, veh, cand)
+def _try_lane_change(table, veh, cand, cur_lead, a_before, old_f, old_f_gap) -> bool:
+    new_lead, new_lead_gap, new_f, new_f_gap = table.neighbors(veh, cand)
     a_after, _ = idm_accel_flagged(new_lead_gap, veh.speed,
                                    new_lead.speed if new_lead else 0.0, veh.profile)
     if new_f is not None:
-        nf_lead, nf_gap, _, _ = lane_neighbors(state, new_f, cand)
+        nf_lead, nf_gap, _, _ = table.neighbors(new_f, cand)
         a_nf_before, _ = idm_accel_flagged(nf_gap, new_f.speed,
                                            nf_lead.speed if nf_lead else 0.0, new_f.profile)
         a_nf_after, _ = idm_accel_flagged(new_f_gap, new_f.speed, veh.speed, new_f.profile)
@@ -339,7 +373,7 @@ def _try_lane_change(state, veh, cand, cur_lead, a_before, old_f, old_f_gap) -> 
     if old_f is not None:
         a_of_before, _ = idm_accel_flagged(old_f_gap, old_f.speed, veh.speed, old_f.profile)
         if cur_lead is not None:
-            lane = state.geometry.lanes[veh.lane]
+            lane = table.lanes[veh.lane]
             ds = lane.along(cur_lead.x, cur_lead.y) - lane.along(old_f.x, old_f.y)
             gap_after = ds - (old_f.length + cur_lead.length) / 2.0
             a_of_after, _ = idm_accel_flagged(gap_after, old_f.speed, cur_lead.speed, old_f.profile)
@@ -415,19 +449,24 @@ def step(state: ScenarioState, maneuver: Maneuver,
         raise UsageError("step called on a terminal episode")
     params = risk_params or risk_engine.RiskParams()
     apply_maneuver(state, maneuver)
-    _bg_lane_change_pass(state)
+    # only background vehicles query lanes; the lane-change pass moves
+    # nothing, so it shares substep 0's table
+    table = LaneTable(state) if state.background else None
+    _bg_lane_change_pass(state, table)
 
     dt = state.config.dt_physics
     events: set[str] = set()
     emergency_ids: list[int] = []
-    for _ in range(state.config.substeps):
+    for substep in range(state.config.substeps):
+        if substep and table is not None:
+            table = LaneTable(state)  # the last substep moved every vehicle
         ego = state.ego
         target = min(state.ego_target_speed, _curve_speed_cap(state, ego))
         ego_accel = KP_SPEED * (target - ego.speed)
         ego_accel = min(max(ego_accel, -EMERGENCY_DECEL), ego.profile.max_accel)
         controls = [(ego, ego_accel, _ego_steer(state, ego))]
         for veh in state.background:
-            accel, steer, emergency = _background_control(state, veh)
+            accel, steer, emergency = _background_control(state, table, veh)
             if emergency and veh.id not in emergency_ids:
                 emergency_ids.append(veh.id)
             controls.append((veh, accel, steer))

@@ -10,8 +10,10 @@ from drivecoach.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
+    build_parser,
     learning_curve_auc,
     main,
+    resolve_config,
 )
 from drivecoach.config import (
     GlobalConfig,
@@ -150,6 +152,15 @@ class TestOverrides:
         assert cfg.scenario.kind == "highway"
         assert cfg.out_dir == "runs/x"
         assert cfg.train.epochs == 3
+
+    @pytest.mark.parametrize("out", ["007", "yes", "runs/a"])
+    def test_out_flag_is_kept_as_typed(self, out):
+        args = build_parser().parse_args(["train", "--out", out])
+        assert resolve_config(args).out_dir == out
+
+    def test_out_dir_override_beats_out_flag(self):
+        args = build_parser().parse_args(["train", "--out", "runs/a", "out_dir=runs/b"])
+        assert resolve_config(args).out_dir == "runs/b"
 
     def test_later_override_wins(self):
         mapping = apply_overrides({}, ["train.seed=1", "train.seed=9"])

@@ -4,6 +4,8 @@ rewards, events, serialization, and lane bookkeeping."""
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -27,6 +29,7 @@ from drivecoach.sim import (
     rects_overlap,
     reset,
     step,
+    trace_record,
     wrap_angle,
 )
 from drivecoach.sim.engine import lane_neighbors, nearest_lane_index
@@ -546,3 +549,146 @@ class TestLaneBookkeeping:
         # seen from the abeam car, the ego is likewise neither
         assert lane_neighbors(state, abeam, 1) == (leader, 17.0, follower, 10.0)
         assert lane_neighbors(state, ego, 3) == (None, math.inf, None, math.inf)
+
+
+def full_scan_lane(state: ScenarioState, veh: VehicleState) -> int:
+    """The nearest lane by `min` over every lane: the lowest index wins a tie."""
+    return min(state.geometry.lanes, key=lambda lane: abs(lane.lateral(veh.x, veh.y))).index
+
+
+# lane midlines, where two lanes are equally near and the tie rule decides
+MIDLINES = {"merge": (-2.0, -6.0), "highway": (-2.0, -6.0, -10.0), "intersection": (0.0,)}
+LANE_HEADINGS = {"merge": (0.0,), "highway": (0.0,), "intersection": (0.0, math.pi)}
+
+
+def random_state(kind: str, rng: np.random.Generator, n_vehicles: int = 12) -> ScenarioState:
+    """Vehicles anywhere near the road, many of them on a tie or at a shared x,
+    with headings at and around the pi/4 membership limit; each stored lane is
+    the full scan's nearest lane."""
+    xs = rng.choice([20.0, 35.5, 50.0], size=n_vehicles)  # equal `along` values
+    cars = []
+    for vid in range(n_vehicles):
+        x = float(xs[vid]) if rng.random() < 0.5 else float(rng.uniform(-60.0, 300.0))
+        pick = rng.random()
+        if pick < 0.3:
+            y = float(rng.choice(MIDLINES[kind]))
+        elif pick < 0.4:
+            y = float(rng.choice([25.0, -40.0]))  # off the road
+        else:
+            y = float(rng.uniform(-16.0, 6.0))
+        base = float(rng.choice(LANE_HEADINGS[kind]))
+        pick = rng.random()
+        if pick < 0.4:
+            heading = base
+        elif pick < 0.7:
+            heading = base + float(rng.choice([math.pi / 4, -math.pi / 4]))
+        else:
+            heading = float(rng.uniform(-math.pi, math.pi))
+        cars.append(plain_vehicle(vid, x, y, float(rng.uniform(0.0, 30.0)), heading=heading,
+                                  kind=kind, is_ego=vid == 0))
+    state = make_state(kind, cars[0], cars[1:])
+    for veh in state.vehicles:
+        veh.lane = full_scan_lane(state, veh)
+    return state
+
+
+def step_outcomes_equal(a, b) -> bool:
+    return (a.reward == b.reward and a.done == b.done and a.events == b.events
+            and a.info == b.info and a.observation.neighbor_ids == b.observation.neighbor_ids
+            and np.array_equal(a.observation.flat(), b.observation.flat()))
+
+
+class TestLaneTable:
+    @pytest.mark.parametrize("kind", ["merge", "highway", "intersection"])
+    def test_random_states_match_reference_scans(self, kind):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            state = random_state(kind, rng)
+            for veh in state.vehicles:
+                for lane in state.geometry.lanes:
+                    got = lane_neighbors(state, veh, lane.index)
+                    want = reference_neighbors(state, veh, lane.index)
+                    assert got[0] is want[0] and got[2] is want[2]
+                    assert got[1] == want[1] and got[3] == want[3]
+
+    def test_random_states_reach_every_case(self):
+        """The random states above do hold ties, shared positions and headings
+        exactly at the membership limit."""
+        rng = np.random.default_rng(11)
+        states = [random_state("highway", rng) for _ in range(40)]
+        cars = [veh for state in states for veh in state.vehicles]
+        assert any(veh.y == -6.0 and veh.lane == 1 for veh in cars)
+        assert any(abs(veh.heading) == math.pi / 4 for veh in cars)
+        assert any(veh.y > 2.0 or veh.y < -14.0 for veh in cars)
+        assert any(len({v.x for v in s.vehicles if v.lane == 1}) < sum(v.lane == 1 for v in s.vehicles)
+                   for s in states)
+
+    @pytest.mark.parametrize("kind", ["merge", "highway"])
+    def test_closed_form_nearest_lane_matches_full_scan(self, kind):
+        state = make_state(kind, plain_vehicle(0, 0.0, 0.0, 20.0, kind=kind, is_ego=True), [])
+        veh = state.ego
+        rng = np.random.default_rng(5)
+        n_lanes = len(state.geometry.lanes)
+        ys = [*rng.uniform(-30.0, 15.0, size=2000),
+              *(-LANE_WIDTH * i for i in range(n_lanes)),  # lane centers
+              *(-LANE_WIDTH * (i + 0.5) for i in range(-2, n_lanes + 1)),  # midlines, on and off the road
+              -0.0, 1e6, -1e6, 2.0 ** 49, -(2.0 ** 49)]
+        for x in (0.0, -12.5, 217.25, 1e6):
+            for y in ys:
+                veh.x, veh.y = x, float(y)
+                assert nearest_lane_index(state, veh) == full_scan_lane(state, veh), (x, y)
+        # on a midline the lower index wins; just past it, the next lane does
+        for y, lane in ((-2.0, 0), (-6.0, 1), (-6.0 - 1e-12, 2)):
+            veh.y = y
+            assert nearest_lane_index(state, veh) == lane
+
+    @pytest.mark.parametrize("kind", ["merge", "highway", "intersection"])
+    @pytest.mark.parametrize("ahead_of", ["ego", "background"])
+    def test_hand_move_is_seen_by_the_next_step(self, kind, ahead_of):
+        """A vehicle moved by hand after reset, as test_reflection_loop moves
+        one, steps as it would in a state rebuilt from the moved positions."""
+        config = ScenarioConfig(kind=kind, n_background=4)
+        moved, _ = reset(config, seed=3)
+        mover = moved.background[0]
+        anchor = moved.ego if ahead_of == "ego" else moved.background[1]
+        mover.x = anchor.x + 12.0 * math.cos(anchor.heading)
+        mover.y = anchor.y + 12.0 * math.sin(anchor.heading)
+        mover.heading = anchor.heading
+        mover.speed = 0.0
+        mover.lane = mover.target_lane = nearest_lane_index(moved, mover)
+        rebuilt = ScenarioState.from_state_dict(moved.state_dict(), config)
+        for maneuver in (Maneuver.SpeedUp, Maneuver.Cruise, Maneuver.SpeedUp):
+            out_moved = step(moved, maneuver)
+            out_rebuilt = step(rebuilt, maneuver)
+            assert step_outcomes_equal(out_moved, out_rebuilt)
+            assert moved.state_dict() == rebuilt.state_dict()
+            if moved.done:
+                break
+
+
+# sha256 prefixes of the trace records of seeds 0-2 under MANEUVER_CYCLE. A
+# change that moves any float of any trajectory changes one of these; one that
+# does so on purpose updates them and says why.
+TRACE_DIGESTS = {
+    ("merge", 5): "af6fa10a6bfbe457",
+    ("merge", 20): "14f29d85d3b0c682",
+    ("highway", 5): "41c4c47dcfa110a9",
+    ("highway", 20): "8d4f9ea2b543bdb8",
+    ("intersection", 5): "2ea6905c15b5029f",
+    ("intersection", 20): "16f7eedbf8f82b4f",
+}
+
+
+@pytest.mark.parametrize("kind,n_background", ROLLOUT_CASES)
+def test_rollout_trajectories_are_pinned(kind, n_background):
+    digest = hashlib.sha256()
+    for seed in range(3):
+        state, _ = reset(ScenarioConfig(kind=kind, n_background=n_background), seed=seed)
+        i = 0
+        while not state.done:
+            maneuver = MANEUVER_CYCLE[i % len(MANEUVER_CYCLE)]
+            outcome = step(state, maneuver)
+            record = trace_record(state, maneuver, outcome)
+            digest.update(json.dumps(record, sort_keys=True).encode())
+            i += 1
+    assert digest.hexdigest()[:16] == TRACE_DIGESTS[kind, n_background]
