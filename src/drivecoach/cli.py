@@ -1,7 +1,8 @@
 """Command line: train, evaluate checkpoints, probe the teacher, run ablations.
 
-Exit codes: 0 ok, 1 runtime failure, 2 bad configuration or state-record field,
-3 artifact mismatch (corrupted checkpoint or architecture disagreement).
+Exit codes: 0 ok, 1 runtime failure, 2 bad configuration or input file (state,
+memory, transcript), 3 artifact mismatch (corrupted checkpoint or architecture
+disagreement).
 """
 
 from __future__ import annotations

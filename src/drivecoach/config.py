@@ -53,7 +53,7 @@ class TeacherConfig:
     temperature: float = 0.2
     timeout: float = 30.0
     n_shot: int = 3
-    memory_capacity: int = 20
+    memory_capacity: int = 20  # a preloaded memory file must hold the same
     memory_path: str = ""  # optional repository dump to preload
 
     def validate(self) -> None:
@@ -99,20 +99,7 @@ class GlobalConfig:
 
 def from_mapping(data: dict) -> GlobalConfig:
     """Build a GlobalConfig from a plain mapping, rejecting unknown keys."""
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigError("config: top level must be a mapping of sections")
-    data = dict(data)
-    scenario = build_section("scenario", ScenarioConfig, data.pop("scenario", None) or {})
-    train = build_section("train", TrainConfig, data.pop("train", None) or {})
-    risk = build_section("risk", RiskParams, data.pop("risk", None) or {})
-    teacher = build_section("teacher", TeacherConfig, data.pop("teacher", None) or {})
-    out_dir = data.pop("out_dir", GlobalConfig.out_dir)
-    if data:
-        raise ConfigError(f"config: unknown key {sorted(data)[0]!r}")
-    return GlobalConfig(scenario=scenario, train=train, risk=risk,
-                        teacher=teacher, out_dir=str(out_dir))
+    return build_section("", GlobalConfig, data)
 
 
 def to_mapping(cfg: GlobalConfig) -> dict:
@@ -184,6 +171,10 @@ def build_teacher(cfg: GlobalConfig, record=None, replay=None) -> TeacherAgent:
         backend = RecordingBackend(backend, record)
     if tc.memory_path:
         memory = MemoryRepository.load(tc.memory_path)
+        if memory.capacity != tc.memory_capacity:
+            raise ConfigError(
+                f"teacher.memory_capacity: {tc.memory_capacity} does not match the "
+                f"capacity {memory.capacity} saved in {tc.memory_path}")
     else:
         memory = MemoryRepository(capacity=tc.memory_capacity)
     return TeacherAgent(backend, cfg.risk, memory=memory, n_shot=tc.n_shot)

@@ -24,6 +24,11 @@ class Maneuver(enum.IntEnum):
     TurnLeft = 3
     TurnRight = 4
 
+    @classmethod
+    def _missing_(cls, value):
+        # a wire token names its member too: Maneuver("slow_down")
+        return TOKEN_TO_MANEUVER.get(value)
+
 
 # wire tokens used in prompts, configs, and teacher replies
 MANEUVER_TOKENS = {

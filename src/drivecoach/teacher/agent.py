@@ -17,6 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ..errors import ConfigError
+from ..records import build_section
 from ..risk import RiskParams, assess
 from ..sim.engine import observe
 from ..sim.vehicles import TOKEN_TO_MANEUVER, Maneuver
@@ -101,10 +103,10 @@ def reflect(flagged: list[FlaggedSegment], backend: ChatBackend) -> ReflectionOu
     if obj is None:
         return ReflectionOutcome()
     rules = []
-    for raw in obj.get("constraints") or []:
+    for i, raw in enumerate(obj.get("constraints") or []):
         try:
-            rules.append(ConstraintRule.from_dict(raw))
-        except (ValueError, KeyError, TypeError) as err:
+            rules.append(build_section(f"reflection.constraints[{i}]", ConstraintRule, raw))
+        except ConfigError as err:
             warnings.warn(f"dropping malformed reflection constraint: {err}", stacklevel=2)
     return ReflectionOutcome(
         policy_delta=str(obj.get("policy_delta", "") or ""),
@@ -190,11 +192,11 @@ class TeacherAgent:
     def load_state_dict(self, data: dict) -> None:
         if data["kind"] != self.backend.kind:
             warnings.warn(f"teacher saved on the {data['kind']!r} backend resumes on {self.backend.kind!r}", stacklevel=2)
-        self.n_shot = int(data["n_shot"])
-        self.memory = MemoryRepository.from_dict(data["memory"])
-        self.constraints = [ConstraintRule.from_dict(raw) for raw in data["constraints"]]
-        self.lessons = list(data["lessons"])
-        self.decision_queries = int(data["decision_queries"])
-        self.reflection_queries = int(data["reflection_queries"])
-        prev = data.get("prev_tau")
-        self._prev_tau = math.inf if prev is None else float(prev)
+        self.n_shot = data["n_shot"]
+        self.memory = build_section("teacher.memory", MemoryRepository, data["memory"])
+        self.constraints = [build_section(f"teacher.constraints[{i}]", ConstraintRule, raw)
+                            for i, raw in enumerate(data["constraints"])]
+        self.lessons = data["lessons"]
+        self.decision_queries = data["decision_queries"]
+        self.reflection_queries = data["reflection_queries"]
+        self._prev_tau = math.inf if data["prev_tau"] is None else data["prev_tau"]

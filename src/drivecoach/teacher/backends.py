@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigError
+from ..records import build_section
 from ..sim.vehicles import MANEUVER_TOKENS, Maneuver
 from .prompts import Prompt, parse_constraints, parse_telemetry
 from .rules import Telemetry, scripted_decide
@@ -152,6 +154,15 @@ class ScriptedBackend(ChatBackend):
         return f"The flagged maneuver was {token} at a thin conflict margin.\n{body}"
 
 
+@dataclass
+class Exchange:
+    """One transcript line, as RecordingBackend writes it."""
+
+    response: str
+    kind: str = ""  # may be left out
+    request: dict = field(default_factory=dict)
+
+
 class ReplayBackend(ChatBackend):
     """Replays a recorded transcript, one response per chat call, in order."""
 
@@ -159,16 +170,20 @@ class ReplayBackend(ChatBackend):
 
     def __init__(self, path):
         self.path = Path(path)
+        exchanges = []
         try:
-            lines = self.path.read_text().splitlines()
+            for i, line in enumerate(self.path.read_text().splitlines(), start=1):
+                if line.strip():
+                    exchanges.append(build_section("exchange", Exchange, json.loads(line)))
         except OSError as err:
             raise ConfigError(f"cannot read transcript {self.path}: {err}") from err
-        records = [json.loads(line) for line in lines if line.strip()]
-        self._responses = [r["response"] for r in records]
+        except ValueError as err:  # ConfigError and JSONDecodeError are ValueErrors
+            raise ConfigError(f"transcript {self.path} line {i}: {err}") from err
+        self._responses = [e.response for e in exchanges]
         self._cursor = 0
         # transcripts remember which backend produced them, so replayed
         # decisions report the original source
-        kinds = {r["kind"] for r in records if "kind" in r}
+        kinds = {e.kind for e in exchanges if e.kind}
         if len(kinds) == 1:
             self.kind = kinds.pop()
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
-from ..sim.vehicles import MANEUVER_TOKENS, TOKEN_TO_MANEUVER, Maneuver
+from ..sim.vehicles import MANEUVER_TOKENS, Maneuver
 
 # guard keys compare against quantities the state vector carries
 GUARD_KEYS = ("tau_min_lt", "tau_min_gt", "speed_lt", "speed_gt")
@@ -18,15 +18,13 @@ class ConstraintRule:
     guard: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.forbidden_action, Maneuver):
-            object.__setattr__(self, "forbidden_action", Maneuver(self.forbidden_action))
         if not self.guard:
-            raise ConfigError("constraint guard must name at least one threshold")
+            raise ConfigError("guard: must name at least one threshold")
         for key, value in self.guard.items():
             if key not in GUARD_KEYS:
-                raise ConfigError(f"unknown constraint guard key: {key}")
+                raise ConfigError(f"guard: unknown key {key!r}, expected one of {GUARD_KEYS}")
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"constraint guard {key} needs a numeric threshold")
+                raise ConfigError(f"guard: {key} needs a numeric threshold, got {value!r}")
 
     def guard_holds(self, tau_min: float, speed: float) -> bool:
         g = self.guard
@@ -63,19 +61,3 @@ class ConstraintRule:
             "forbidden_action": MANEUVER_TOKENS[self.forbidden_action],
             "guard": dict(self.guard),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConstraintRule":
-        if not isinstance(data, dict):
-            raise ConfigError("constraint must be a mapping")
-        extra = set(data) - {"scenario_kind", "forbidden_action", "guard"}
-        if extra:
-            raise ConfigError(f"unknown constraint key: {sorted(extra)[0]}")
-        try:
-            action = TOKEN_TO_MANEUVER[data["forbidden_action"]]
-        except KeyError as err:
-            raise ConfigError(f"unknown maneuver token in constraint: {data.get('forbidden_action')!r}") from err
-        guard = data.get("guard")
-        if not isinstance(guard, dict):
-            raise ConfigError("constraint guard must be a mapping")
-        return cls(scenario_kind=str(data["scenario_kind"]), forbidden_action=action, guard=guard)

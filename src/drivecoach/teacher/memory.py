@@ -1,19 +1,25 @@
-"""Bounded episode memory with cosine retrieval and JSON persistence."""
+"""Bounded episode memory with cosine retrieval and JSON persistence.
+
+Schema 2: {"schema_version": 2, "capacity": n, "entries": [...]}, each entry
+keyed by its MemoryEntry field names, with `z` a list of STATE_DIM numbers
+and `action` a maneuver token such as "slow_down"."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import ConfigError, UsageError
-from ..sim.vehicles import MANEUVER_TOKENS, TOKEN_TO_MANEUVER, Maneuver
+from ..records import build_section
+from ..sim.vehicles import MANEUVER_TOKENS, Maneuver
+from .state import STATE_DIM
 
 CAPACITY = 20
 MAX_LESSON_CHARS = 2000
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2  # 2: entry keys are the field names (`return` became `episode_return`)
 OUTCOMES = ("success", "collision", "other")
 
 
@@ -27,48 +33,34 @@ class MemoryEntry:
     lesson: str = ""
 
     def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=float)
-        if not isinstance(self.action, Maneuver):
-            self.action = Maneuver(self.action)
+        if np.shape(self.z) != (STATE_DIM,):
+            raise ConfigError(f"z: must hold {STATE_DIM} numbers, got shape {np.shape(self.z)}")
         if self.outcome not in OUTCOMES:
-            raise ConfigError(f"memory outcome must be one of {OUTCOMES}, got {self.outcome!r}")
+            raise ConfigError(f"outcome: must be one of {OUTCOMES}, got {self.outcome!r}")
         if len(self.lesson) > MAX_LESSON_CHARS:
-            raise ConfigError(f"lesson exceeds {MAX_LESSON_CHARS} characters")
+            raise ConfigError(f"lesson: exceeds {MAX_LESSON_CHARS} characters")
 
     def to_dict(self) -> dict:
-        return {
-            "z": [float(v) for v in self.z],
-            "scenario_kind": self.scenario_kind,
-            "action": MANEUVER_TOKENS[self.action],
-            "outcome": self.outcome,
-            "return": float(self.episode_return),
-            "lesson": self.lesson,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MemoryEntry":
-        return cls(
-            z=np.asarray(data["z"], dtype=float),
-            scenario_kind=data["scenario_kind"],
-            action=TOKEN_TO_MANEUVER[data["action"]],
-            outcome=data["outcome"],
-            episode_return=float(data["return"]),
-            lesson=data.get("lesson", ""),
-        )
+        return {**asdict(self), "z": [float(v) for v in self.z],
+                "action": MANEUVER_TOKENS[self.action], "episode_return": float(self.episode_return)}
 
 
+@dataclass(eq=False)
 class MemoryRepository:
-    def __init__(self, capacity: int = CAPACITY):
-        if capacity < 1:
-            raise ConfigError("memory capacity must be at least 1")
-        self.capacity = capacity
-        self.entries: list[MemoryEntry] = []
+    capacity: int = CAPACITY
+    entries: list[MemoryEntry] = field(default_factory=list)
+    schema_version: int = _SCHEMA_VERSION
+
+    def __post_init__(self):
+        if self.schema_version != _SCHEMA_VERSION:
+            raise ConfigError(f"schema_version: {self.schema_version!r} is not {_SCHEMA_VERSION}")
+        if self.capacity < 1:
+            raise ConfigError(f"capacity: must be at least 1, got {self.capacity}")
+        if len(self.entries) > self.capacity:
+            raise ConfigError(f"entries: {len(self.entries)} exceed the capacity {self.capacity}")
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
     def add(self, entry: MemoryEntry) -> None:
         if len(self.entries) >= self.capacity:
@@ -79,11 +71,7 @@ class MemoryRepository:
         # lessons earned through reflection outlive ordinary episodes; among
         # the rest the least consequential (smallest |return|) goes first
         plain = [i for i, e in enumerate(self.entries) if not e.lesson]
-        if plain:
-            victim = min(plain, key=lambda i: abs(self.entries[i].episode_return))
-        else:
-            victim = 0
-        del self.entries[victim]
+        del self.entries[min(plain, key=lambda i: abs(self.entries[i].episode_return), default=0)]
 
     def to_dict(self) -> dict:
         return {
@@ -92,21 +80,15 @@ class MemoryRepository:
             "entries": [e.to_dict() for e in self.entries],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MemoryRepository":
-        if data.get("schema_version") != _SCHEMA_VERSION:
-            raise ConfigError(f"unsupported memory schema_version: {data.get('schema_version')!r}")
-        repo = cls(capacity=int(data.get("capacity", CAPACITY)))
-        for raw in data["entries"]:
-            repo.add(MemoryEntry.from_dict(raw))
-        return repo
-
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
     @classmethod
     def load(cls, path) -> "MemoryRepository":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            return build_section("memory", cls, json.loads(Path(path).read_text()))
+        except (OSError, ValueError) as err:  # ConfigError and JSONDecodeError are ValueErrors
+            raise ConfigError(f"memory file {path}: {err}") from err
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..records import build_section
 from ..sim.vehicles import MANEUVER_TOKENS
 from .constraints import ConstraintRule
 from .rules import Telemetry
@@ -226,5 +227,5 @@ def parse_constraints(prompt: Prompt) -> list[ConstraintRule]:
     for line in prompt.system.splitlines():
         if line.startswith("CONSTRAINTS: "):
             raw = json.loads(line[len("CONSTRAINTS: "):])
-            return [ConstraintRule.from_dict(item) for item in raw]
+            return [build_section(f"CONSTRAINTS[{i}]", ConstraintRule, r) for i, r in enumerate(raw)]
     return []

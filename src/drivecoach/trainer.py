@@ -56,7 +56,8 @@ LOSS_HEADER = "update,step,total,policy_loss,value_loss,distill_loss,kl_penalty,
 # 2: the buffer stores time-limit truncation apart from termination
 # 3: the buffer drops its step ids, and the meta its copy of the scenario config
 # 4: the teacher block records its n_shot and backend kind
-CHECKPOINT_FORMAT = 4
+# 5: the teacher's memory is memory schema 2 (entries keyed by field name)
+CHECKPOINT_FORMAT = 5
 
 
 def normalize_variant(name: str) -> str:

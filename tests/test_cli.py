@@ -27,8 +27,8 @@ from drivecoach.config import (
 )
 from drivecoach.errors import ConfigError
 from drivecoach.nn import load_checkpoint, save_checkpoint
-from drivecoach.sim import ScenarioConfig, reset
-from drivecoach.teacher import MemoryEntry, MemoryRepository, RecordingBackend, ReplayBackend
+from drivecoach.sim import Maneuver, ScenarioConfig, reset
+from drivecoach.teacher import STATE_DIM, MemoryEntry, MemoryRepository, RecordingBackend, ReplayBackend
 from drivecoach.trainer import Trainer
 
 SMALL_YAML = """\
@@ -208,10 +208,11 @@ class TestTeacherConfig:
 
     def test_build_teacher_preloads_memory(self, tmp_path):
         repo = MemoryRepository(capacity=5)
-        repo.add(MemoryEntry(z=np.zeros(12), scenario_kind="merge", action=0,
+        repo.add(MemoryEntry(z=np.zeros(STATE_DIM), scenario_kind="merge", action=0,
                              outcome="success", episode_return=1.0))
         repo.save(tmp_path / "memory.json")
-        cfg = GlobalConfig(teacher=TeacherConfig(memory_path=str(tmp_path / "memory.json")))
+        cfg = GlobalConfig(teacher=TeacherConfig(memory_path=str(tmp_path / "memory.json"),
+                                                 memory_capacity=5))
         cfg.teacher.validate()
         teacher = build_teacher(cfg)
         assert len(teacher.memory) == 1
@@ -266,7 +267,9 @@ class TestTrainCommand:
                               ("scenario.success_region.min_x=abc",
                                "scenario.success_region.min_x"),
                               ("scenario.n_background=true", "scenario.n_background"),
-                              ("train.lr=yes", "train.lr")):
+                              ("train.lr=yes", "train.lr"),
+                              ("out_dir=yes", "out_dir: expected str, got True"),
+                              ("out_dir=[a]", "out_dir: expected str, got ['a']")):
             code = main(["train", "--config", str(small_config),
                          "--out", str(tmp_path / "x"), override])
             assert code == EXIT_CONFIG
@@ -425,6 +428,71 @@ class TestTeacherCommand:
         err = capsys.readouterr().err
         assert "line 1" in err
         assert f"{named}:" in err
+
+    @staticmethod
+    def memory_config(tmp_path, entry_edit=None, capacity=5):
+        """A config naming a one-entry memory file saved at capacity 5. `entry_edit`
+        may change the entry's record; the config sets teacher.memory_capacity."""
+        repo = MemoryRepository(capacity=5)
+        repo.add(MemoryEntry(z=np.ones(STATE_DIM), scenario_kind="merge", action=Maneuver.Cruise,
+                             outcome="success", episode_return=1.0, lesson="keep the gap"))
+        data = repo.to_dict()
+        if entry_edit is not None:
+            entry_edit(data["entries"][0])
+        memory = tmp_path / "memory.json"
+        memory.write_text(json.dumps(data))
+        config = tmp_path / "memory.yaml"
+        config.write_text(f"teacher: {{memory_path: '{memory}', memory_capacity: {capacity}}}\n")
+        return config
+
+    def test_memory_file_runs(self, tmp_path, capsys):
+        config = self.memory_config(tmp_path)
+        assert main(["teacher", "--live", "--steps", "1", "--config", str(config)]) == EXIT_OK
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("episode_return", "abc", "memory.entries[0].episode_return: expected a number"),
+        ("lesson", 5, "memory.entries[0].lesson: expected str"),
+        ("lesson", "x" * 2001, "memory.entries[0].lesson: exceeds"),
+        ("z", [1.0], "memory.entries[0].z: must hold 36 numbers"),
+        ("z", [1.0, "a"], "memory.entries[0].z[1]: expected a number"),
+        ("action", "fly", "memory.entries[0].action: unknown Maneuver 'fly'"),
+        ("action", 1, "memory.entries[0].action: expected Maneuver"),
+        ("outcome", "fine", "memory.entries[0].outcome: must be one of"),
+        ("scenario_kind", 3, "memory.entries[0].scenario_kind: expected str"),
+        ("surprise", 1, "memory.entries[0]: unknown key 'surprise'"),
+    ])
+    def test_invalid_memory_file_exits_2(self, tmp_path, capsys, key, value, named):
+        config = self.memory_config(tmp_path, lambda entry: entry.__setitem__(key, value))
+        code = main(["teacher", "--live", "--steps", "1", "--config", str(config)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(tmp_path / "memory.json") in err
+        assert named in err
+
+    def test_memory_capacity_mismatch_exits_2(self, tmp_path, capsys):
+        config = self.memory_config(tmp_path, capacity=50)
+        code = main(["teacher", "--live", "--steps", "1", "--config", str(config)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "teacher.memory_capacity: 50 does not match the capacity 5" in err
+
+    @pytest.mark.parametrize("line,named", [
+        ("{not json}", "Expecting property name"),
+        (json.dumps({"kind": "scripted", "request": {}}), "argument: 'response'"),
+        (json.dumps({"kind": "scripted", "request": {}, "response": 5}),
+         "exchange.response: expected str, got 5"),
+    ])
+    def test_invalid_transcript_exits_2(self, tmp_path, capsys, line, named):
+        path = tmp_path / "transcript.jsonl"
+        good = json.dumps({"kind": "scripted", "request": {}, "response": "ok"})
+        path.write_text(f"{good}\n{line}\n")
+        with pytest.raises(ConfigError, match="line 2"):  # at load, before the first chat
+            ReplayBackend(path)
+        code = main(["teacher", "--live", "--steps", "1", "--replay", str(path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"transcript {path} line 2: " in err
+        assert named in err
 
     def test_requires_state_or_live(self, capsys):
         assert main(["teacher"]) == EXIT_CONFIG

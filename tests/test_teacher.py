@@ -18,6 +18,7 @@ import pytest
 
 from drivecoach.config import from_mapping, load_mapping
 from drivecoach.errors import ConfigError, UsageError
+from drivecoach.records import build_section
 from drivecoach.risk import RiskParams, assess
 from drivecoach.sim import MERGE_RAMP_END, Maneuver, ScenarioConfig, TrafficEnv, observe, reset, step
 from drivecoach.teacher import (
@@ -245,20 +246,27 @@ class TestMemory:
         assert got.episode_return == 12.5
         assert got.lesson == "wait for the gap"
 
-    def test_entry_with_constraints_key_loads(self):
-        # memory files written while entries still carried a (never filled)
-        # constraints list load as before; the key is ignored
-        entry = entry_with(np.ones(STATE_DIM), lesson="keep the gap")
-        data = entry.to_dict()
-        data["constraints"] = [
-            ConstraintRule("merge", Maneuver.SpeedUp, {"tau_min_lt": 1.5}).to_dict()]
-        assert MemoryEntry.from_dict(data).to_dict() == entry.to_dict()
+    def test_schema_1_file_refused(self, tmp_path):
+        # schema 1 keyed the return as `return`; schema 2 uses the field names
+        memory = MemoryRepository()
+        memory.add(entry_with(np.ones(STATE_DIM)))
+        data = memory.to_dict()
+        data["schema_version"] = 1
+        path = tmp_path / "memory.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=r"memory\.schema_version: 1 is not 2"):
+            MemoryRepository.load(path)
+        entry = data["entries"][0]
+        entry["return"] = entry.pop("episode_return")
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=r"memory\.entries\[0\]: unknown key 'return'"):
+            MemoryRepository.load(path)
 
     def test_schema_version_checked(self):
         data = MemoryRepository().to_dict()
         data["schema_version"] = 99
         with pytest.raises(ConfigError, match="schema_version"):
-            MemoryRepository.from_dict(data)
+            build_section("memory", MemoryRepository, data)
 
     def test_invalid_outcome_rejected(self):
         with pytest.raises(ConfigError, match="outcome"):
@@ -292,15 +300,21 @@ class TestConstraintRule:
 
     def test_dict_round_trip(self):
         rule = ConstraintRule("merge", Maneuver.TurnLeft, {"speed_lt": 4.0})
-        assert ConstraintRule.from_dict(rule.to_dict()) == rule
+        assert build_section("rule", ConstraintRule, rule.to_dict()) == rule
 
     def test_from_dict_rejects_junk(self):
-        with pytest.raises(ConfigError, match="unknown constraint key"):
-            ConstraintRule.from_dict({"scenario_kind": "merge", "forbidden_action": "cruise",
-                                      "guard": {"tau_min_lt": 1}, "priority": 3})
-        with pytest.raises(ConfigError, match="maneuver token"):
-            ConstraintRule.from_dict({"scenario_kind": "merge", "forbidden_action": "stop",
-                                      "guard": {"tau_min_lt": 1}})
+        with pytest.raises(ConfigError, match="rule: unknown key 'priority'"):
+            build_section("rule", ConstraintRule, {"scenario_kind": "merge", "forbidden_action": "cruise",
+                                                   "guard": {"tau_min_lt": 1}, "priority": 3})
+        with pytest.raises(ConfigError, match=r"rule\.forbidden_action: unknown Maneuver 'stop'"):
+            build_section("rule", ConstraintRule, {"scenario_kind": "merge", "forbidden_action": "stop",
+                                                   "guard": {"tau_min_lt": 1}})
+        with pytest.raises(ConfigError, match=r"rule\.forbidden_action: expected Maneuver, got 1"):
+            build_section("rule", ConstraintRule, {"scenario_kind": "merge", "forbidden_action": 1,
+                                                   "guard": {"tau_min_lt": 1}})
+        with pytest.raises(ConfigError, match=r"rule\.guard: unknown key 'weather'"):
+            build_section("rule", ConstraintRule, {"scenario_kind": "merge", "forbidden_action": "cruise",
+                                                   "guard": {"weather": 1}})
 
 
 class TestScriptedDecide:

@@ -1,5 +1,5 @@
-"""Guards on the names the benchmark harness in perfbench/ binds, and on the
-declared dependencies.
+"""Guards on the names the benchmark harness in perfbench/ binds, on the
+declared dependencies, and on the one record reader.
 
 The traced mode wraps each `drivecoach_targets()` entry by replacing
 `owner.__dict__[attr]`, and the metrics.csv digest drops one wall-clock
@@ -62,3 +62,18 @@ def test_imports_match_declared_dependencies():
     # import names map to distribution names, e.g. yaml to PyYAML
     dists = importlib.metadata.packages_distributions()
     assert {_distribution(dists.get(name, [name])[0]) for name in third_party} == declared
+
+
+def test_records_are_read_by_the_one_reader():
+    """Records come back through `records.build_section`, not hand-written
+    `from_dict` readers. Telemetry keeps its own: only `build_prompt` writes
+    that line, and its nulls stand for infinities."""
+    readers = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name != "Telemetry":
+                readers += [f"{path.relative_to(ROOT)}: {node.name}.from_dict"
+                            for item in node.body
+                            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and item.name == "from_dict"]
+    assert readers == []

@@ -611,9 +611,12 @@ class TestCheckpointResume:
         tr = Trainer(merge_scenario(), cfg, out_dir=tmp_path)
         tr.run(stop_after_step=50)
         arrays, meta = load_checkpoint(str(tmp_path / "checkpoint_step50.dckp"))
-        # format 3 did not record the teacher's n_shot or backend kind
-        del meta["teacher"]["n_shot"], meta["teacher"]["kind"]
-        meta["format"] = 3
+        # format 4 held memory schema 1, which keyed each entry's return as `return`
+        memory = meta["teacher"]["memory"]
+        memory["schema_version"] = 1
+        for entry in memory["entries"]:
+            entry["return"] = entry.pop("episode_return")
+        meta["format"] = 4
         doctored = tmp_path / "doctored.dckp"
         save_checkpoint(str(doctored), arrays, meta)
         with pytest.raises(CheckpointError, match="format"):
