@@ -19,6 +19,8 @@ from .records import build_section
 from .risk import RiskParams
 from .sim.scenarios import ScenarioConfig
 from .teacher import (
+    CAPACITY,
+    N_SHOT,
     MemoryRepository,
     RecordingBackend,
     RemoteBackend,
@@ -52,8 +54,8 @@ class TeacherConfig:
     model: str = ""
     temperature: float = 0.2
     timeout: float = 30.0
-    n_shot: int = 3
-    memory_capacity: int = 20  # a preloaded memory file must hold the same
+    n_shot: int = N_SHOT
+    memory_capacity: int = CAPACITY  # a preloaded memory file must hold the same
     memory_path: str = ""  # optional repository dump to preload
 
     def validate(self) -> None:

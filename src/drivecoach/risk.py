@@ -28,7 +28,7 @@ class RiskParams:
     def __post_init__(self):
         for name in ("beta", "delta", "conflict_radius", "horizon"):
             if getattr(self, name) <= 0:
-                raise ConfigError(f"risk.{name} must be positive")
+                raise ConfigError(f"{name}: must be positive, got {getattr(self, name)}")
 
 
 @dataclass

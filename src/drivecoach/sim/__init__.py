@@ -8,7 +8,7 @@ from .vehicles import (
     rects_overlap,
     wrap_angle,
 )
-from .idm import EMERGENCY_DECEL, idm_accel_flagged, mobil_accepts
+from .idm import EMERGENCY_DECEL, idm_accel, mobil_accepts
 from .paths import ArcSegment, Route, StraightSegment
 from .scenarios import (
     LANE_WIDTH,

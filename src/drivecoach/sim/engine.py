@@ -21,7 +21,7 @@ import numpy as np
 from .. import risk as risk_engine
 from ..errors import ConfigError, UsageError
 from ..records import build_section
-from .idm import EMERGENCY_DECEL, idm_accel_flagged, mobil_accepts
+from .idm import EMERGENCY_DECEL, idm_accel, mobil_accepts
 from .scenarios import (
     LANE_WIDTH,
     MERGE_RAMP_END,
@@ -83,7 +83,7 @@ class StepOutcome:
     reward: float
     done: bool
     events: set[str]
-    info: dict
+    tau_min: float
 
 
 @dataclass
@@ -92,7 +92,6 @@ class ScenarioState:
     geometry: Geometry
     ego: VehicleState
     background: list[VehicleState]
-    disturbed_ids: list[int]
     decision_step: int = 0
     ego_target_speed: float = 0.0
     done: bool = False
@@ -106,7 +105,6 @@ class ScenarioState:
             "config": self.config.to_dict(),
             "ego": self.ego.to_dict(),
             "background": [v.to_dict() for v in self.background],
-            "disturbed_ids": list(self.disturbed_ids),
             "decision_step": self.decision_step,
             "ego_target_speed": self.ego_target_speed,
             "done": self.done,
@@ -149,7 +147,6 @@ def reset(config: ScenarioConfig, seed: int):
         geometry=geometry,
         ego=table.ego,
         background=table.background,
-        disturbed_ids=table.disturbed_ids,
         ego_target_speed=table.ego.speed,
     )
     return state, observe(state)
@@ -308,28 +305,22 @@ def _crossing_ego_gap(state: ScenarioState, veh: VehicleState):
 
 def _background_control(state: ScenarioState, table: LaneTable, veh: VehicleState):
     """IDM acceleration (current and target lane) plus lane-tracking steering."""
-    emergency_on_ego = False
     accel = math.inf
     for lane_index in {veh.lane, veh.target_lane}:
         leader, gap, _, _ = table.neighbors(veh, lane_index)
-        a, flagged = idm_accel_flagged(gap, veh.speed, leader.speed if leader else 0.0,
-                                       veh.profile)
-        accel = min(accel, a)
-        if flagged and leader is not None and leader.is_ego:
-            emergency_on_ego = True
+        accel = min(accel, idm_accel(gap, veh.speed, leader.speed if leader else 0.0, veh.profile))
     blocking = _crossing_ego_gap(state, veh)
     if blocking is not None:
         # last-moment reaction, not a polite yield: a short-headway profile
         # brakes hard only once the blocking ego is genuinely close
         panic = replace(veh.profile, time_headway=0.3)
-        a, flagged = idm_accel_flagged(blocking[0], veh.speed, blocking[1], panic)
+        a = idm_accel(blocking[0], veh.speed, blocking[1], panic)
         if a < 0.0:
             accel = min(accel, a)
-            emergency_on_ego = emergency_on_ego or flagged
     lane = state.geometry.lanes[veh.target_lane]
     lateral = -lane.lateral(veh.x, veh.y)  # offset to centerline, left-positive
     steer = _steer_command(lateral, wrap_angle(lane.heading - veh.heading), veh.speed)
-    return accel, steer, emergency_on_ego
+    return accel, steer
 
 
 def _integrate(veh: VehicleState, accel: float, steer: float, dt: float) -> None:
@@ -344,14 +335,13 @@ def _integrate(veh: VehicleState, accel: float, steer: float, dt: float) -> None
 def _bg_lane_change_pass(state: ScenarioState, table: LaneTable) -> None:
     if state.config.kind == "intersection":
         return  # cross traffic stays in its lane
-    max_lane = 1 if state.config.kind == "merge" else state.geometry.ego_lane_count - 1
+    max_lane = 1 if state.config.kind == "merge" else len(state.geometry.lanes) - 1
     for veh in state.background:
         lane = state.geometry.lanes[veh.lane]
         if veh.target_lane != veh.lane or abs(lane.lateral(veh.x, veh.y)) > 0.5:
             continue  # mid-change; settle first
         lead, gap, old_f, old_f_gap = table.neighbors(veh, veh.lane)
-        a_before, _ = idm_accel_flagged(gap, veh.speed, lead.speed if lead else 0.0,
-                                        veh.profile)
+        a_before = idm_accel(gap, veh.speed, lead.speed if lead else 0.0, veh.profile)
         for cand in (veh.lane - 1, veh.lane + 1):
             if not 0 <= cand <= max_lane:
                 continue
@@ -361,24 +351,23 @@ def _bg_lane_change_pass(state: ScenarioState, table: LaneTable) -> None:
 
 def _try_lane_change(table, veh, cand, cur_lead, a_before, old_f, old_f_gap) -> bool:
     new_lead, new_lead_gap, new_f, new_f_gap = table.neighbors(veh, cand)
-    a_after, _ = idm_accel_flagged(new_lead_gap, veh.speed,
-                                   new_lead.speed if new_lead else 0.0, veh.profile)
+    a_after = idm_accel(new_lead_gap, veh.speed, new_lead.speed if new_lead else 0.0, veh.profile)
     if new_f is not None:
         nf_lead, nf_gap, _, _ = table.neighbors(new_f, cand)
-        a_nf_before, _ = idm_accel_flagged(nf_gap, new_f.speed,
-                                           nf_lead.speed if nf_lead else 0.0, new_f.profile)
-        a_nf_after, _ = idm_accel_flagged(new_f_gap, new_f.speed, veh.speed, new_f.profile)
+        a_nf_before = idm_accel(nf_gap, new_f.speed, nf_lead.speed if nf_lead else 0.0,
+                                new_f.profile)
+        a_nf_after = idm_accel(new_f_gap, new_f.speed, veh.speed, new_f.profile)
     else:
         a_nf_before = a_nf_after = 0.0
     if old_f is not None:
-        a_of_before, _ = idm_accel_flagged(old_f_gap, old_f.speed, veh.speed, old_f.profile)
+        a_of_before = idm_accel(old_f_gap, old_f.speed, veh.speed, old_f.profile)
         if cur_lead is not None:
             lane = table.lanes[veh.lane]
             ds = lane.along(cur_lead.x, cur_lead.y) - lane.along(old_f.x, old_f.y)
             gap_after = ds - (old_f.length + cur_lead.length) / 2.0
-            a_of_after, _ = idm_accel_flagged(gap_after, old_f.speed, cur_lead.speed, old_f.profile)
+            a_of_after = idm_accel(gap_after, old_f.speed, cur_lead.speed, old_f.profile)
         else:
-            a_of_after, _ = idm_accel_flagged(math.inf, old_f.speed, 0.0, old_f.profile)
+            a_of_after = idm_accel(math.inf, old_f.speed, 0.0, old_f.profile)
     else:
         a_of_before = a_of_after = 0.0
     if mobil_accepts(a_before, a_after, a_nf_before, a_nf_after, a_of_before, a_of_after, veh.profile):
@@ -439,7 +428,7 @@ def apply_maneuver(state: ScenarioState, maneuver: Maneuver) -> None:
     elif maneuver == Maneuver.TurnLeft and state.geometry.ego_route is None:
         ego.target_lane = max(0, ego.target_lane - 1)
     elif maneuver == Maneuver.TurnRight and state.geometry.ego_route is None:
-        ego.target_lane = min(state.geometry.ego_lane_count - 1, ego.target_lane + 1)
+        ego.target_lane = min(len(state.geometry.lanes) - 1, ego.target_lane + 1)
     # turns at the intersection (no adjacent lane) leave targets untouched
 
 
@@ -456,7 +445,6 @@ def step(state: ScenarioState, maneuver: Maneuver,
 
     dt = state.config.dt_physics
     events: set[str] = set()
-    emergency_ids: list[int] = []
     for substep in range(state.config.substeps):
         if substep and table is not None:
             table = LaneTable(state)  # the last substep moved every vehicle
@@ -466,10 +454,7 @@ def step(state: ScenarioState, maneuver: Maneuver,
         ego_accel = min(max(ego_accel, -EMERGENCY_DECEL), ego.profile.max_accel)
         controls = [(ego, ego_accel, _ego_steer(state, ego))]
         for veh in state.background:
-            accel, steer, emergency = _background_control(state, table, veh)
-            if emergency and veh.id not in emergency_ids:
-                emergency_ids.append(veh.id)
-            controls.append((veh, accel, steer))
+            controls.append((veh, *_background_control(state, table, veh)))
         for veh, accel, steer in controls:
             _integrate(veh, accel, steer, dt)
         _refresh_lanes(state)
@@ -482,10 +467,8 @@ def step(state: ScenarioState, maneuver: Maneuver,
         events = {"timeout"}
     r = reward(state, maneuver, events)
     state.done = bool(events)
-    assessment = risk_engine.assess(state, params)
-    info = {"tau_min": assessment.tau_min, "emergency_ids": emergency_ids}
-    return StepOutcome(observation=observe(state), reward=r, done=state.done,
-                       events=events, info=info)
+    return StepOutcome(observation=observe(state), reward=r, done=state.done, events=events,
+                       tau_min=risk_engine.assess(state, params).tau_min)
 
 
 def reward(state: ScenarioState, maneuver: Maneuver, events: set[str]) -> float:

@@ -11,22 +11,18 @@ from .vehicles import DriverProfile
 EMERGENCY_DECEL = 8.0
 
 
-def idm_accel_flagged(
-    gap: float, v: float, v_lead: float, profile: DriverProfile
-) -> tuple[float, bool]:
-    """Longitudinal acceleration plus an emergency flag.
+def idm_accel(gap: float, v: float, v_lead: float, profile: DriverProfile) -> float:
+    """Longitudinal acceleration, clamped to [-EMERGENCY_DECEL, max_accel].
 
     gap is bumper-to-bumper distance to the leader in meters; math.inf (or any
-    non-finite value) means no leader. The flag is set when the hard braking
-    clamp binds: the gap is already non-positive, or the unclamped demand is at
-    or past the physical limit.
+    non-finite value) means no leader. A non-positive gap brakes at the limit.
     """
     free = 1.0 - (v / profile.desired_speed) ** 4
     if not math.isfinite(gap):
         a = profile.max_accel * free
-        return max(-EMERGENCY_DECEL, min(profile.max_accel, a)), False
+        return max(-EMERGENCY_DECEL, min(profile.max_accel, a))
     if gap <= 0.0:
-        return -EMERGENCY_DECEL, True
+        return -EMERGENCY_DECEL
     dv = v - v_lead
     s_star = (
         profile.min_gap
@@ -34,7 +30,7 @@ def idm_accel_flagged(
         + v * dv / (2.0 * math.sqrt(profile.max_accel * profile.comfort_decel))
     )
     a = profile.max_accel * (free - (s_star / gap) ** 2)
-    return max(-EMERGENCY_DECEL, min(profile.max_accel, a)), a <= -EMERGENCY_DECEL
+    return max(-EMERGENCY_DECEL, min(profile.max_accel, a))
 
 
 def mobil_accepts(

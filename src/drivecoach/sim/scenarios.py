@@ -15,7 +15,7 @@ right of travel, so TurnLeft decreases the index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,17 +149,16 @@ class Lane:
 @dataclass
 class Geometry:
     lanes: list[Lane]  # all drivable lanes, including cross-road ones
-    ego_lane_count: int  # lanes the ego may target via lane changes
     ego_route: Route | None  # curved reference path (intersection only)
 
 
 def build_geometry(kind: str) -> Geometry:
     if kind == "merge":
         lanes = [Lane(i, 0.0, -LANE_WIDTH * i, 0.0) for i in range(3)]
-        return Geometry(lanes, ego_lane_count=3, ego_route=None)
+        return Geometry(lanes, ego_route=None)
     if kind == "highway":
         lanes = [Lane(i, 0.0, -LANE_WIDTH * i, 0.0) for i in range(4)]
-        return Geometry(lanes, ego_lane_count=4, ego_route=None)
+        return Geometry(lanes, ego_route=None)
     if kind == "intersection":
         eastbound = Lane(0, 0.0, -2.0, 0.0)
         westbound = Lane(1, 0.0, 2.0, math.pi)
@@ -170,7 +169,7 @@ def build_geometry(kind: str) -> Geometry:
                 StraightSegment(-4.0, 2.0, math.pi, 76.0),  # westbound exit
             ]
         )
-        return Geometry([eastbound, westbound], ego_lane_count=1, ego_route=route)
+        return Geometry([eastbound, westbound], ego_route=route)
     raise ConfigError(f"scenario.kind: {kind!r} is not one of {SCENARIO_KINDS}")
 
 
@@ -178,7 +177,6 @@ def build_geometry(kind: str) -> Geometry:
 class SpawnTable:
     ego: VehicleState
     background: list[VehicleState]
-    disturbed_ids: list[int] = field(default_factory=list)
 
 
 def _spaced_positions(rng: np.random.Generator, n: int, lo: float, hi: float, gap: float):
@@ -200,14 +198,14 @@ def _draw_speeds(rng: np.random.Generator, profiles, config: ScenarioConfig):
     disturbed = sorted(rng.choice(n, size=n_disturbed, replace=False).tolist()) if n_disturbed else []
     for i in disturbed:
         speeds[i] = float(rng.uniform(0.3 * config.spawn_speed_mean, 1.7 * config.spawn_speed_mean))
-    return speeds, disturbed
+    return speeds
 
 
 def spawn(config: ScenarioConfig, geometry: Geometry, rng: np.random.Generator) -> SpawnTable:
     kind = config.kind
     styles = list(rng.choice(_STYLES, size=config.n_background, p=_STYLE_WEIGHTS))
     profiles = [make_profile(str(s), kind) for s in styles]
-    speeds, disturbed_idx = _draw_speeds(rng, profiles, config)
+    speeds = _draw_speeds(rng, profiles, config)
 
     background: list[VehicleState] = []
     next_id = 1
@@ -221,7 +219,6 @@ def spawn(config: ScenarioConfig, geometry: Geometry, rng: np.random.Generator) 
             heading=0.0,
             lane=ego_lane,
             profile=make_profile("standard", kind),
-            is_ego=True,
         )
         if kind == "merge":
             # Mainline traffic paced to occupy the merge zone when the ego
@@ -266,7 +263,6 @@ def spawn(config: ScenarioConfig, geometry: Geometry, rng: np.random.Generator) 
             heading=math.pi / 2.0,
             lane=0,
             profile=make_profile("standard", kind),
-            is_ego=True,
         )
         direction = [int(d) for d in rng.choice([0, 1], size=config.n_background)]
         per_dir: dict[int, list[int]] = {}
@@ -290,5 +286,4 @@ def spawn(config: ScenarioConfig, geometry: Geometry, rng: np.random.Generator) 
                 )
                 next_id += 1
 
-    disturbed_ids = [background[i].id for i in disturbed_idx] if background else []
-    return SpawnTable(ego=ego, background=background, disturbed_ids=disturbed_ids)
+    return SpawnTable(ego=ego, background=background)

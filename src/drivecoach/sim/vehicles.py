@@ -99,14 +99,14 @@ class VehicleState:
     profile: DriverProfile
     length: float = 5.0
     width: float = 2.0
-    is_ego: bool = False
     target_lane: int = field(default=-1)  # -1 means "current lane" until set
 
     def __post_init__(self):
         if self.speed < 0:
-            raise ValueError(f"speed must be >= 0, got {self.speed}")
-        if self.length <= 0 or self.width <= 0:
-            raise ValueError("length and width must be positive")
+            raise ValueError(f"speed: must be >= 0, got {self.speed}")
+        for name in ("length", "width"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
         self.heading = wrap_angle(self.heading)
         if self.target_lane < 0:
             self.target_lane = self.lane
@@ -130,7 +130,6 @@ class VehicleState:
             "target_lane": self.target_lane,
             "length": self.length,
             "width": self.width,
-            "is_ego": self.is_ego,
             "profile": self.profile.name,
         }
 

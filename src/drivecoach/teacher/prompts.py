@@ -50,10 +50,6 @@ class Prompt:
     def messages(self) -> list[tuple[str, str]]:
         return [("system", self.system), ("user", self.user)]
 
-    @property
-    def tokens(self) -> int:
-        return estimate_tokens(self.system) + estimate_tokens(self.user)
-
 
 def estimate_tokens(text: str) -> int:
     return math.ceil(len(text) / 4)

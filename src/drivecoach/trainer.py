@@ -57,7 +57,9 @@ LOSS_HEADER = "update,step,total,policy_loss,value_loss,distill_loss,kl_penalty,
 # 3: the buffer drops its step ids, and the meta its copy of the scenario config
 # 4: the teacher block records its n_shot and backend kind
 # 5: the teacher's memory is memory schema 2 (entries keyed by field name)
-CHECKPOINT_FORMAT = 5
+# 6: the env block's vehicles drop is_ego, and the env block drops disturbed_ids;
+#    the meta drops evals_done, which global_step // eval_interval gives
+CHECKPOINT_FORMAT = 6
 
 
 def normalize_variant(name: str) -> str:
@@ -286,13 +288,11 @@ class Trainer:
         self.buffer = RolloutBuffer(train.rollout_size, FLAT_OBS_DIM)
         self.global_step = 0
         self.updates_done = 0
-        self.evals_done = 0
         self.episode_index = 0
         self.eval_reports: list[EvalReport] = []
         self._obs: np.ndarray | None = None
         self._ep = EpisodeAccumulator()
         self._stop_at: int | None = None
-        self._stopped = False
         self.out_dir = Path(out_dir) if out_dir is not None else None
         if self.out_dir is not None:
             self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -323,8 +323,7 @@ class Trainer:
                 f"environment fault at global step {self.global_step}, "
                 f"episode {self.episode_index}: {err}"
             ) from err
-        omega = risk_value(out.info["tau_min"],
-                           bool(INFRACTION_EVENTS & out.events), self.risk_params)
+        omega = risk_value(out.tau_min, bool(INFRACTION_EVENTS & out.events), self.risk_params)
         next_flat = out.observation.flat()
         self.buffer.add(obs=self._obs, action=action, logp=logp, reward=out.reward,
                         value=value, done=out.done, next_obs=next_flat,
@@ -335,7 +334,7 @@ class Trainer:
         ep.length += 1
         ep.actions.append(action)
         ep.omegas.append(omega)
-        ep.taus.append(float(out.info["tau_min"]))
+        ep.taus.append(float(out.tau_min))
         self.global_step += 1
         if out.done:
             self._finish_episode(out.events)
@@ -344,12 +343,15 @@ class Trainer:
         if self.global_step % self.cfg.eval_interval == 0:
             report = self.evaluate()
             self.eval_reports.append(report)
-            self.evals_done += 1
             self._append_metrics(report)
-            if self.out_dir is not None and self.evals_done % self.cfg.checkpoint_every_evals == 0:
+            evals_done = self.global_step // self.cfg.eval_interval
+            if self.out_dir is not None and evals_done % self.cfg.checkpoint_every_evals == 0:
                 self.save(self.out_dir / f"checkpoint_step{self.global_step}.dckp")
-        if self._stop_at is not None and self.global_step >= self._stop_at:
-            self._stopped = True
+
+    @property
+    def _stopped(self) -> bool:
+        """Whether run(stop_after_step=...) has reached its stop step."""
+        return self._stop_at is not None and self.global_step >= self._stop_at
 
     def _finish_episode(self, events: set) -> None:
         ep = self._ep
@@ -494,7 +496,7 @@ class Trainer:
             out = env.step(maneuver)
             returns[e] += out.reward
             speeds[e].append(out.observation.ego_speed)
-            taus[e].append(out.info["tau_min"])
+            taus[e].append(out.tau_min)
             success[e] = "success" in out.events
             return out
 
@@ -573,7 +575,6 @@ class Trainer:
             "risk": asdict(self.risk_params),
             "global_step": self.global_step,
             "updates_done": self.updates_done,
-            "evals_done": self.evals_done,
             "episode_index": self.episode_index,
             "buffer_n": self.buffer.n,
             "adam_step": self.adam.step,
@@ -612,7 +613,6 @@ class Trainer:
         trainer.buffer.n = int(meta["buffer_n"])
         trainer.global_step = int(meta["global_step"])
         trainer.updates_done = int(meta["updates_done"])
-        trainer.evals_done = int(meta["evals_done"])
         trainer.episode_index = int(meta["episode_index"])
         trainer.rng.bit_generator.state = meta["rng"]
         if meta["env"] is not None:
@@ -631,10 +631,11 @@ class Trainer:
         """Collect/update until the step budget; returns the eval history.
 
         stop_after_step halts collection once the global step reaches it and
-        writes a resumable checkpoint instead of finishing the run.
+        writes a resumable checkpoint instead of finishing the run. A finished
+        run writes checkpoint_final.dckp, traces.jsonl and, for LA-PPO, the
+        teacher's memory.json, a file teacher.memory_path can preload.
         """
         self._stop_at = stop_after_step
-        self._stopped = False
         while self.global_step < self.cfg.total_steps and not self._stopped:
             self._fill_buffer()
             if self.buffer.n and not self._stopped:
@@ -644,6 +645,8 @@ class Trainer:
                 self.save(self.out_dir / f"checkpoint_step{self.global_step}.dckp")
             else:
                 self.save(self.out_dir / "checkpoint_final.dckp")
+                if self.teacher is not None:
+                    self.teacher.memory.save(self.out_dir / "memory.json")
                 self._write_traces()
         return self.eval_reports
 

@@ -111,12 +111,12 @@ def test_gradients_match_finite_differences():
          f"max rel err {worst:.2e} over 10 seeds, {elapsed:.1f}s")
 
 
-def _vehicle(vid, p, v, is_ego=False):
+def _vehicle(vid, p, v):
     speed = math.hypot(v[0], v[1])
     heading = math.atan2(v[1], v[0]) if speed > 0 else 0.0
     return VehicleState(id=vid, x=float(p[0]), y=float(p[1]), speed=speed,
                         heading=heading, lane=0,
-                        profile=make_profile("standard", "highway"), is_ego=is_ego)
+                        profile=make_profile("standard", "highway"))
 
 
 def test_equation_oracles():
@@ -168,7 +168,7 @@ def test_equation_oracles():
     for _ in range(1000):
         p_a, p_b = rng.uniform(-40, 40, 2), rng.uniform(-40, 40, 2)
         v_a, v_b = rng.uniform(-15, 15, 2), rng.uniform(-15, 15, 2)
-        ego, other = _vehicle(0, p_a, v_a, is_ego=True), _vehicle(1, p_b, v_b)
+        ego, other = _vehicle(0, p_a, v_a), _vehicle(1, p_b, v_b)
         _, d_min = closest_approach(ego, other, params.horizon)
         if abs(d_min - params.conflict_radius) < 0.1:
             continue  # the grid cannot classify radius-boundary pairs
@@ -404,9 +404,8 @@ def test_reflection_loop():
     events = set()
     for _ in range(6):
         out = env.step(Maneuver.SpeedUp)
-        omegas.append(risk_value(out.info["tau_min"],
-                                 bool(INFRACTION_EVENTS & out.events), params))
-        taus.append(float(out.info["tau_min"]))
+        omegas.append(risk_value(out.tau_min, bool(INFRACTION_EVENTS & out.events), params))
+        taus.append(float(out.tau_min))
         actions.append("speed_up")
         events |= out.events
         if out.done:

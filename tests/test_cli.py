@@ -243,6 +243,7 @@ class TestTrainCommand:
         assert code == EXIT_OK
         row = (out / "metrics.csv").read_text().splitlines()[1]
         assert row.split(",")[1] == "V-PPO"
+        assert not (out / "memory.json").exists()
 
     def test_seed_flag_lands_in_rows(self, small_config, tmp_path):
         out = tmp_path / "s"
@@ -269,7 +270,8 @@ class TestTrainCommand:
                               ("scenario.n_background=true", "scenario.n_background"),
                               ("train.lr=yes", "train.lr"),
                               ("out_dir=yes", "out_dir: expected str, got True"),
-                              ("out_dir=[a]", "out_dir: expected str, got ['a']")):
+                              ("out_dir=[a]", "out_dir: expected str, got ['a']"),
+                              ("risk.beta=-1", "risk.beta: must be positive, got -1")):
             code = main(["train", "--config", str(small_config),
                          "--out", str(tmp_path / "x"), override])
             assert code == EXIT_CONFIG
@@ -293,6 +295,19 @@ def finished_run(tmp_path_factory):
     config.write_text(SMALL_YAML)
     assert main(["train", "--config", str(config), "--out", str(out / "run")]) == EXIT_OK
     return out / "run"
+
+
+def test_finished_run_memory_preloads_as_saved(finished_run):
+    """An LA-PPO run's memory.json loads through teacher.memory_path and holds
+    the final checkpoint's memory, entry for entry."""
+    cfg = GlobalConfig(teacher=TeacherConfig(memory_path=str(finished_run / "memory.json")))
+    cfg.teacher.validate()
+    memory = build_teacher(cfg).memory
+    _, meta = load_checkpoint(str(finished_run / "checkpoint_final.dckp"))
+    saved = meta["teacher"]["memory"]
+    assert len(memory) > 0
+    assert memory.capacity == saved["capacity"]
+    assert [e.to_dict() for e in memory.entries] == saved["entries"]
 
 
 class TestEvalCommand:
@@ -384,6 +399,21 @@ class TestTeacherCommand:
         assert code == EXIT_CONFIG
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("ego", "is_ego", True),  # a VehicleState field before checkpoint format 6
+        (None, "disturbed_ids", []),  # a ScenarioState field before checkpoint format 6
+    ], ids=["ego.is_ego", "disturbed_ids"])
+    def test_trace_with_removed_field_exits_2(self, finished_run, tmp_path, capsys,
+                                              section, key, value):
+        record = json.loads((finished_run / "traces.jsonl").read_text().splitlines()[0])
+        node = record["state"] if section is None else record["state"][section]
+        node[key] = value
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        assert main(["teacher", "--state", str(path)]) == EXIT_CONFIG
+        named = "state" if section is None else f"state.{section}"
+        assert f"{named}: unknown key '{key}'" in capsys.readouterr().err
+
     def test_missing_state_key_exits_2(self, tmp_path, capsys):
         path = tmp_path / "nostate.jsonl"
         path.write_text(json.dumps({"maneuver": "keep_lane"}) + "\n")
@@ -402,13 +432,12 @@ class TestTeacherCommand:
         ("done", "yes", "state.done"),
         ("ego_target_speed", "abc", "state.ego_target_speed"),
         ("decision_step", "x", "state.decision_step"),
-        ("disturbed_ids", 3, "state.disturbed_ids"),
         ("ego.lane", 1.5, "state.ego.lane"),
         ("ego.speed", "abc", "state.ego.speed"),
-        ("ego.is_ego", 1, "state.ego.is_ego"),
+        ("ego.length", 0, "state.ego.length"),
         ("ego.profile", "reckless", "state.ego.profile"),
         ("background.2.lane", 1.5, "state.background[2].lane"),
-        ("background.2.speed", -1.0, "state.background[2]"),
+        ("background.2.speed", -1.0, "state.background[2].speed"),
     ])
     def test_invalid_state_config_exits_2(self, tmp_path, capsys, key, value, named):
         state, _ = reset(ScenarioConfig(kind="merge", n_background=3), seed=0)

@@ -32,11 +32,11 @@ def grid_ttcp(p_a, v_a, p_b, v_b, params):
     return math.inf
 
 
-def vehicle(vid, x, y, vx, vy, is_ego=False):
+def vehicle(vid, x, y, vx, vy):
     speed = math.hypot(vx, vy)
     heading = math.atan2(vy, vx) if speed > 0 else 0.0
     return VehicleState(id=vid, x=x, y=y, speed=speed, heading=heading, lane=0,
-                        profile=make_profile("standard", "highway"), is_ego=is_ego)
+                        profile=make_profile("standard", "highway"))
 
 
 class FakeState:
@@ -46,7 +46,7 @@ class FakeState:
 
 
 def pair(p_a, v_a, p_b, v_b):
-    a = vehicle(0, float(p_a[0]), float(p_a[1]), float(v_a[0]), float(v_a[1]), is_ego=True)
+    a = vehicle(0, float(p_a[0]), float(p_a[1]), float(v_a[0]), float(v_a[1]))
     b = vehicle(1, float(p_b[0]), float(p_b[1]), float(v_b[0]), float(v_b[1]))
     return a, b
 
@@ -142,7 +142,7 @@ class TestTtcp:
 
 class TestAssess:
     def test_no_traffic(self):
-        a = assess(FakeState(vehicle(0, 0, 0, 10, 0, is_ego=True), []), RiskParams())
+        a = assess(FakeState(vehicle(0, 0, 0, 10, 0), []), RiskParams())
         assert a.tau_min == math.inf
         assert a.taus == {}
 
@@ -150,7 +150,7 @@ class TestAssess:
         rng = np.random.default_rng(14)
         params = RiskParams()
         for _ in range(50):
-            ego = vehicle(0, 0.0, 0.0, float(rng.uniform(0, 20)), 0.0, is_ego=True)
+            ego = vehicle(0, 0.0, 0.0, float(rng.uniform(0, 20)), 0.0)
             bg = [
                 vehicle(i + 1, float(rng.uniform(-50, 50)), float(rng.uniform(-10, 10)),
                         float(rng.uniform(-15, 15)), float(rng.uniform(-2, 2)))

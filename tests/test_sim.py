@@ -23,7 +23,7 @@ from drivecoach.sim import (
     ScenarioState,
     TrafficEnv,
     VehicleState,
-    idm_accel_flagged,
+    idm_accel,
     make_profile,
     observe,
     rects_overlap,
@@ -34,6 +34,7 @@ from drivecoach.sim import (
 )
 from drivecoach.sim.engine import lane_neighbors, nearest_lane_index
 from drivecoach.sim.engine import reward as reward_fn
+from drivecoach.sim.scenarios import _draw_speeds
 
 
 def make_state(kind: str, ego: VehicleState, background: list[VehicleState], **cfg) -> ScenarioState:
@@ -45,15 +46,14 @@ def make_state(kind: str, ego: VehicleState, background: list[VehicleState], **c
         geometry=build_geometry(kind),
         ego=ego,
         background=background,
-        disturbed_ids=[],
         ego_target_speed=ego.speed,
     )
 
 
-def plain_vehicle(vid, x, y, speed, heading=0.0, lane=0, kind="highway", style="standard", is_ego=False):
+def plain_vehicle(vid, x, y, speed, heading=0.0, lane=0, kind="highway", style="standard"):
     return VehicleState(
         id=vid, x=x, y=y, speed=speed, heading=heading, lane=lane,
-        profile=make_profile(style, kind), is_ego=is_ego,
+        profile=make_profile(style, kind),
     )
 
 
@@ -106,10 +106,16 @@ class TestSpawn:
         s2, _ = reset(cfg, seed=7)
         assert s1.state_dict() == s2.state_dict()
 
-    def test_disturbed_count(self):
-        cfg = ScenarioConfig(kind="highway", n_background=20, disturbance_fraction=0.15)
-        state, _ = reset(cfg, seed=3)
-        assert len(state.disturbed_ids) == round(0.15 * 20) == 3
+    def test_disturbance_resamples_a_fixed_count_of_speeds(self):
+        profiles = [make_profile("standard", "highway")] * 20
+
+        def speeds(fraction):
+            cfg = ScenarioConfig(kind="highway", n_background=20, disturbance_fraction=fraction)
+            return _draw_speeds(np.random.default_rng(3), profiles, cfg)
+
+        # the normal draws come first, so the undisturbed speeds are shared
+        changed = [a != b for a, b in zip(speeds(0.15), speeds(0.0))]
+        assert sum(changed) == round(0.15 * 20) == 3
 
     def test_empty_traffic(self):
         cfg = ScenarioConfig(kind="merge", n_background=0)
@@ -137,27 +143,25 @@ class TestSpawn:
 class TestIdm:
     def test_equilibrium_at_desired_speed(self):
         p = make_profile("standard", "highway")
-        assert idm_accel_flagged(math.inf, p.desired_speed, 0.0, p)[0] == pytest.approx(0.0)
+        assert idm_accel(math.inf, p.desired_speed, 0.0, p) == pytest.approx(0.0)
 
     def test_free_road_start(self):
         p = make_profile("standard", "highway")
-        assert idm_accel_flagged(math.inf, 0.0, 0.0, p)[0] == pytest.approx(p.max_accel)
+        assert idm_accel(math.inf, 0.0, 0.0, p) == pytest.approx(p.max_accel)
 
     def test_following_at_twice_desired_gap_brakes(self):
         # at v == desired the free term vanishes, leaving the gap term negative
         p = make_profile("conservative", "merge")  # desired 20
         v = v_lead = 20.0
         s_star = p.min_gap + v * p.time_headway
-        a = idm_accel_flagged(2.0 * s_star, v, v_lead, p)[0]
+        a = idm_accel(2.0 * s_star, v, v_lead, p)
         expected = p.max_accel * (1.0 - (v / p.desired_speed) ** 4 - 0.25)
         assert a == pytest.approx(expected)
         assert a < 0.0
 
     def test_non_positive_gap_is_emergency(self):
         p = make_profile("standard", "highway")
-        a, flagged = idm_accel_flagged(-0.5, 10.0, 10.0, p)
-        assert a == -EMERGENCY_DECEL
-        assert flagged
+        assert idm_accel(-0.5, 10.0, 10.0, p) == -EMERGENCY_DECEL
 
     def test_matches_direct_formula(self):
         p = make_profile("aggressive", "highway")
@@ -171,7 +175,7 @@ class TestIdm:
             )
             raw = p.max_accel * (1.0 - (v / p.desired_speed) ** 4 - (s_star / gap) ** 2)
             expected = max(-EMERGENCY_DECEL, min(p.max_accel, raw))
-            assert idm_accel_flagged(gap, v, v_lead, p)[0] == pytest.approx(expected)
+            assert idm_accel(gap, v, v_lead, p) == pytest.approx(expected)
 
 
 class TestStep:
@@ -210,7 +214,7 @@ class TestStep:
         assert state.ego.target_lane == 0
 
     def test_collision_detected_and_terminal(self):
-        ego = plain_vehicle(0, 50.0, -8.0, 20.0, lane=2, is_ego=True)
+        ego = plain_vehicle(0, 50.0, -8.0, 20.0, lane=2)
         other = plain_vehicle(1, 58.0, -8.0, 0.0, lane=2)
         state = make_state("highway", ego, [other])
         out = step(state, Maneuver.Cruise)
@@ -221,7 +225,7 @@ class TestStep:
             step(state, Maneuver.Cruise)
 
     def test_ramp_end_is_off_road(self):
-        ego = plain_vehicle(0, 192.0, -8.0, 15.0, lane=2, kind="merge", is_ego=True)
+        ego = plain_vehicle(0, 192.0, -8.0, 15.0, lane=2, kind="merge")
         state = make_state("merge", ego, [])
         events = set()
         for _ in range(3):
@@ -233,7 +237,7 @@ class TestStep:
         assert state.ego.x > MERGE_RAMP_END
 
     def test_merge_success_region(self):
-        ego = plain_vehicle(0, 235.0, -4.0, 20.0, lane=1, kind="merge", is_ego=True)
+        ego = plain_vehicle(0, 235.0, -4.0, 20.0, lane=1, kind="merge")
         state = make_state("merge", ego, [])
         out = step(state, Maneuver.Cruise)
         assert out.events == {"success"}
@@ -294,7 +298,7 @@ class TestStep:
 
 class TestObserve:
     def test_neighbor_directly_ahead(self):
-        ego = plain_vehicle(0, 10.0, -8.0, 20.0, lane=2, is_ego=True)
+        ego = plain_vehicle(0, 10.0, -8.0, 20.0, lane=2)
         other = plain_vehicle(1, 20.0, -8.0, 20.0, lane=2)
         state = make_state("highway", ego, [other])
         obs = observe(state)
@@ -308,7 +312,7 @@ class TestObserve:
         assert obs.flat().shape == (FLAT_OBS_DIM,)
 
     def test_distance_sorted_and_capped(self):
-        ego = plain_vehicle(0, 100.0, -8.0, 20.0, lane=2, is_ego=True)
+        ego = plain_vehicle(0, 100.0, -8.0, 20.0, lane=2)
         rng = np.random.default_rng(8)
         others = [
             plain_vehicle(i + 1, 100.0 + float(rng.uniform(-60, 60)), -4.0 * int(rng.integers(0, 4)),
@@ -332,7 +336,7 @@ class TestObserve:
         for _ in range(50):
             ego = plain_vehicle(0, float(rng.uniform(-50, 50)), float(rng.uniform(-12, 0)),
                                 float(rng.uniform(0, 30)), heading=float(rng.uniform(-3, 3)),
-                                lane=1, is_ego=True)
+                                lane=1)
             other = plain_vehicle(1, float(rng.uniform(-50, 50)), float(rng.uniform(-12, 0)),
                                   float(rng.uniform(0, 30)), heading=float(rng.uniform(-3, 3)), lane=1)
             state = make_state("highway", ego, [other])
@@ -353,12 +357,12 @@ class TestObserve:
 
 class TestReward:
     def test_speed_at_ceiling(self):
-        ego = plain_vehicle(0, 50.0, -8.0, 25.0, lane=2, is_ego=True)
+        ego = plain_vehicle(0, 50.0, -8.0, 25.0, lane=2)
         state = make_state("highway", ego, [])
         assert reward_fn(state, Maneuver.Cruise, set()) == pytest.approx(0.4)
 
     def test_collision_penalty_bound(self):
-        ego = plain_vehicle(0, 50.0, -8.0, 10.0, lane=2, is_ego=True)
+        ego = plain_vehicle(0, 50.0, -8.0, 10.0, lane=2)
         state = make_state("highway", ego, [])
         r = reward_fn(state, Maneuver.Cruise, {"collision"})
         assert r <= -10.0 + 0.4
@@ -434,7 +438,7 @@ class TestSerialization:
         # the geometry is rebuilt from the kind, and a Route compares by identity
         def parts(geometry):
             route = geometry.ego_route
-            return geometry.lanes, geometry.ego_lane_count, route and route.segments
+            return geometry.lanes, route and route.segments
 
         assert parts(clone.geometry) == parts(state.geometry)
 
@@ -534,7 +538,7 @@ class TestLaneBookkeeping:
                         assert got[1] == want[1] and got[3] == want[3]
 
     def test_lane_neighbors_hand_built(self):
-        ego = plain_vehicle(0, 50.0, -4.0, 20.0, lane=1, is_ego=True)
+        ego = plain_vehicle(0, 50.0, -4.0, 20.0, lane=1)
         leader = plain_vehicle(1, 72.0, -4.0, 18.0, lane=1)
         follower = plain_vehicle(2, 35.0, -4.0, 22.0, lane=1)
         abeam = plain_vehicle(3, 50.0, -3.0, 20.0, lane=1)  # ds = 0: neither
@@ -585,7 +589,7 @@ def random_state(kind: str, rng: np.random.Generator, n_vehicles: int = 12) -> S
         else:
             heading = float(rng.uniform(-math.pi, math.pi))
         cars.append(plain_vehicle(vid, x, y, float(rng.uniform(0.0, 30.0)), heading=heading,
-                                  kind=kind, is_ego=vid == 0))
+                                  kind=kind))
     state = make_state(kind, cars[0], cars[1:])
     for veh in state.vehicles:
         veh.lane = full_scan_lane(state, veh)
@@ -594,7 +598,7 @@ def random_state(kind: str, rng: np.random.Generator, n_vehicles: int = 12) -> S
 
 def step_outcomes_equal(a, b) -> bool:
     return (a.reward == b.reward and a.done == b.done and a.events == b.events
-            and a.info == b.info and a.observation.neighbor_ids == b.observation.neighbor_ids
+            and a.tau_min == b.tau_min and a.observation.neighbor_ids == b.observation.neighbor_ids
             and np.array_equal(a.observation.flat(), b.observation.flat()))
 
 
@@ -625,7 +629,7 @@ class TestLaneTable:
 
     @pytest.mark.parametrize("kind", ["merge", "highway"])
     def test_closed_form_nearest_lane_matches_full_scan(self, kind):
-        state = make_state(kind, plain_vehicle(0, 0.0, 0.0, 20.0, kind=kind, is_ego=True), [])
+        state = make_state(kind, plain_vehicle(0, 0.0, 0.0, 20.0, kind=kind), [])
         veh = state.ego
         rng = np.random.default_rng(5)
         n_lanes = len(state.geometry.lanes)

@@ -42,6 +42,7 @@ from drivecoach.teacher import (
     cosine_similarity,
     decide,
     encode_state,
+    estimate_tokens,
     parse_constraints,
     parse_telemetry,
     reflect,
@@ -66,6 +67,10 @@ def plain_telemetry(**overrides):
                 goal_lane=None, tau_min=math.inf, conflict_ahead=False)
     base.update(overrides)
     return Telemetry(**base)
+
+
+def prompt_tokens(prompt) -> int:
+    return estimate_tokens(prompt.system) + estimate_tokens(prompt.user)
 
 
 def entry_with(z, action=Maneuver.Cruise, outcome="success", ret=1.0, lesson=""):
@@ -509,7 +514,7 @@ class TestBuildPrompt:
         n_lines = full.user.count("- vehicle ")
         assert n_lines >= 3
         tight = build_prompt(obs, assessment, [], telemetry=telemetry,
-                             max_tokens=full.tokens - 1)
+                             max_tokens=prompt_tokens(full) - 1)
         assert tight.user.count("- vehicle ") == n_lines - 1
         # the surviving lines are the closest ones, in the original order
         kept = [ln for ln in full.user.splitlines() if ln.startswith("- vehicle ")][:-1]
@@ -524,7 +529,7 @@ class TestBuildPrompt:
                                   lesson="always check the mirror twice before moving"))
         retrieved = retrieve(z, memory, 3)
         prompt = build_prompt(obs, assessment, retrieved, telemetry=telemetry)
-        assert prompt.tokens <= 4000
+        assert prompt_tokens(prompt) <= 4000
 
     def test_extreme_budget_never_raises(self):
         z, obs, assessment, telemetry = self.scene()

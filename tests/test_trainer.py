@@ -359,7 +359,7 @@ class TestEvaluate:
 
 def step_record(action, out):
     return (int(action), out.reward, sorted(out.events), out.observation.ego_speed,
-            out.info["tau_min"])
+            out.tau_min)
 
 
 def sequential_greedy(tr, n):
@@ -611,12 +611,14 @@ class TestCheckpointResume:
         tr = Trainer(merge_scenario(), cfg, out_dir=tmp_path)
         tr.run(stop_after_step=50)
         arrays, meta = load_checkpoint(str(tmp_path / "checkpoint_step50.dckp"))
-        # format 4 held memory schema 1, which keyed each entry's return as `return`
-        memory = meta["teacher"]["memory"]
-        memory["schema_version"] = 1
-        for entry in memory["entries"]:
-            entry["return"] = entry.pop("episode_return")
-        meta["format"] = 4
+        # format 5 stored evals_done, the env block's disturbed_ids and each
+        # vehicle's is_ego
+        env = meta["env"]
+        env["disturbed_ids"] = []
+        for veh in [env["ego"], *env["background"]]:
+            veh["is_ego"] = veh is env["ego"]
+        meta["evals_done"] = 0
+        meta["format"] = 5
         doctored = tmp_path / "doctored.dckp"
         save_checkpoint(str(doctored), arrays, meta)
         with pytest.raises(CheckpointError, match="format"):
@@ -661,9 +663,18 @@ class TestCheckpointResume:
 
     def test_periodic_checkpoints_written(self, tmp_path):
         cfg = small_cfg(variant="V-PPO", checkpoint_every_evals=2)
-        Trainer(merge_scenario(), cfg, out_dir=tmp_path).run()
-        assert (tmp_path / "checkpoint_step100.dckp").exists()
-        assert (tmp_path / "checkpoint_step200.dckp").exists()
+        Trainer(merge_scenario(), cfg, out_dir=tmp_path / "whole").run()
+        # the cadence counts evaluations since step 0, across a resume too
+        Trainer(merge_scenario(), cfg, out_dir=tmp_path / "split").run(stop_after_step=60)
+        Trainer.resume(tmp_path / "split" / "checkpoint_step60.dckp",
+                       out_dir=tmp_path / "split").run()
+
+        def steps(run):
+            return sorted(int(p.stem.removeprefix("checkpoint_step"))
+                          for p in (tmp_path / run).glob("checkpoint_step*.dckp"))
+
+        assert steps("whole") == [100, 200]
+        assert steps("split") == [60, 100, 200]
 
 
 class TestEvalReportShape:
