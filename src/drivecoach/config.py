@@ -9,6 +9,7 @@ section round-trips through plain mappings with no lossy conversion.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -59,6 +60,7 @@ class TeacherConfig:
     memory_path: str = ""  # optional repository dump to preload
 
     def validate(self) -> None:
+        """Range checks, written so that NaN fails them."""
         if self.backend not in BACKEND_KINDS:
             raise ConfigError(
                 f"teacher.backend: {self.backend!r} is not one of {list(BACKEND_KINDS)}"
@@ -68,10 +70,10 @@ class TeacherConfig:
                 raise ConfigError("teacher.endpoint: required for the remote backend")
             if not self.model:
                 raise ConfigError("teacher.model: required for the remote backend")
-        if self.temperature < 0:
-            raise ConfigError(f"teacher.temperature: must be >= 0, got {self.temperature}")
-        if self.timeout <= 0:
-            raise ConfigError(f"teacher.timeout: must be > 0, got {self.timeout}")
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigError(f"teacher.temperature: must be finite and >= 0, got {self.temperature}")
+        if not 0 < self.timeout < math.inf:
+            raise ConfigError(f"teacher.timeout: must be finite and > 0, got {self.timeout}")
         if self.n_shot < 1:
             raise ConfigError(f"teacher.n_shot: must be >= 1, got {self.n_shot}")
         if self.memory_capacity < 1:

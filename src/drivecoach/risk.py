@@ -26,9 +26,13 @@ class RiskParams:
     horizon: float = 6.0  # s, extrapolation window
 
     def __post_init__(self):
+        # written so that NaN fails them
         for name in ("beta", "delta", "conflict_radius", "horizon"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name}: must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name}: must be positive, got {value}")
+            if value == INF:
+                raise ConfigError(f"{name}: must be finite, got {value}")
 
 
 @dataclass

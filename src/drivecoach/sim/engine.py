@@ -96,6 +96,10 @@ class ScenarioState:
     ego_target_speed: float = 0.0
     done: bool = False
 
+    def __post_init__(self):
+        if not 0 <= self.ego_target_speed < math.inf:  # NaN fails too
+            raise ValueError(f"ego_target_speed: must be finite and >= 0, got {self.ego_target_speed}")
+
     @property
     def vehicles(self) -> list[VehicleState]:
         return [self.ego] + self.background
@@ -166,7 +170,11 @@ def nearest_lane_index(state: ScenarioState, veh: VehicleState) -> int:
     lanes = state.geometry.lanes
     if state.geometry.ego_route is not None:
         return min(lanes, key=lambda lane: abs(lane.lateral(veh.x, veh.y))).index
-    first = int(min(max(0.0, -veh.y / LANE_WIDTH), len(lanes) - 2))
+    # int(min(max(0.0, z), last)) as comparisons, as in idm._clamp_accel
+    z = -veh.y / LANE_WIDTH
+    z = z if z > 0.0 else 0.0
+    last = len(lanes) - 2
+    first = int(last if last < z else z)
     left, right = lanes[first], lanes[first + 1]
     # as in min(), the later lane wins only when strictly nearer
     if abs(right.lateral(veh.x, veh.y)) < abs(left.lateral(veh.x, veh.y)):
@@ -174,7 +182,7 @@ def nearest_lane_index(state: ScenarioState, veh: VehicleState) -> int:
     return left.index
 
 
-def _refresh_lanes(state: ScenarioState) -> None:
+def _refresh_lanes(state: ScenarioState, index: bool = False) -> "LaneTable | None":
     """Set every vehicle's `lane` to the lane whose centerline is nearest.
 
     `spawn` gives each vehicle the lane nearest its spawn point,
@@ -182,35 +190,64 @@ def _refresh_lanes(state: ScenarioState) -> None:
     the program, and `step` calls it after every substep, since only the
     substep's integration moves vehicles.
 
-    Invariant: lane queries read stored lanes and positions through a
-    `LaneTable`, and no table outlives the positions it was built from.
-    `step` builds one per substep, once the positions are fixed and before
-    `_integrate` moves anything, and drops it; `lane_neighbors` builds one
-    per query. Nothing stores a table, so a vehicle a caller moves by hand
-    between steps is queried where it now stands.
+    With `index`, the same pass also files each vehicle into a `LaneTable` of
+    the new lanes and positions and returns it; only background vehicles
+    read tables, so with no background traffic it returns None, as it does
+    without `index`.
+
+    Invariant: each substep visits each vehicle once for lane bookkeeping.
+    Lane queries read stored lanes and positions through a `LaneTable`, and
+    no table outlives the positions it was built from. `step` builds one from
+    the stored lanes before its first substep, and each substep but the last
+    takes the next substep's table from this pass, after `_integrate` has
+    moved every vehicle; nothing stores a table. `lane_neighbors` builds one
+    per query. So a vehicle a caller moves by hand between steps is queried
+    where it now stands.
     """
+    if index and state.background:
+        return LaneTable(state, refresh=True)
     for veh in state.vehicles:
         veh.lane = nearest_lane_index(state, veh)
-
-
-def _lane_member(lane, veh: VehicleState) -> bool:
-    """A vehicle counts on `lane` when its stored lane is that lane and its
-    heading is within pi/4 of the lane's."""
-    return veh.lane == lane.index and abs(wrap_angle(veh.heading - lane.heading)) <= math.pi / 4
+    return None
 
 
 class LaneTable:
-    """Each lane's members as (vehicle, position along the lane), in
-    `state.vehicles` order, for the positions and stored lanes at build time.
-    Build a new table once anything moves (see `_refresh_lanes`)."""
+    """Per lane, for the positions and lanes at build time:
+    - `members`: (vehicle, position along the lane), in `state.vehicles` order.
+      A vehicle counts on its stored lane when its heading is within pi/4 of
+      the lane's, and on no other lane;
+    - `crossing`: the ego's (position along the lane, speed along it floored
+      at 0) when the ego is within reach of the lane without being one of its
+      members, else None.
 
-    def __init__(self, state: ScenarioState):
-        self.lanes = state.geometry.lanes
-        self.members: list[list[tuple[VehicleState, float]]] = [[] for _ in self.lanes]
+    One pass over the vehicles builds it. With `refresh` (see
+    `_refresh_lanes`) the pass first sets each vehicle's `lane` to the
+    nearest one; without, it reads the stored lanes and changes nothing.
+    Build a new table once anything moves.
+    """
+
+    def __init__(self, state: ScenarioState, refresh: bool = False):
+        self.lanes = lanes = state.geometry.lanes
+        self.members: list[list[tuple[VehicleState, float]]] = [[] for _ in lanes]
         for veh in state.vehicles:
-            lane = self.lanes[veh.lane]
-            if _lane_member(lane, veh):
+            if refresh:
+                veh.lane = nearest_lane_index(state, veh)
+            lane = lanes[veh.lane]
+            if abs(wrap_angle(veh.heading - lane.heading)) <= math.pi / 4:
                 self.members[veh.lane].append((veh, lane.along(veh.x, veh.y)))
+        ego = state.ego
+        self.ego_length = ego.length
+        # the ego is filed first, so it is a member of its lane exactly when
+        # it heads that lane's list
+        ego_lane = self.members[ego.lane]
+        member_of = ego.lane if ego_lane and ego_lane[0][0] is ego else None
+        reach = (LANE_WIDTH + ego.width) / 2.0
+        evx, evy = ego.velocity
+        self.crossing: list[tuple[float, float] | None] = [
+            None if lane.index == member_of or abs(lane.lateral(ego.x, ego.y)) > reach
+            else (lane.along(ego.x, ego.y), max(0.0, evx * lane.cos_h + evy * lane.sin_h))
+            for lane in lanes
+        ]
 
     def neighbors(self, veh: VehicleState, lane_index: int):
         """Closest members ahead of and behind `veh` along a lane.
@@ -248,9 +285,11 @@ def lane_neighbors(state: ScenarioState, veh: VehicleState, lane_index: int):
 
 def _steer_command(lateral_err_left: float, heading_err: float, speed: float) -> float:
     """Cross-track term is normalized by speed so the commanded correction
-    angle stays speed-independent; the heading term damps the approach."""
-    raw = KP_LATERAL * lateral_err_left / max(speed, 1.0) + KD_HEADING * heading_err
-    return min(max(raw, -MAX_STEER), MAX_STEER)
+    angle stays speed-independent; the heading term damps the approach.
+    The min and max calls are spelled as comparisons, as in idm._clamp_accel."""
+    raw = KP_LATERAL * lateral_err_left / (1.0 if 1.0 > speed else speed) + KD_HEADING * heading_err
+    raw = -MAX_STEER if -MAX_STEER > raw else raw
+    return MAX_STEER if MAX_STEER < raw else raw
 
 
 def _ego_steer(state: ScenarioState, ego: VehicleState) -> float:
@@ -282,34 +321,30 @@ def _curve_speed_cap(state: ScenarioState, ego: VehicleState) -> float:
     return math.sqrt(MAX_LATERAL_ACCEL * radius)
 
 
-def _crossing_ego_gap(state: ScenarioState, veh: VehicleState):
+def _crossing_ego_gap(table: LaneTable, veh: VehicleState):
     """Gap to an ego blocking this vehicle's lane from across it, if any.
 
     Car following handles an ego traveling in the lane; this covers the rest,
     mainly the intersection box. Returns (bumper gap, ego speed along the
     lane) or None.
     """
-    ego = state.ego
-    lane = state.geometry.lanes[veh.lane]
-    if _lane_member(lane, ego):
+    row = table.crossing[veh.lane]
+    if row is None:
         return None
-    if abs(lane.lateral(ego.x, ego.y)) > (LANE_WIDTH + ego.width) / 2.0:
-        return None
-    ds = lane.along(ego.x, ego.y) - lane.along(veh.x, veh.y)
+    ds = row[0] - table.lanes[veh.lane].along(veh.x, veh.y)
     if ds <= 0.0:
         return None
-    evx, evy = ego.velocity
-    v_along = evx * math.cos(lane.heading) + evy * math.sin(lane.heading)
-    return ds - (veh.length + ego.length) / 2.0, max(0.0, v_along)
+    return ds - (veh.length + table.ego_length) / 2.0, row[1]
 
 
 def _background_control(state: ScenarioState, table: LaneTable, veh: VehicleState):
     """IDM acceleration (current and target lane) plus lane-tracking steering."""
-    accel = math.inf
-    for lane_index in {veh.lane, veh.target_lane}:
-        leader, gap, _, _ = table.neighbors(veh, lane_index)
+    leader, gap, _, _ = table.neighbors(veh, veh.lane)
+    accel = idm_accel(gap, veh.speed, leader.speed if leader else 0.0, veh.profile)
+    if veh.target_lane != veh.lane:
+        leader, gap, _, _ = table.neighbors(veh, veh.target_lane)
         accel = min(accel, idm_accel(gap, veh.speed, leader.speed if leader else 0.0, veh.profile))
-    blocking = _crossing_ego_gap(state, veh)
+    blocking = _crossing_ego_gap(table, veh)
     if blocking is not None:
         # last-moment reaction, not a polite yield: a short-headway profile
         # brakes hard only once the blocking ego is genuinely close
@@ -324,7 +359,8 @@ def _background_control(state: ScenarioState, table: LaneTable, veh: VehicleStat
 
 
 def _integrate(veh: VehicleState, accel: float, steer: float, dt: float) -> None:
-    veh.speed = max(0.0, veh.speed + accel * dt)
+    speed = veh.speed + accel * dt
+    veh.speed = speed if speed > 0.0 else 0.0  # max(0.0, speed), as in idm._clamp_accel
     veh.heading = wrap_angle(veh.heading + veh.speed / veh.wheelbase * math.tan(steer) * dt)
     veh.x += veh.speed * math.cos(veh.heading) * dt
     veh.y += veh.speed * math.sin(veh.heading) * dt
@@ -438,16 +474,16 @@ def step(state: ScenarioState, maneuver: Maneuver,
         raise UsageError("step called on a terminal episode")
     params = risk_params or risk_engine.RiskParams()
     apply_maneuver(state, maneuver)
-    # only background vehicles query lanes; the lane-change pass moves
-    # nothing, so it shares substep 0's table
+    # only background vehicles query lanes. The lane-change pass moves
+    # nothing, so it shares substep 0's table, built from the stored lanes;
+    # each later substep reads the table the previous substep's lane pass built
     table = LaneTable(state) if state.background else None
     _bg_lane_change_pass(state, table)
 
     dt = state.config.dt_physics
+    substeps = state.config.substeps
     events: set[str] = set()
-    for substep in range(state.config.substeps):
-        if substep and table is not None:
-            table = LaneTable(state)  # the last substep moved every vehicle
+    for substep in range(substeps):
         ego = state.ego
         target = min(state.ego_target_speed, _curve_speed_cap(state, ego))
         ego_accel = KP_SPEED * (target - ego.speed)
@@ -457,7 +493,9 @@ def step(state: ScenarioState, maneuver: Maneuver,
             controls.append((veh, *_background_control(state, table, veh)))
         for veh, accel, steer in controls:
             _integrate(veh, accel, steer, dt)
-        _refresh_lanes(state)
+        # the last substep's lanes feed the events and the observation; a
+        # table would have no reader
+        table = _refresh_lanes(state, index=substep + 1 < substeps)
         events = _detect_events(state)
         if events:
             break

@@ -15,7 +15,7 @@ right of travel, so TurnLeft decreases the index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,7 +81,8 @@ class ScenarioConfig:
             self.success_region = default_success_region(self.kind)
 
     def validate(self, section: str = "scenario") -> None:
-        """Range checks; errors name the key as `section.key`."""
+        """Range checks, written so that NaN fails them; errors name the key as
+        `section.key`."""
         if self.kind not in SCENARIO_KINDS:
             raise ConfigError(f"{section}.kind: {self.kind!r} is not one of {SCENARIO_KINDS}")
         if self.n_background < 0:
@@ -90,8 +91,9 @@ class ScenarioConfig:
             raise ConfigError(
                 f"{section}.disturbance_fraction: must be in [0, 1], got {self.disturbance_fraction}"
             )
-        if self.dt_physics <= 0:
-            raise ConfigError(f"{section}.dt_physics: must be > 0, got {self.dt_physics}")
+        for key in ("dt_physics", "decision_period", "spawn_speed_mean"):
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{section}.{key}: must be finite and > 0, got {getattr(self, key)}")
         ratio = self.decision_period / self.dt_physics
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ConfigError(
@@ -100,10 +102,12 @@ class ScenarioConfig:
             )
         if self.horizon <= 0:
             raise ConfigError(f"{section}.horizon: must be > 0, got {self.horizon}")
-        if self.spawn_speed_mean <= 0:
-            raise ConfigError(f"{section}.spawn_speed_mean: must be > 0, got {self.spawn_speed_mean}")
-        if self.spawn_speed_std < 0:
-            raise ConfigError(f"{section}.spawn_speed_std: must be >= 0, got {self.spawn_speed_std}")
+        if not 0 <= self.spawn_speed_std < math.inf:
+            raise ConfigError(f"{section}.spawn_speed_std: must be finite and >= 0, got {self.spawn_speed_std}")
+        for key in ("min_x", "max_x"):
+            bound = getattr(self.success_region, key)
+            if bound is not None and not math.isfinite(bound):
+                raise ConfigError(f"{section}.success_region.{key}: must be finite, got {bound}")
 
     @property
     def substeps(self) -> int:
@@ -135,15 +139,20 @@ class Lane:
     origin_x: float
     origin_y: float
     heading: float
+    # cos and sin of the fixed heading, worked out once at construction
+    cos_h: float = field(init=False, repr=False, compare=False)
+    sin_h: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cos_h", math.cos(self.heading))
+        object.__setattr__(self, "sin_h", math.sin(self.heading))
 
     def along(self, x: float, y: float) -> float:
-        c, s = math.cos(self.heading), math.sin(self.heading)
-        return (x - self.origin_x) * c + (y - self.origin_y) * s
+        return (x - self.origin_x) * self.cos_h + (y - self.origin_y) * self.sin_h
 
     def lateral(self, x: float, y: float) -> float:
         """Left-positive offset of (x, y) from the lane centerline."""
-        c, s = math.cos(self.heading), math.sin(self.heading)
-        return -(x - self.origin_x) * s + (y - self.origin_y) * c
+        return -(x - self.origin_x) * self.sin_h + (y - self.origin_y) * self.cos_h
 
 
 @dataclass

@@ -102,11 +102,15 @@ class VehicleState:
     target_lane: int = field(default=-1)  # -1 means "current lane" until set
 
     def __post_init__(self):
-        if self.speed < 0:
-            raise ValueError(f"speed: must be >= 0, got {self.speed}")
+        # written so that NaN fails them
+        for name in ("x", "y", "heading"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite, got {getattr(self, name)}")
+        if not 0 <= self.speed < math.inf:
+            raise ValueError(f"speed: must be finite and >= 0, got {self.speed}")
         for name in ("length", "width"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name}: must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: must be positive and finite, got {getattr(self, name)}")
         self.heading = wrap_angle(self.heading)
         if self.target_lane < 0:
             self.target_lane = self.lane

@@ -7,6 +7,7 @@ and `action` a maneuver token such as "slow_down"."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -35,6 +36,10 @@ class MemoryEntry:
     def __post_init__(self):
         if np.shape(self.z) != (STATE_DIM,):
             raise ConfigError(f"z: must hold {STATE_DIM} numbers, got shape {np.shape(self.z)}")
+        if not np.isfinite(self.z).all():
+            raise ConfigError("z: must hold finite numbers")
+        if not math.isfinite(self.episode_return):
+            raise ConfigError(f"episode_return: must be finite, got {self.episode_return}")
         if self.outcome not in OUTCOMES:
             raise ConfigError(f"outcome: must be one of {OUTCOMES}, got {self.outcome!r}")
         if len(self.lesson) > MAX_LESSON_CHARS:

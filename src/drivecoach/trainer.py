@@ -100,6 +100,7 @@ class TrainConfig:
         self.variant = normalize_variant(self.variant)
 
     def validate(self) -> None:
+        """Range checks, written so that NaN fails them."""
         positives = (
             "total_steps", "eval_interval", "eval_episodes", "rollout_size",
             "batch_size", "epochs", "checkpoint_every_evals",
@@ -111,8 +112,8 @@ class TrainConfig:
             raise ConfigError(
                 f"train.batch_size: must not exceed rollout_size, got {self.batch_size} > {self.rollout_size}"
             )
-        if self.lr <= 0:
-            raise ConfigError(f"train.lr: must be > 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"train.lr: must be finite and > 0, got {self.lr}")
         if not 0 < self.gamma <= 1:
             raise ConfigError(f"train.gamma: must be in (0, 1], got {self.gamma}")
         if not 0 <= self.gae_lambda <= 1:
@@ -121,16 +122,17 @@ class TrainConfig:
             raise ConfigError(
                 f"train.teacher_window_fraction: must be in (0, 1), got {self.teacher_window_fraction}"
             )
-        if self.sigma_initial <= 0 or self.sigma_final < self.sigma_initial:
+        if not 0 < self.sigma_initial <= self.sigma_final < math.inf:
             raise ConfigError(
-                "train.sigma_initial/sigma_final: need 0 < initial <= final, got "
+                "train.sigma_initial/sigma_final: need 0 < initial <= final < inf, got "
                 f"{self.sigma_initial} and {self.sigma_final}"
             )
-        if self.clip_initial <= 0 or self.clip_floor < 0:
-            raise ConfigError("train.clip_initial/clip_floor: need initial > 0 and floor >= 0")
+        if not (0 < self.clip_initial < math.inf and 0 <= self.clip_floor < math.inf):
+            raise ConfigError("train.clip_initial/clip_floor: need finite initial > 0 and floor >= 0, "
+                              f"got {self.clip_initial} and {self.clip_floor}")
         for name in ("kl_weight", "value_coef", "distill_coef", "entropy_coef"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"train.{name}: must be >= 0, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"train.{name}: must be finite and >= 0, got {getattr(self, name)}")
 
 
 def window_steps(cfg: TrainConfig) -> int:

@@ -1,6 +1,7 @@
 """Config resolution and CLI subcommand tests, exit codes included."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -271,7 +272,13 @@ class TestTrainCommand:
                               ("train.lr=yes", "train.lr"),
                               ("out_dir=yes", "out_dir: expected str, got True"),
                               ("out_dir=[a]", "out_dir: expected str, got ['a']"),
-                              ("risk.beta=-1", "risk.beta: must be positive, got -1")):
+                              ("risk.beta=-1", "risk.beta: must be positive, got -1"),
+                              # non-finite numbers fail the range checks
+                              ("scenario.dt_physics=.nan", "scenario.dt_physics: must be finite"),
+                              ("scenario.spawn_speed_std=.nan", "scenario.spawn_speed_std: must be finite"),
+                              ("train.lr=.nan", "train.lr: must be finite"),
+                              ("risk.beta=.nan", "risk.beta: must be positive, got nan"),
+                              ("risk.horizon=.inf", "risk.horizon: must be finite, got inf")):
             code = main(["train", "--config", str(small_config),
                          "--out", str(tmp_path / "x"), override])
             assert code == EXIT_CONFIG
@@ -438,6 +445,14 @@ class TestTeacherCommand:
         ("ego.profile", "reckless", "state.ego.profile"),
         ("background.2.lane", 1.5, "state.background[2].lane"),
         ("background.2.speed", -1.0, "state.background[2].speed"),
+        # non-finite numbers; the state file spells them NaN and Infinity
+        ("ego.x", math.nan, "state.ego.x"),
+        ("ego.y", math.nan, "state.ego.y"),
+        ("ego.heading", math.nan, "state.ego.heading"),
+        ("background.1.x", math.nan, "state.background[1].x"),
+        ("ego.speed", math.inf, "state.ego.speed"),
+        ("ego_target_speed", math.nan, "state.ego_target_speed"),
+        ("dt_physics", math.nan, "state.config.dt_physics"),
     ])
     def test_invalid_state_config_exits_2(self, tmp_path, capsys, key, value, named):
         state, _ = reset(ScenarioConfig(kind="merge", n_background=3), seed=0)
@@ -489,6 +504,8 @@ class TestTeacherCommand:
         ("outcome", "fine", "memory.entries[0].outcome: must be one of"),
         ("scenario_kind", 3, "memory.entries[0].scenario_kind: expected str"),
         ("surprise", 1, "memory.entries[0]: unknown key 'surprise'"),
+        ("episode_return", math.nan, "memory.entries[0].episode_return: must be finite"),
+        ("z", [math.inf] * 36, "memory.entries[0].z: must hold finite numbers"),
     ])
     def test_invalid_memory_file_exits_2(self, tmp_path, capsys, key, value, named):
         config = self.memory_config(tmp_path, lambda entry: entry.__setitem__(key, value))

@@ -32,14 +32,14 @@ from drivecoach.sim import (
     trace_record,
     wrap_angle,
 )
-from drivecoach.sim.engine import lane_neighbors, nearest_lane_index
+from drivecoach import risk
+from drivecoach.sim.engine import LaneTable, _crossing_ego_gap, lane_neighbors, nearest_lane_index
 from drivecoach.sim.engine import reward as reward_fn
-from drivecoach.sim.scenarios import _draw_speeds
+from drivecoach.sim.scenarios import SCENARIO_KINDS, _draw_speeds, build_geometry
+from drivecoach.teacher.rules import build_telemetry
 
 
 def make_state(kind: str, ego: VehicleState, background: list[VehicleState], **cfg) -> ScenarioState:
-    from drivecoach.sim.scenarios import build_geometry
-
     config = ScenarioConfig(kind=kind, n_background=len(background), **cfg)
     return ScenarioState(
         config=config,
@@ -503,6 +503,38 @@ def reference_neighbors(state: ScenarioState, veh: VehicleState, lane_index: int
     return leader, gap_lead, follower, gap_follow
 
 
+def reference_crossing(state: ScenarioState, veh: VehicleState, seen: set | None = None):
+    """The ego's crossing gap worked out per vehicle from the stored lanes:
+    (bumper gap, ego speed along the lane) or None. `seen` collects "behind"
+    when the ego is within reach but not ahead, and "fires" on an answer."""
+    ego = state.ego
+    lane = state.geometry.lanes[veh.lane]
+    if ego.lane == lane.index and abs(wrap_angle(ego.heading - lane.heading)) <= math.pi / 4:
+        return None
+    if abs(lane.lateral(ego.x, ego.y)) > (LANE_WIDTH + ego.width) / 2.0:
+        return None
+    ds = lane.along(ego.x, ego.y) - lane.along(veh.x, veh.y)
+    if ds <= 0.0:
+        if seen is not None:
+            seen.add("behind")
+        return None
+    evx, evy = ego.velocity
+    v_along = evx * math.cos(lane.heading) + evy * math.sin(lane.heading)
+    if seen is not None:
+        seen.add("fires")
+    return ds - (veh.length + ego.length) / 2.0, max(0.0, v_along)
+
+
+def assert_crossing_matches_reference(state: ScenarioState, seen: set | None = None) -> None:
+    table = LaneTable(state)
+    for veh in state.background:
+        got = _crossing_ego_gap(table, veh)
+        want = reference_crossing(state, veh, seen)
+        assert got == want, (state.decision_step, veh.id, got, want)
+        if got is not None:  # == treats -0.0 as 0.0; compare the bits too
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
 ROLLOUT_CASES = [(kind, n) for kind in ("merge", "highway", "intersection") for n in (5, 20)]
 
 
@@ -615,6 +647,53 @@ class TestLaneTable:
                     assert got[0] is want[0] and got[2] is want[2]
                     assert got[1] == want[1] and got[3] == want[3]
 
+    @pytest.mark.parametrize("kind,n_background", ROLLOUT_CASES)
+    def test_rollout_crossing_gap_matches_reference(self, kind, n_background):
+        seen = set()
+        for seed in range(5):
+            for state in rollout_states(kind, n_background, seed):
+                assert_crossing_matches_reference(state, seen)
+        if kind == "intersection":
+            assert seen == {"fires", "behind"}
+
+    @pytest.mark.parametrize("kind", ["merge", "highway", "intersection"])
+    def test_random_states_crossing_gap_matches_reference(self, kind):
+        rng = np.random.default_rng(11)
+        seen = set()
+        for _ in range(40):
+            assert_crossing_matches_reference(random_state(kind, rng), seen)
+        if kind == "intersection":
+            assert seen == {"fires", "behind"}
+
+    def test_query_leaves_state_alone(self):
+        """A lane query reads the stored lanes and writes none, even where a
+        stored lane disagrees with the position; so does the teacher's
+        telemetry, which queries through `lane_neighbors`."""
+        ego = plain_vehicle(0, 50.0, -8.0, 20.0, lane=2)
+        stale = plain_vehicle(1, 70.0, -8.0, 18.0, lane=0)  # stands on lane 2
+        ahead = plain_vehicle(2, 90.0, -4.0, 18.0, lane=1)
+        state = make_state("highway", ego, [stale, ahead])
+        assert nearest_lane_index(state, stale) == 2
+        before = state.state_dict()
+        for veh in state.vehicles:
+            for lane in state.geometry.lanes:
+                lane_neighbors(state, veh, lane.index)
+        build_telemetry(state, risk.assess(state, risk.RiskParams()))
+        assert state.state_dict() == before
+        # the stale lane is what the query read: the car is no leader on lane 2
+        assert lane_neighbors(state, ego, 2)[0] is None
+        assert lane_neighbors(state, ego, 0)[0] is stale
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_lane_trig_is_cached_bit_for_bit(self, kind):
+        for lane in build_geometry(kind).lanes:
+            assert lane.cos_h.hex() == math.cos(lane.heading).hex()
+            assert lane.sin_h.hex() == math.sin(lane.heading).hex()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                lane.heading = 1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                lane.cos_h = 1.0
+
     def test_random_states_reach_every_case(self):
         """The random states above do hold ties, shared positions and headings
         exactly at the membership limit."""
@@ -680,10 +759,11 @@ TRACE_DIGESTS = {
     ("highway", 20): "8d4f9ea2b543bdb8",
     ("intersection", 5): "2ea6905c15b5029f",
     ("intersection", 20): "16f7eedbf8f82b4f",
+    ("highway", 10): "7d601e1a2187d1ff",  # the benchmark's highway-dense traffic
 }
 
 
-@pytest.mark.parametrize("kind,n_background", ROLLOUT_CASES)
+@pytest.mark.parametrize("kind,n_background", [*ROLLOUT_CASES, ("highway", 10)])
 def test_rollout_trajectories_are_pinned(kind, n_background):
     digest = hashlib.sha256()
     for seed in range(3):
