@@ -132,6 +132,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.episodes is not None and args.episodes < 1:
+        raise ConfigError(f"--episodes: must be >= 1, got {args.episodes}")
     ckpt = Path(args.checkpoint)
     if not ckpt.exists():
         raise ConfigError(f"checkpoint not found: {ckpt}")
@@ -166,6 +168,8 @@ def _print_prompt(prompt) -> None:
 
 
 def cmd_teacher(args) -> int:
+    if args.steps < 1:
+        raise ConfigError(f"--steps: must be >= 1, got {args.steps}")
     cfg = resolve_config(args)
     teacher = build_teacher(cfg, record=args.record, replay=args.replay)
     if args.live:

@@ -145,14 +145,9 @@ def reset(config: ScenarioConfig, seed: int):
     """Spawn a fresh episode under a validated config; identical (config, seed) pairs spawn identically."""
     rng = np.random.default_rng(seed)
     geometry = build_geometry(config.kind)
-    table = spawn(config, geometry, rng)
-    state = ScenarioState(
-        config=config,
-        geometry=geometry,
-        ego=table.ego,
-        background=table.background,
-        ego_target_speed=table.ego.speed,
-    )
+    ego, background = spawn(config, geometry, rng)
+    state = ScenarioState(config=config, geometry=geometry, ego=ego, background=background,
+                          ego_target_speed=ego.speed)
     return state, observe(state)
 
 

@@ -10,6 +10,13 @@ right of travel, so TurnLeft decreases the index.
     intersection: two orthogonal 2-lane roads; ego approaches northbound
                   and turns left onto the westbound lane through a
                   radius-6 arc centered at (-4, -4).
+
+`build_geometry` defines each layout's lanes: their centrelines and
+headings. `_LAYOUTS` holds the rest of what `spawn` needs per kind: the
+ego's start (x, y, speed, heading, lane), the traffic lanes with their odds
+and x windows, and the minimum spacing along a lane. `spawn` places every
+layout's traffic through one path and reads each vehicle's y and heading
+from its lane.
 """
 
 from __future__ import annotations
@@ -182,10 +189,31 @@ def build_geometry(kind: str) -> Geometry:
     raise ConfigError(f"scenario.kind: {kind!r} is not one of {SCENARIO_KINDS}")
 
 
-@dataclass
-class SpawnTable:
-    ego: VehicleState
-    background: list[VehicleState]
+@dataclass(frozen=True)
+class _Layout:
+    """Where one kind's ego starts and where its background traffic spawns."""
+
+    ego: tuple[float, float, float, float, int]  # x, y, speed, heading, lane, as VehicleState orders them
+    windows: dict[int, tuple[float, float]]  # traffic lane -> x window (lo, hi)
+    lane_p: tuple[float, ...] | None  # odds of the lanes in `windows` order; None is uniform
+    gap: float  # minimum spacing along a lane
+
+
+_LAYOUTS = {
+    # Mainline traffic paced to occupy the merge zone when the ego arrives:
+    # cars near the ego's x at similar speed stay abeam for the whole
+    # approach, so the ego has to match speed and pick a gap instead of
+    # joining an empty road. Lane 1 borders the ramp and carries most of the
+    # platoon.
+    "merge": _Layout(ego=(20.0, -LANE_WIDTH * MERGE_RAMP_LANE, 15.0, 0.0, MERGE_RAMP_LANE),
+                     windows={1: (-30.0, 95.0), 0: (0.0, 150.0)}, lane_p=(0.7, 0.3), gap=18.0),
+    "highway": _Layout(ego=(20.0, -LANE_WIDTH * 2, 20.0, 0.0, 2),
+                       windows={lane: (10.0, 260.0) for lane in range(4)}, lane_p=None, gap=18.0),
+    # the ego starts on its route's northbound approach; traffic crosses on
+    # the eastbound lane 0 and the westbound lane 1
+    "intersection": _Layout(ego=(2.0, -40.0, 7.0, math.pi / 2.0, 0),
+                            windows={0: (-80.0, 70.0), 1: (-80.0, 70.0)}, lane_p=None, gap=16.0),
+}
 
 
 def _spaced_positions(rng: np.random.Generator, n: int, lo: float, hi: float, gap: float):
@@ -210,89 +238,36 @@ def _draw_speeds(rng: np.random.Generator, profiles, config: ScenarioConfig):
     return speeds
 
 
-def spawn(config: ScenarioConfig, geometry: Geometry, rng: np.random.Generator) -> SpawnTable:
+def spawn(config: ScenarioConfig, geometry: Geometry,
+          rng: np.random.Generator) -> tuple[VehicleState, list[VehicleState]]:
+    """The ego and the background traffic, ids in spawn order.
+
+    Each background vehicle is drawn a lane, placed in that lane's x window,
+    and takes its y and heading from the lane's centreline in `geometry`.
+    """
     kind = config.kind
+    layout = _LAYOUTS[kind]
     styles = list(rng.choice(_STYLES, size=config.n_background, p=_STYLE_WEIGHTS))
     profiles = [make_profile(str(s), kind) for s in styles]
     speeds = _draw_speeds(rng, profiles, config)
 
-    background: list[VehicleState] = []
-    next_id = 1
-    if kind in ("merge", "highway"):
-        ego_lane = MERGE_RAMP_LANE if kind == "merge" else 2
-        ego = VehicleState(
-            id=0,
-            x=20.0,
-            y=-LANE_WIDTH * ego_lane,
-            speed=15.0 if kind == "merge" else 20.0,
-            heading=0.0,
-            lane=ego_lane,
-            profile=make_profile("standard", kind),
-        )
-        if kind == "merge":
-            # Mainline traffic paced to occupy the merge zone when the ego
-            # arrives: cars near the ego's x at similar speed stay abeam for
-            # the whole approach, so the ego has to match speed and pick a
-            # gap instead of joining an empty road. Lane 1 borders the ramp
-            # and carries most of the platoon.
-            bg_lanes, lane_p = [1, 0], [0.7, 0.3]
-            window = {1: (-30.0, 95.0), 0: (0.0, 150.0)}
-        else:
-            bg_lanes, lane_p = [0, 1, 2, 3], None
-            window = {lane: (10.0, 260.0) for lane in bg_lanes}
-        lane_of = [int(l) for l in rng.choice(bg_lanes, size=config.n_background, p=lane_p)]
-        per_lane: dict[int, list[int]] = {}
-        for i, lane in enumerate(lane_of):
-            per_lane.setdefault(lane, []).append(i)
-        for lane, members in sorted(per_lane.items()):
-            lo, hi = window[lane]
-            # the ego's own lane spawns downstream only, keeping its pocket clear
-            if lane == ego.lane:
-                lo = max(lo, ego.x + 20.0)
-            xs = _spaced_positions(rng, len(members), lo, hi, 18.0)
-            for i, x in zip(members, xs):
-                background.append(
-                    VehicleState(
-                        id=next_id,
-                        x=x,
-                        y=-LANE_WIDTH * lane,
-                        speed=speeds[i],
-                        heading=0.0,
-                        lane=lane,
-                        profile=profiles[i],
-                    )
-                )
-                next_id += 1
-    else:  # intersection
-        ego = VehicleState(
-            id=0,
-            x=2.0,
-            y=-40.0,
-            speed=7.0,
-            heading=math.pi / 2.0,
-            lane=0,
-            profile=make_profile("standard", kind),
-        )
-        direction = [int(d) for d in rng.choice([0, 1], size=config.n_background)]
-        per_dir: dict[int, list[int]] = {}
-        for i, d in enumerate(direction):
-            per_dir.setdefault(d, []).append(i)
-        for d, members in sorted(per_dir.items()):
-            xs = _spaced_positions(rng, len(members), -80.0, 70.0, 16.0)
-            for i, x in zip(members, xs):
-                if abs(x) < 6.0:
-                    x = 6.0 if x >= 0 else -6.0  # keep the conflict box clear at t=0
-                background.append(
-                    VehicleState(
-                        id=next_id,
-                        x=x,
-                        y=-2.0 if d == 0 else 2.0,
-                        speed=speeds[i],
-                        heading=0.0 if d == 0 else math.pi,
-                        lane=d,
-                        profile=profiles[i],
-                    )
-                )
-                next_id += 1
+    ego = VehicleState(0, *layout.ego, profile=make_profile("standard", kind))
+    lane_of = [int(l) for l in rng.choice(list(layout.windows), size=config.n_background, p=layout.lane_p)]
+    per_lane: dict[int, list[int]] = {}
+    for i, lane in enumerate(lane_of):
+        per_lane.setdefault(lane, []).append(i)
 
-    return SpawnTable(ego=ego, background=background)
+    background: list[VehicleState] = []
+    for lane, members in sorted(per_lane.items()):
+        lo, hi = layout.windows[lane]
+        # on merge and highway the ego's own lane spawns downstream only,
+        # keeping its pocket clear; the intersection's ego drives its route
+        if kind != "intersection" and lane == ego.lane:
+            lo = max(lo, ego.x + 20.0)
+        road = geometry.lanes[lane]
+        for i, x in zip(members, _spaced_positions(rng, len(members), lo, hi, layout.gap)):
+            if kind == "intersection" and abs(x) < 6.0:
+                x = 6.0 if x >= 0 else -6.0  # keep the conflict box clear at t=0
+            background.append(VehicleState(id=len(background) + 1, x=x, y=road.origin_y, speed=speeds[i],
+                                           heading=road.heading, lane=lane, profile=profiles[i]))
+    return ego, background

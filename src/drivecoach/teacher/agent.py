@@ -69,7 +69,8 @@ def parse_decision_reply(text: str) -> tuple[Maneuver, str] | None:
     if obj is None:
         return None
     action = obj.get("action")
-    if action not in TOKEN_TO_MANEUVER:
+    # a list or a mapping cannot be looked up, and no other non-string names a maneuver
+    if not isinstance(action, str) or action not in TOKEN_TO_MANEUVER:
         return None
     return TOKEN_TO_MANEUVER[action], str(obj.get("reason", ""))
 
@@ -102,8 +103,11 @@ def reflect(flagged: list[FlaggedSegment], backend: ChatBackend) -> ReflectionOu
     obj = _last_json_object(reply)
     if obj is None:
         return ReflectionOutcome()
+    raw_rules = obj.get("constraints")
+    if raw_rules is not None and not isinstance(raw_rules, list):
+        warnings.warn(f"dropping reflection constraints that are not a list: {raw_rules!r}", stacklevel=2)
     rules = []
-    for i, raw in enumerate(obj.get("constraints") or []):
+    for i, raw in enumerate(raw_rules if isinstance(raw_rules, list) else []):
         try:
             rules.append(build_section(f"reflection.constraints[{i}]", ConstraintRule, raw))
         except ConfigError as err:

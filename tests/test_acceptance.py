@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from test_policy import reference_forward
 
@@ -248,6 +249,7 @@ def test_structural_invariants():
          f"fault fallbacks {fallbacks}/100")
 
 
+@pytest.mark.slow
 def test_teacher_pull_on_toy_bandit():
     t0 = time.perf_counter()
     dim = 8
@@ -294,6 +296,7 @@ def test_teacher_pull_on_toy_bandit():
          f"(unconstrained control {ctrl_agree:.1%}), {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_guided_training_beats_vanilla(tmp_path):
     t0 = time.perf_counter()
     seeds = (0, 1, 2)

@@ -349,6 +349,15 @@ class TestEvalCommand:
         assert code == EXIT_CONFIG
         assert "gone.dckp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("episodes", ["0", "-3"])
+    def test_episode_count_below_one_exits_2(self, finished_run, tmp_path, capsys, episodes):
+        ckpt = finished_run / "checkpoint_final.dckp"
+        code = main(["eval", str(ckpt), "--episodes", episodes, "--out", str(tmp_path / "e")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "--episodes" in err
+        assert not (tmp_path / "e" / "eval.csv").exists()
+
     def test_corrupt_checkpoint_exits_3(self, finished_run, tmp_path, capsys):
         blob = bytearray((finished_run / "checkpoint_final.dckp").read_bytes())
         blob[len(blob) // 2] ^= 0xFF
@@ -397,6 +406,14 @@ class TestTeacherCommand:
         out = capsys.readouterr().out
         assert "--- prompt ---" in out
         assert "TELEMETRY" in out
+
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_live_step_count_below_one_exits_2(self, capsys, steps):
+        code = main(["teacher", "--config", "merge-lite", "--live", "--steps", steps])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "--steps" in captured.err
+        assert captured.out == ""
 
     def test_malformed_line_exits_2_with_number(self, finished_run, tmp_path, capsys):
         good = (finished_run / "traces.jsonl").read_text().splitlines()[0]

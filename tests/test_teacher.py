@@ -605,6 +605,15 @@ class TestDecide:
         assert backend.calls == 3
         assert decision.source == "fallback"
 
+    @pytest.mark.parametrize("action", [["slow_down"], {"token": "slow_down"}], ids=["list", "mapping"])
+    def test_unhashable_action_retries_then_falls_back(self, action):
+        prompt, telemetry = self.scene_prompt()
+        backend = FixedBackend([json.dumps({"action": action, "reason": "?"})])
+        decision = decide(prompt, backend)
+        assert backend.calls == 3
+        assert decision.source == "fallback"
+        assert decision.action is scripted_decide(telemetry)
+
     def test_backend_error_falls_back_immediately(self):
         prompt, telemetry = self.scene_prompt()
         backend = FixedBackend([BackendError("down")])
@@ -795,6 +804,18 @@ class TestReflect:
         seg = FlaggedSegment("merge", ["cruise"], [8.0], [1.0])
         with pytest.warns(UserWarning, match="malformed"):
             outcome = reflect([seg], FixedBackend([reply]))
+        assert outcome.constraint_delta == []
+        assert outcome.policy_delta == "brake earlier"
+        assert outcome.prompt_delta == "mention the margin"
+
+    @pytest.mark.parametrize("value", [5, True, "abc"], ids=["int", "bool", "string"])
+    def test_constraints_not_a_list_dropped_with_one_warning(self, value):
+        reply = json.dumps({"policy_delta": "brake earlier", "prompt_delta": "mention the margin",
+                            "constraints": value})
+        seg = FlaggedSegment("merge", ["cruise"], [8.0], [1.0])
+        with pytest.warns(UserWarning, match="not a list") as caught:
+            outcome = reflect([seg], FixedBackend([reply]))
+        assert len(caught) == 1
         assert outcome.constraint_delta == []
         assert outcome.policy_delta == "brake earlier"
         assert outcome.prompt_delta == "mention the margin"
