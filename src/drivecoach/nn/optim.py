@@ -53,7 +53,7 @@ class ParamStore:
             arr = np.asarray(v, dtype=np.float64)
             if arr.shape != self._params[k].data.shape:
                 raise ValueError(f"shape mismatch for {k!r}: {arr.shape} vs {self._params[k].data.shape}")
-            self._params[k].data = arr.copy()
+            self._params[k].data[...] = arr
 
 
 @dataclass

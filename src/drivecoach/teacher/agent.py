@@ -113,10 +113,22 @@ def reflect(flagged: list[FlaggedSegment], backend: ChatBackend) -> ReflectionOu
         except ConfigError as err:
             warnings.warn(f"dropping malformed reflection constraint: {err}", stacklevel=2)
     return ReflectionOutcome(
-        policy_delta=str(obj.get("policy_delta", "") or ""),
-        prompt_delta=str(obj.get("prompt_delta", "") or ""),
+        policy_delta=_text_delta(obj, "policy_delta"),
+        prompt_delta=_text_delta(obj, "prompt_delta"),
         constraint_delta=rules,
     )
+
+
+def _text_delta(obj: dict, key: str) -> str:
+    """The reply's string at key; a value of another type is dropped, as its
+    repr would otherwise become a lesson in every later prompt."""
+    value = obj.get(key)
+    if value is None:
+        return ""
+    if not isinstance(value, str):
+        warnings.warn(f"dropping reflection {key} that is not a string: {value!r}", stacklevel=3)
+        return ""
+    return value
 
 
 class TeacherAgent:

@@ -555,9 +555,8 @@ class Trainer:
     # --- checkpointing ----------------------------------------------------------
 
     def save(self, path) -> None:
-        arrays = {}
-        for name, arr in self.policy.state_dict().items():
-            arrays[f"param.{name}"] = arr
+        # the live arrays: saving only reads them
+        arrays = {f"param.{name}": p.data for name, p in self.policy.params.items()}
         for name in self.adam.m:
             arrays[f"adam_m.{name}"] = self.adam.m[name]
             arrays[f"adam_v.{name}"] = self.adam.v[name]

@@ -820,6 +820,26 @@ class TestReflect:
         assert outcome.policy_delta == "brake earlier"
         assert outcome.prompt_delta == "mention the margin"
 
+    @pytest.mark.parametrize("value", [["x"], {"lesson": "x"}, 5, True],
+                             ids=["list", "mapping", "number", "bool"])
+    @pytest.mark.parametrize("key", ["policy_delta", "prompt_delta"])
+    def test_delta_not_a_string_dropped_with_one_warning(self, key, value):
+        other = "prompt_delta" if key == "policy_delta" else "policy_delta"
+        reply = json.dumps({key: value, other: "kept"})
+        seg = FlaggedSegment("merge", ["cruise"], [8.0], [1.0])
+        with pytest.warns(UserWarning, match=f"{key} that is not a string") as caught:
+            outcome = reflect([seg], FixedBackend([reply]))
+        assert len(caught) == 1
+        assert getattr(outcome, key) == ""
+        assert getattr(outcome, other) == "kept"
+
+    @pytest.mark.parametrize("reply", [{"policy_delta": None}, {}], ids=["null", "missing"])
+    def test_delta_null_or_missing_is_silently_empty(self, reply, recwarn):
+        seg = FlaggedSegment("merge", ["cruise"], [8.0], [1.0])
+        outcome = reflect([seg], FixedBackend([json.dumps(reply)]))
+        assert outcome.policy_delta == outcome.prompt_delta == ""
+        assert len(recwarn) == 0
+
     def test_backend_failure_empty_outcome(self):
         seg = FlaggedSegment("merge", ["cruise"], [8.0], [1.0])
         outcome = reflect([seg], FixedBackend([BackendError("down")]))

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -230,6 +234,83 @@ class TestCheckpoint:
         p.write_bytes(whole[: len(whole) - 9])
         with pytest.raises(CheckpointError):
             load_checkpoint(str(p))
+
+    def test_bytes_are_pinned(self, tmp_path):
+        # sha256 of the bytes the format has always written; a roundtrip
+        # check alone would still pass after a change to them
+        arrays = {
+            "scalar": np.array(2.5),
+            "enc/w.T": np.arange(12.0).reshape(3, 4).T,
+            "f32": np.array([0.1, -2.0, 3.5], dtype=np.float32),
+            "big": np.arange(6, dtype=">f8").reshape(2, 3) / 7,
+            "none": np.zeros((0, 3)),
+        }
+        cases = {
+            "be2241030cde104794c91e15c569a3d8fddc078f9ef3415f0546ca6c536c0008":
+                (arrays, {"step": 42, "nested": {"b": [1, 2.5, None], "a": "\u00fc"}}),
+            "4b413772656a7c19db7a4b8b151bf1e126400adf3b709fea958f962cc1b3fb84":
+                ({}, {"run": {"seed": 7, "tags": ["x", {"y": True}]}}),
+        }
+        for digest, (arrs, meta) in cases.items():
+            p = tmp_path / f"{digest[:8]}.ckpt"
+            save_checkpoint(str(p), arrs, meta)
+            assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+
+    def _small(self, tmp_path) -> bytes:
+        p = tmp_path / "small.ckpt"
+        save_checkpoint(str(p), {"w": np.arange(6.0).reshape(2, 3)}, {"k": "v"})
+        return p.read_bytes()
+
+    def test_every_truncation_and_byte_flip_is_a_checkpoint_error(self, tmp_path):
+        # every offset is covered: magic, version, meta length, meta, array
+        # count, name length, name, ndim, each dimension, payload and CRC
+        whole = self._small(tmp_path)
+        p = tmp_path / "bad.ckpt"
+        corrupt = [whole[:n] for n in range(len(whole))]
+        for i in range(len(whole)):
+            flipped = bytearray(whole)
+            flipped[i] ^= 0xFF
+            corrupt.append(bytes(flipped))
+        for blob in corrupt:
+            p.write_bytes(blob)
+            with pytest.raises(CheckpointError):
+                load_checkpoint(str(p))
+
+    def test_declared_sizes_checked_before_allocating(self, tmp_path):
+        # each size field at its maximum behind a valid CRC: the reader must
+        # refuse it from the bytes left, not try to allocate or decode it
+        whole = self._small(tmp_path)
+        count_at = 12 + len(b'{"k":"v"}')
+        fields = {"meta length": (8, "<I"), "array count": (count_at, "<I"),
+                  "name length": (count_at + 4, "<H"), "ndim": (count_at + 7, "<B"),
+                  "dimension": (count_at + 8, "<I")}
+        p = tmp_path / "bad.ckpt"
+        for field, (at, fmt) in fields.items():
+            blob = bytearray(whole)
+            struct.pack_into(fmt, blob, at, 256 ** struct.calcsize(fmt) - 1)
+            struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(blob[:-4]))
+            p.write_bytes(bytes(blob))
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint(str(p))
+
+    def test_loaded_arrays_are_writable_and_independent(self, tmp_path):
+        p = tmp_path / "e.ckpt"
+        save_checkpoint(str(p), {"a": np.ones((3, 2)), "b": np.ones(4), "c": np.array(1.0)}, {})
+        arrays, _ = load_checkpoint(str(p))
+        for arr in arrays.values():
+            assert arr.dtype == np.float64 and arr.flags.writeable and arr.flags.aligned
+        loaded = list(arrays.values())
+        assert not any(np.shares_memory(x, y) for i, x in enumerate(loaded) for y in loaded[i + 1:])
+
+    def test_failed_save_changes_nothing_on_disk(self, tmp_path):
+        p = tmp_path / "f.ckpt"
+        save_checkpoint(str(p), {"w": np.ones(4)}, {"good": True})
+        before = p.read_bytes()
+        bad = {"ok": np.zeros(3), "bad": np.array([object()], dtype=object)}
+        with pytest.raises(TypeError):
+            save_checkpoint(str(p), bad, {"good": False})
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == [p.name]
 
     def test_param_store_roundtrip(self, tmp_path):
         store = ParamStore()

@@ -1,5 +1,5 @@
-"""Guards on the names the benchmark harness in perfbench/ binds, on the
-declared dependencies, and on the one record reader.
+"""Guards on the names the benchmark harness in perfbench/ binds, on its
+self-test, on the declared dependencies, and on the one record reader.
 
 The traced mode wraps each `drivecoach_targets()` entry by replacing
 `owner.__dict__[attr]`, and the metrics.csv digest drops one wall-clock
@@ -11,6 +11,7 @@ import ast
 import importlib
 import importlib.metadata
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,6 +39,15 @@ def test_every_span_target_binds(perfbench):
 
 def test_wall_clock_column_is_a_metrics_column(perfbench):
     assert perfbench("ops").WALL_CLOCK_COLUMN in METRICS_HEADER.split(",")
+
+
+def test_benchmark_selftest_passes():
+    """The benchmark's own self-test trains, resumes the final checkpoint and
+    evaluates it, so a checkpoint or resume change that breaks the benchmark
+    fails here first."""
+    run = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], cwd=ROOT,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr[-2000:]
 
 
 def _distribution(name: str) -> str:
