@@ -41,9 +41,6 @@ class ParamStore:
         for p in self._params.values():
             p.zero_grad()
 
-    def state_dict(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self._params.items()}
-
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         missing = set(self._params) - set(state)
         extra = set(state) - set(self._params)

@@ -211,9 +211,6 @@ class FusionPolicyNet:
             f":heads{N_HEADS}:act{ACTION_DIM}:{self.variant}"
         )
 
-    def state_dict(self) -> dict:
-        return self.params.state_dict()
-
     def load_state_dict(self, state: dict) -> None:
         self.params.load_state_dict(state)
 

@@ -41,10 +41,15 @@ class ConflictAssessment:
     tau_min: float
 
 
-def closest_approach(ego: VehicleState, other: VehicleState, horizon: float):
-    """Time in [0, horizon] minimizing extrapolated distance, and that distance."""
+def closest_approach(ego: VehicleState, other: VehicleState, horizon: float,
+                     ego_velocity: tuple[float, float] | None = None):
+    """Time in [0, horizon] minimizing extrapolated distance, and that distance.
+
+    `ego_velocity`, when given, is `ego.velocity`, worked out once by a caller
+    that pairs the ego with many vehicles.
+    """
     px, py = other.x - ego.x, other.y - ego.y
-    evx, evy = ego.velocity
+    evx, evy = ego.velocity if ego_velocity is None else ego_velocity
     ovx, ovy = other.velocity
     vx, vy = ovx - evx, ovy - evy
     vv = vx * vx + vy * vy
@@ -57,15 +62,19 @@ def closest_approach(ego: VehicleState, other: VehicleState, horizon: float):
     return t, d
 
 
-def ttcp(ego: VehicleState, other: VehicleState, params: RiskParams) -> float:
-    """Conflict time for the pair; +inf when the paths never come close enough."""
-    t, d = closest_approach(ego, other, params.horizon)
+def ttcp(ego: VehicleState, other: VehicleState, params: RiskParams,
+         ego_velocity: tuple[float, float] | None = None) -> float:
+    """Conflict time for the pair; +inf when the paths never come close enough.
+    `ego_velocity` is as in `closest_approach`."""
+    t, d = closest_approach(ego, other, params.horizon, ego_velocity)
     return t if d <= params.conflict_radius else INF
 
 
 def assess(state, params: RiskParams) -> ConflictAssessment:
     """Per-vehicle conflict times against the ego; state exposes .ego/.background."""
-    taus = {veh.id: ttcp(state.ego, veh, params) for veh in state.background}
+    ego = state.ego
+    ego_velocity = ego.velocity
+    taus = {veh.id: ttcp(ego, veh, params, ego_velocity) for veh in state.background}
     return ConflictAssessment(taus=taus, tau_min=min(taus.values(), default=INF))
 
 

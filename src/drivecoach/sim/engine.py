@@ -7,6 +7,14 @@ the intersection). Background vehicles follow car-following accelerations
 with politeness-gated lane changes. All vehicles share one kinematic
 bicycle integrator, so physics limits apply uniformly.
 
+Each physics substep of `step` makes two passes over the vehicles. The
+control pass works out every vehicle's (accel, steer) and moves nothing;
+background vehicles read their lane neighbours from a `LaneTable` of the
+positions at the start of the substep. The move pass integrates each
+vehicle, sets its nearest lane, files it into the next substep's table and
+tests it against the moved ego for overlap. A table lives for one substep,
+so no lane query reads positions that have since moved.
+
 Everything downstream of reset() is deterministic: randomness enters only
 through the spawn RNG, never during stepping.
 """
@@ -21,7 +29,7 @@ import numpy as np
 from .. import risk as risk_engine
 from ..errors import ConfigError, UsageError
 from ..records import build_section
-from .idm import EMERGENCY_DECEL, idm_accel, mobil_accepts
+from .idm import EMERGENCY_DECEL, idm_accel, mobil_accepts, mobil_safe
 from .scenarios import (
     LANE_WIDTH,
     MERGE_RAMP_END,
@@ -46,6 +54,9 @@ SPEED_STEP = 2.0
 # and the speed loop starts shedding speed a comfortable braking distance early
 MAX_LATERAL_ACCEL = 3.0
 COMFORT_CURVE_DECEL = 1.0
+
+# a vehicle counts on its lane while heading within this of the lane's heading
+_QUARTER_PI = math.pi / 4
 
 REWARD_SPEED = 0.4
 REWARD_COLLISION = 10.0
@@ -162,52 +173,33 @@ def nearest_lane_index(state: ScenarioState, veh: VehicleState) -> int:
     same values as `min` over every lane gives its answer for every finite
     point with |y| < 2**50, ties included.
     """
-    lanes = state.geometry.lanes
-    if state.geometry.ego_route is not None:
-        return min(lanes, key=lambda lane: abs(lane.lateral(veh.x, veh.y))).index
-    # int(min(max(0.0, z), last)) as comparisons, as in idm._clamp_accel
-    z = -veh.y / LANE_WIDTH
-    z = z if z > 0.0 else 0.0
+    geometry = state.geometry
+    if geometry.ego_route is not None:
+        return min(geometry.lanes, key=lambda lane: abs(lane.lateral(veh.x, veh.y))).index
+    lanes = geometry.lanes
+    x, y = veh.x, veh.y
+    # int(min(max(0.0, z), last)) as comparisons, as in idm_accel's clamp
+    z = -y / LANE_WIDTH
     last = len(lanes) - 2
-    first = int(last if last < z else z)
+    first = 0 if not z > 0.0 else (last if last < z else int(z))
     left, right = lanes[first], lanes[first + 1]
     # as in min(), the later lane wins only when strictly nearer
-    if abs(right.lateral(veh.x, veh.y)) < abs(left.lateral(veh.x, veh.y)):
-        return right.index
-    return left.index
+    return right.index if abs(right.lateral(x, y)) < abs(left.lateral(x, y)) else left.index
 
 
-def _refresh_lanes(state: ScenarioState, index: bool = False) -> "LaneTable | None":
+def _refresh_lanes(state: ScenarioState) -> None:
     """Set every vehicle's `lane` to the lane whose centerline is nearest.
 
-    `spawn` gives each vehicle the lane nearest its spawn point,
-    `ScenarioState.from_state_dict` calls this on states read from outside
-    the program, and `step` calls it after every substep, since only the
-    substep's integration moves vehicles.
-
-    With `index`, the same pass also files each vehicle into a `LaneTable` of
-    the new lanes and positions and returns it; only background vehicles
-    read tables, so with no background traffic it returns None, as it does
-    without `index`.
-
-    Invariant: each substep visits each vehicle once for lane bookkeeping.
-    Lane queries read stored lanes and positions through a `LaneTable`, and
-    no table outlives the positions it was built from. `step` builds one from
-    the stored lanes before its first substep, and each substep but the last
-    takes the next substep's table from this pass, after `_integrate` has
-    moved every vehicle; nothing stores a table. `lane_neighbors` builds one
-    per query. So a vehicle a caller moves by hand between steps is queried
-    where it now stands.
+    `ScenarioState.from_state_dict` calls this on a state read from outside
+    the program. `spawn` gives each vehicle the lane nearest its spawn point,
+    and `step`'s move pass sets each vehicle's lane as it moves it.
     """
-    if index and state.background:
-        return LaneTable(state, refresh=True)
     for veh in state.vehicles:
         veh.lane = nearest_lane_index(state, veh)
-    return None
 
 
 class LaneTable:
-    """Per lane, for the positions and lanes at build time:
+    """Lane queries for one set of positions and lanes. Per lane:
     - `members`: (vehicle, position along the lane), in `state.vehicles` order.
       A vehicle counts on its stored lane when its heading is within pi/4 of
       the lane's, and on no other lane;
@@ -215,33 +207,49 @@ class LaneTable:
       at 0) when the ego is within reach of the lane without being one of its
       members, else None.
 
-    One pass over the vehicles builds it. With `refresh` (see
-    `_refresh_lanes`) the pass first sets each vehicle's `lane` to the
-    nearest one; without, it reads the stored lanes and changes nothing.
-    Build a new table once anything moves.
+    A table is filled in one pass over the vehicles: `add` each one, ego
+    first, then `seal` it with the ego. `LaneTable.of(state)` does so for the
+    stored lanes and positions; `step`'s move pass does so as it moves each
+    vehicle and sets its lane. A table keeps the positions along each lane
+    from when it was filled, while a query reads the querying vehicle where
+    it stands, so no table may outlive the positions it was built from:
+    build a new one once anything moves. Nothing stores a table.
     """
 
-    def __init__(self, state: ScenarioState, refresh: bool = False):
-        self.lanes = lanes = state.geometry.lanes
+    def __init__(self, lanes):
+        self.lanes = lanes
         self.members: list[list[tuple[VehicleState, float]]] = [[] for _ in lanes]
+        self.crossing: list[tuple[float, float] | None] = []
+        self.ego_length = 0.0
+
+    @classmethod
+    def of(cls, state: ScenarioState) -> "LaneTable":
+        """A table of the stored lanes and positions; it changes nothing."""
+        table = cls(state.geometry.lanes)
         for veh in state.vehicles:
-            if refresh:
-                veh.lane = nearest_lane_index(state, veh)
-            lane = lanes[veh.lane]
-            if abs(wrap_angle(veh.heading - lane.heading)) <= math.pi / 4:
-                self.members[veh.lane].append((veh, lane.along(veh.x, veh.y)))
-        ego = state.ego
+            table.add(veh)
+        table.seal(state.ego)
+        return table
+
+    def add(self, veh: VehicleState) -> None:
+        index = veh.lane
+        lane = self.lanes[index]
+        if abs(wrap_angle(veh.heading - lane.heading)) <= _QUARTER_PI:
+            self.members[index].append((veh, lane.along(veh.x, veh.y)))
+
+    def seal(self, ego: VehicleState) -> None:
+        """Work out the ego's crossing rows, once every vehicle is added."""
         self.ego_length = ego.length
-        # the ego is filed first, so it is a member of its lane exactly when
+        # the ego is added first, so it is a member of its lane exactly when
         # it heads that lane's list
         ego_lane = self.members[ego.lane]
         member_of = ego.lane if ego_lane and ego_lane[0][0] is ego else None
         reach = (LANE_WIDTH + ego.width) / 2.0
         evx, evy = ego.velocity
-        self.crossing: list[tuple[float, float] | None] = [
+        self.crossing = [
             None if lane.index == member_of or abs(lane.lateral(ego.x, ego.y)) > reach
             else (lane.along(ego.x, ego.y), max(0.0, evx * lane.cos_h + evy * lane.sin_h))
-            for lane in lanes
+            for lane in self.lanes
         ]
 
     def neighbors(self, veh: VehicleState, lane_index: int):
@@ -254,15 +262,17 @@ class LaneTable:
         """
         lane = self.lanes[lane_index]
         s0 = lane.along(veh.x, veh.y)
+        vid = veh.id
         leader = follower = None
         lead_ds = follow_ds = math.inf
         for other, s in self.members[lane_index]:
-            if other.id == veh.id:
+            if other.id == vid:
                 continue
             ds = s - s0
-            if 0.0 < ds < lead_ds:
-                leader, lead_ds = other, ds
-            elif 0.0 < -ds < follow_ds:
+            if ds > 0.0:
+                if ds < lead_ds:
+                    leader, lead_ds = other, ds
+            elif ds < 0.0 and -ds < follow_ds:
                 follower, follow_ds = other, -ds
         gap_lead = math.inf if leader is None else lead_ds - (veh.length + leader.length) / 2.0
         gap_follow = math.inf if follower is None else follow_ds - (veh.length + follower.length) / 2.0
@@ -273,7 +283,7 @@ def lane_neighbors(state: ScenarioState, veh: VehicleState, lane_index: int):
     """`LaneTable.neighbors` on a table built for this one query and dropped
     on return, so it reads the state as it stands now. `step` builds one
     table per substep and answers all of that substep's queries from it."""
-    return LaneTable(state).neighbors(veh, lane_index)
+    return LaneTable.of(state).neighbors(veh, lane_index)
 
 
 # --- controllers ------------------------------------------------------------
@@ -281,7 +291,7 @@ def lane_neighbors(state: ScenarioState, veh: VehicleState, lane_index: int):
 def _steer_command(lateral_err_left: float, heading_err: float, speed: float) -> float:
     """Cross-track term is normalized by speed so the commanded correction
     angle stays speed-independent; the heading term damps the approach.
-    The min and max calls are spelled as comparisons, as in idm._clamp_accel."""
+    The min and max calls are spelled as comparisons, as in idm_accel's clamp."""
     raw = KP_LATERAL * lateral_err_left / (1.0 if 1.0 > speed else speed) + KD_HEADING * heading_err
     raw = -MAX_STEER if -MAX_STEER > raw else raw
     return MAX_STEER if MAX_STEER < raw else raw
@@ -300,14 +310,13 @@ def _ego_steer(state: ScenarioState, ego: VehicleState) -> float:
 
 
 def _curve_speed_cap(state: ScenarioState, ego: VehicleState) -> float:
-    """Highest speed the steering can track on the curvature ahead.
+    """Highest speed the steering can track on the curvature ahead of the
+    ego's route.
 
     The slow proportional speed loop needs early warning, so the window covers
     a comfortable deceleration from the current speed plus a margin.
     """
     route = state.geometry.ego_route
-    if route is None:
-        return math.inf
     s, _, _ = route.project(ego.x, ego.y)
     lookahead = ego.speed * ego.speed / (2.0 * COMFORT_CURVE_DECEL) + 8.0
     radius = route.min_radius(s, s + lookahead)
@@ -316,95 +325,147 @@ def _curve_speed_cap(state: ScenarioState, ego: VehicleState) -> float:
     return math.sqrt(MAX_LATERAL_ACCEL * radius)
 
 
-def _crossing_ego_gap(table: LaneTable, veh: VehicleState):
-    """Gap to an ego blocking this vehicle's lane from across it, if any.
+def _ego_control(state: ScenarioState, ego: VehicleState) -> tuple[float, float]:
+    """The ego's (accel, steer): a proportional speed loop toward its target
+    speed, capped on a curved route, and the lateral loop. The min and max
+    calls are spelled as comparisons in the builtins' operand order, as in
+    idm_accel's clamp."""
+    target = state.ego_target_speed
+    if state.geometry.ego_route is not None:
+        cap = _curve_speed_cap(state, ego)
+        target = cap if cap < target else target  # min(target, cap)
+    accel = KP_SPEED * (target - ego.speed)
+    accel = -EMERGENCY_DECEL if -EMERGENCY_DECEL > accel else accel  # max(accel, -EMERGENCY_DECEL)
+    max_accel = ego.profile.max_accel
+    return (max_accel if max_accel < accel else accel), _ego_steer(state, ego)
 
-    Car following handles an ego traveling in the lane; this covers the rest,
-    mainly the intersection box. Returns (bumper gap, ego speed along the
-    lane) or None.
+
+def _background_controls(state: ScenarioState, table: LaneTable) -> list[tuple[float, float]]:
+    """Every background vehicle's (accel, steer), in `state.background` order,
+    from `table`; it moves nothing.
+
+    The acceleration is IDM on the vehicle's lane and, while it changes lane,
+    the lower of that and IDM on its target lane. An ego blocking the lane
+    from across it, mainly in the intersection box, can brake it harder; car
+    following already covers an ego travelling in the lane. Steering tracks
+    the target lane's centerline. The min calls are spelled as comparisons in
+    the builtin's operand order, as in idm_accel's clamp.
     """
-    row = table.crossing[veh.lane]
-    if row is None:
-        return None
-    ds = row[0] - table.lanes[veh.lane].along(veh.x, veh.y)
-    if ds <= 0.0:
-        return None
-    return ds - (veh.length + table.ego_length) / 2.0, row[1]
+    lanes, crossing, neighbors = table.lanes, table.crossing, table.neighbors
+    idm, steer_command, wrap = idm_accel, _steer_command, wrap_angle
+    controls = []
+    for veh in state.background:
+        speed, profile, lane_index = veh.speed, veh.profile, veh.lane
+        leader, gap, _, _ = neighbors(veh, lane_index)
+        accel = idm(gap, speed, leader.speed if leader else 0.0, profile)
+        target = veh.target_lane
+        if target != lane_index:
+            leader, gap, _, _ = neighbors(veh, target)
+            a = idm(gap, speed, leader.speed if leader else 0.0, profile)
+            accel = a if a < accel else accel
+        row = crossing[lane_index]
+        if row is not None:
+            ds = row[0] - lanes[lane_index].along(veh.x, veh.y)
+            if ds > 0.0:
+                # last-moment reaction, not a polite yield: a short-headway
+                # profile brakes hard only once the blocking ego is genuinely close
+                panic = replace(profile, time_headway=0.3)
+                a = idm(ds - (veh.length + table.ego_length) / 2.0, speed, row[1], panic)
+                if a < 0.0:
+                    accel = a if a < accel else accel
+        lane = lanes[target]
+        # offset to the centerline, left-positive
+        steer = steer_command(-lane.lateral(veh.x, veh.y), wrap(lane.heading - veh.heading), speed)
+        controls.append((accel, steer))
+    return controls
 
 
-def _background_control(state: ScenarioState, table: LaneTable, veh: VehicleState):
-    """IDM acceleration (current and target lane) plus lane-tracking steering."""
-    leader, gap, _, _ = table.neighbors(veh, veh.lane)
-    accel = idm_accel(gap, veh.speed, leader.speed if leader else 0.0, veh.profile)
-    if veh.target_lane != veh.lane:
-        leader, gap, _, _ = table.neighbors(veh, veh.target_lane)
-        accel = min(accel, idm_accel(gap, veh.speed, leader.speed if leader else 0.0, veh.profile))
-    blocking = _crossing_ego_gap(table, veh)
-    if blocking is not None:
-        # last-moment reaction, not a polite yield: a short-headway profile
-        # brakes hard only once the blocking ego is genuinely close
-        panic = replace(veh.profile, time_headway=0.3)
-        a = idm_accel(blocking[0], veh.speed, blocking[1], panic)
-        if a < 0.0:
-            accel = min(accel, a)
-    lane = state.geometry.lanes[veh.target_lane]
-    lateral = -lane.lateral(veh.x, veh.y)  # offset to centerline, left-positive
-    steer = _steer_command(lateral, wrap_angle(lane.heading - veh.heading), veh.speed)
-    return accel, steer
+def _move_pass(state: ScenarioState, controls: list[tuple[float, float]], dt: float,
+               table: LaneTable | None) -> bool:
+    """Move every vehicle one substep under its control, ego first.
 
-
-def _integrate(veh: VehicleState, accel: float, steer: float, dt: float) -> None:
-    speed = veh.speed + accel * dt
-    veh.speed = speed if speed > 0.0 else 0.0  # max(0.0, speed), as in idm._clamp_accel
-    veh.heading = wrap_angle(veh.heading + veh.speed / veh.wheelbase * math.tan(steer) * dt)
-    veh.x += veh.speed * math.cos(veh.heading) * dt
-    veh.y += veh.speed * math.sin(veh.heading) * dt
+    Per vehicle: integrate the kinematic bicycle, set the nearest lane, add the
+    vehicle to `table` when one is given, and test a background vehicle
+    against the already-moved ego for overlap. Then seal `table`. Returns
+    whether any background vehicle overlaps the ego.
+    """
+    ego = state.ego
+    cos, sin, tan = math.cos, math.sin, math.tan
+    wrap, nearest, overlap = wrap_angle, nearest_lane_index, rects_overlap
+    add = None if table is None else table.add
+    collided = False
+    for veh, (accel, steer) in zip(state.vehicles, controls):
+        speed = veh.speed + accel * dt
+        veh.speed = speed = speed if speed > 0.0 else 0.0  # max(0.0, speed), as in idm_accel's clamp
+        veh.heading = heading = wrap(veh.heading + speed / veh.wheelbase * tan(steer) * dt)
+        veh.x = x = veh.x + speed * cos(heading) * dt
+        veh.y = y = veh.y + speed * sin(heading) * dt
+        veh.lane = nearest(state, veh)
+        if add is not None:
+            add(veh)
+        # cheap reject before the separating-axis test
+        if not collided and veh is not ego and abs(x - ego.x) < 12.0 and abs(y - ego.y) < 8.0:
+            collided = overlap(ego, veh)
+    if table is not None:
+        table.seal(ego)
+    return collided
 
 
 # --- lane changes for background traffic ------------------------------------
 
 def _bg_lane_change_pass(state: ScenarioState, table: LaneTable) -> None:
+    """MOBIL for each settled background vehicle, toward its left neighbour
+    lane first. A candidate's new follower is checked for safety before any
+    other term is worked out; the terms of the current lane do not depend on
+    the candidate, so they are worked out once, at the first safe candidate."""
     if state.config.kind == "intersection":
         return  # cross traffic stays in its lane
     max_lane = 1 if state.config.kind == "merge" else len(state.geometry.lanes) - 1
+    lanes, neighbors = table.lanes, table.neighbors
     for veh in state.background:
-        lane = state.geometry.lanes[veh.lane]
+        lane = lanes[veh.lane]
         if veh.target_lane != veh.lane or abs(lane.lateral(veh.x, veh.y)) > 0.5:
             continue  # mid-change; settle first
-        lead, gap, old_f, old_f_gap = table.neighbors(veh, veh.lane)
-        a_before = idm_accel(gap, veh.speed, lead.speed if lead else 0.0, veh.profile)
+        profile = veh.profile
+        current = None  # (own accel, old follower's accels before and after)
         for cand in (veh.lane - 1, veh.lane + 1):
             if not 0 <= cand <= max_lane:
                 continue
-            if _try_lane_change(table, veh, cand, lead, a_before, old_f, old_f_gap):
+            new_lead, new_lead_gap, new_f, new_f_gap = neighbors(veh, cand)
+            a_nf_after = 0.0 if new_f is None else idm_accel(new_f_gap, new_f.speed, veh.speed, new_f.profile)
+            if not mobil_safe(a_nf_after, profile):
+                continue
+            if current is None:
+                current = _current_lane_terms(table, veh)
+            a_after = idm_accel(new_lead_gap, veh.speed, new_lead.speed if new_lead else 0.0, profile)
+            if new_f is None:
+                a_nf_before = 0.0
+            else:
+                nf_lead, nf_gap, _, _ = neighbors(new_f, cand)
+                a_nf_before = idm_accel(nf_gap, new_f.speed, nf_lead.speed if nf_lead else 0.0,
+                                        new_f.profile)
+            a_before, a_of_before, a_of_after = current
+            if mobil_accepts(a_before, a_after, a_nf_before, a_nf_after, a_of_before, a_of_after, profile):
+                veh.target_lane = cand
                 break
 
 
-def _try_lane_change(table, veh, cand, cur_lead, a_before, old_f, old_f_gap) -> bool:
-    new_lead, new_lead_gap, new_f, new_f_gap = table.neighbors(veh, cand)
-    a_after = idm_accel(new_lead_gap, veh.speed, new_lead.speed if new_lead else 0.0, veh.profile)
-    if new_f is not None:
-        nf_lead, nf_gap, _, _ = table.neighbors(new_f, cand)
-        a_nf_before = idm_accel(nf_gap, new_f.speed, nf_lead.speed if nf_lead else 0.0,
-                                new_f.profile)
-        a_nf_after = idm_accel(new_f_gap, new_f.speed, veh.speed, new_f.profile)
+def _current_lane_terms(table: LaneTable, veh: VehicleState) -> tuple[float, float, float]:
+    """The MOBIL terms a lane change of `veh` away from its lane reads there:
+    its own acceleration, and its follower's before and after it leaves."""
+    lead, gap, old_f, old_f_gap = table.neighbors(veh, veh.lane)
+    a_before = idm_accel(gap, veh.speed, lead.speed if lead else 0.0, veh.profile)
+    if old_f is None:
+        return a_before, 0.0, 0.0
+    a_of_before = idm_accel(old_f_gap, old_f.speed, veh.speed, old_f.profile)
+    if lead is not None:
+        lane = table.lanes[veh.lane]
+        ds = lane.along(lead.x, lead.y) - lane.along(old_f.x, old_f.y)
+        gap_after = ds - (old_f.length + lead.length) / 2.0
+        a_of_after = idm_accel(gap_after, old_f.speed, lead.speed, old_f.profile)
     else:
-        a_nf_before = a_nf_after = 0.0
-    if old_f is not None:
-        a_of_before = idm_accel(old_f_gap, old_f.speed, veh.speed, old_f.profile)
-        if cur_lead is not None:
-            lane = table.lanes[veh.lane]
-            ds = lane.along(cur_lead.x, cur_lead.y) - lane.along(old_f.x, old_f.y)
-            gap_after = ds - (old_f.length + cur_lead.length) / 2.0
-            a_of_after = idm_accel(gap_after, old_f.speed, cur_lead.speed, old_f.profile)
-        else:
-            a_of_after = idm_accel(math.inf, old_f.speed, 0.0, old_f.profile)
-    else:
-        a_of_before = a_of_after = 0.0
-    if mobil_accepts(a_before, a_after, a_nf_before, a_nf_after, a_of_before, a_of_after, veh.profile):
-        veh.target_lane = cand
-        return True
-    return False
+        a_of_after = idm_accel(math.inf, old_f.speed, 0.0, old_f.profile)
+    return a_before, a_of_before, a_of_after
 
 
 # --- events -----------------------------------------------------------------
@@ -425,19 +486,17 @@ def _off_road(state: ScenarioState, ego: VehicleState) -> bool:
     return False
 
 
-def _detect_events(state: ScenarioState) -> set[str]:
+def _substep_events(state: ScenarioState, collided: bool) -> set[str]:
+    """A substep's events, given whether the move pass found an overlap: a
+    collision, the ego off the road, and success only without either."""
     ego = state.ego
     events: set[str] = set()
-    for veh in state.background:
-        # cheap reject before the separating-axis test
-        if abs(veh.x - ego.x) < 12.0 and abs(veh.y - ego.y) < 8.0 and rects_overlap(ego, veh):
-            events.add("collision")
-            break
+    if collided:
+        events.add("collision")
     if _off_road(state, ego):
         events.add("off_road")
-    if "collision" not in events and "off_road" not in events:
-        if state.config.success_region.contains(ego.x, ego.lane):
-            events.add("success")
+    if not events and state.config.success_region.contains(ego.x, ego.lane):
+        events.add("success")
     return events
 
 
@@ -465,33 +524,50 @@ def apply_maneuver(state: ScenarioState, maneuver: Maneuver) -> None:
 
 def step(state: ScenarioState, maneuver: Maneuver,
          risk_params: risk_engine.RiskParams | None = None) -> StepOutcome:
+    """One decision step: apply the maneuver, let background vehicles choose
+    lane changes, then run physics substeps until one raises an event or
+    `config.substeps` have run.
+
+    Each substep makes two passes over the vehicles:
+    - the control pass works out every vehicle's (accel, steer). The ego
+      reads only its own state and targets; background vehicles read a
+      `LaneTable` of the positions and lanes at the start of the substep.
+      It moves nothing;
+    - the move pass (`_move_pass`) integrates each vehicle, ego first, sets
+      its nearest lane, adds it to the next substep's table when another
+      substep follows, and tests each background vehicle against the moved
+      ego for overlap.
+    The ego's off-road and success checks follow.
+
+    Only background vehicles read tables. The lane-change pass moves nothing,
+    so it shares substep 0's table, built from the stored lanes and
+    positions; each later substep reads the table the previous move pass
+    built. No table outlives the positions it was built from, and nothing
+    stores one, so a vehicle a caller moves by hand between steps is queried
+    where it now stands.
+    """
     if state.done:
         raise UsageError("step called on a terminal episode")
     params = risk_params or risk_engine.RiskParams()
     apply_maneuver(state, maneuver)
-    # only background vehicles query lanes. The lane-change pass moves
-    # nothing, so it shares substep 0's table, built from the stored lanes;
-    # each later substep reads the table the previous substep's lane pass built
-    table = LaneTable(state) if state.background else None
-    _bg_lane_change_pass(state, table)
+    table = None
+    if state.background:
+        table = LaneTable.of(state)
+        _bg_lane_change_pass(state, table)
 
+    ego = state.ego
+    lanes = state.geometry.lanes
     dt = state.config.dt_physics
     substeps = state.config.substeps
     events: set[str] = set()
     for substep in range(substeps):
-        ego = state.ego
-        target = min(state.ego_target_speed, _curve_speed_cap(state, ego))
-        ego_accel = KP_SPEED * (target - ego.speed)
-        ego_accel = min(max(ego_accel, -EMERGENCY_DECEL), ego.profile.max_accel)
-        controls = [(ego, ego_accel, _ego_steer(state, ego))]
-        for veh in state.background:
-            controls.append((veh, *_background_control(state, table, veh)))
-        for veh, accel, steer in controls:
-            _integrate(veh, accel, steer, dt)
+        controls = [_ego_control(state, ego)]
+        if table is not None:
+            controls += _background_controls(state, table)
         # the last substep's lanes feed the events and the observation; a
         # table would have no reader
-        table = _refresh_lanes(state, index=substep + 1 < substeps)
-        events = _detect_events(state)
+        table = LaneTable(lanes) if state.background and substep + 1 < substeps else None
+        events = _substep_events(state, _move_pass(state, controls, dt, table))
         if events:
             break
 

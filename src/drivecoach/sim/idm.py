@@ -19,24 +19,30 @@ def idm_accel(gap: float, v: float, v_lead: float, profile: DriverProfile) -> fl
     """
     free = 1.0 - (v / profile.desired_speed) ** 4
     if not math.isfinite(gap):
-        return _clamp_accel(profile.max_accel * free, profile)
-    if gap <= 0.0:
+        a = profile.max_accel * free
+    elif gap <= 0.0:
         return -EMERGENCY_DECEL
-    dv = v - v_lead
-    s_star = (
-        profile.min_gap
-        + v * profile.time_headway
-        + v * dv / (2.0 * math.sqrt(profile.max_accel * profile.comfort_decel))
-    )
-    return _clamp_accel(profile.max_accel * (free - (s_star / gap) ** 2), profile)
-
-
-def _clamp_accel(a: float, profile: DriverProfile) -> float:
-    """max(-EMERGENCY_DECEL, min(profile.max_accel, a)), spelled as the same
-    comparisons: a two-argument builtin min or max call costs several times
-    a comparison, and this runs for every vehicle at every substep."""
+    else:
+        dv = v - v_lead
+        s_star = (
+            profile.min_gap
+            + v * profile.time_headway
+            + v * dv / (2.0 * math.sqrt(profile.max_accel * profile.comfort_decel))
+        )
+        a = profile.max_accel * (free - (s_star / gap) ** 2)
+    # max(-EMERGENCY_DECEL, min(profile.max_accel, a)), spelled as the same
+    # comparisons: a two-argument builtin min or max call costs several times
+    # a comparison, and this runs for every vehicle at every substep
     a = a if a < profile.max_accel else profile.max_accel
     return a if a > -EMERGENCY_DECEL else -EMERGENCY_DECEL
+
+
+def mobil_safe(a_new_follower_after: float, profile: DriverProfile) -> bool:
+    """MOBIL's safety criterion: the prospective new follower must not be
+    forced below the changing driver's (`profile`'s) comfortable braking.
+    It reads one acceleration, so a caller can test it before working out
+    the terms `mobil_accepts` weighs."""
+    return not a_new_follower_after < -profile.comfort_decel
 
 
 def mobil_accepts(
@@ -50,11 +56,10 @@ def mobil_accepts(
 ) -> bool:
     """Politeness-weighted incentive test over already-evaluated accelerations.
 
-    Safety first: the prospective new follower must not be forced below its
-    comfortable braking. Then the weighted acceleration gain must clear the
-    profile's threshold.
+    Safety first (`mobil_safe`). Then the weighted acceleration gain must
+    clear the profile's threshold.
     """
-    if a_new_follower_after < -profile.comfort_decel:
+    if not mobil_safe(a_new_follower_after, profile):
         return False
     own_gain = a_self_after - a_self_before
     others_gain = (a_new_follower_after - a_new_follower_before) + (

@@ -130,7 +130,7 @@ def test_equation_oracles():
         net = FusionPolicyNet(FLAT_OBS_DIM, seed=seed)
         x = rng.normal(size=(5, FLAT_OBS_DIM))
         out = net.forward(x)
-        pi, q, v, tpi = reference_forward(net.state_dict(), x)
+        pi, q, v, tpi = reference_forward({k: p.data.copy() for k, p in net.params.items()}, x)
         worst_fwd = max(
             worst_fwd,
             float(np.abs(out.pi.data - pi).max()),

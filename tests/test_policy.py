@@ -75,7 +75,7 @@ class TestForward:
         for variant in VARIANTS:
             net = FusionPolicyNet(IN_DIM, seed=1, variant=variant)
             out = net.forward(x)
-            ref = reference_forward(net.params.state_dict(), x)
+            ref = reference_forward({k: p.data.copy() for k, p in net.params.items()}, x)
             np.testing.assert_allclose(out.pi.data, ref[0], atol=1e-10)
             np.testing.assert_allclose(out.q_values.data, ref[1], atol=1e-10)
             np.testing.assert_allclose(out.v.data, ref[2], atol=1e-10)
@@ -121,7 +121,7 @@ class TestForward:
         assert np.array_equal(before.pi.data, after.pi.data)
         assert np.array_equal(before.v.data, after.v.data)
         # h reduces to h_s exactly: recompute the student path by hand
-        w = net.params.state_dict()
+        w = {k: p.data.copy() for k, p in net.params.items()}
         h_s = np.tanh(np.tanh(x @ w["f_s.w1"] + w["f_s.b1"]) @ w["f_s.w2"] + w["f_s.b2"])
         def soft(z):
             z = z - z.max(axis=-1, keepdims=True)
@@ -137,7 +137,7 @@ class TestForward:
         x = batch_obs(rng)
         out = net.forward(x)
         assert out.log_teacher_pi_hat is None
-        w = net.params.state_dict()
+        w = {k: p.data.copy() for k, p in net.params.items()}
         h_s = np.tanh(np.tanh(x @ w["f_s.w1"] + w["f_s.b1"]) @ w["f_s.w2"] + w["f_s.b2"])
         logits = h_s @ w["pi.w"] + w["pi.b"]
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -155,10 +155,10 @@ class TestForward:
             assert net.architecture_id().endswith(f":{variant}")
 
     def test_kept_weights_start_identical_across_variants(self):
-        full = FusionPolicyNet(IN_DIM, seed=5, variant="LA-PPO").state_dict()
+        full = {k: p.data.copy() for k, p in FusionPolicyNet(IN_DIM, seed=5, variant="LA-PPO").params.items()}
         for variant in ("V-PPO", "A-PPO"):
-            for name, arr in FusionPolicyNet(IN_DIM, seed=5, variant=variant).state_dict().items():
-                assert np.array_equal(arr, full[name]), (variant, name)
+            for name, p in FusionPolicyNet(IN_DIM, seed=5, variant=variant).params.items():
+                assert np.array_equal(p.data, full[name]), (variant, name)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(UsageError, match="variant"):

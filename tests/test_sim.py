@@ -33,7 +33,9 @@ from drivecoach.sim import (
     wrap_angle,
 )
 from drivecoach import risk
-from drivecoach.sim.engine import LaneTable, _crossing_ego_gap, lane_neighbors, nearest_lane_index
+from drivecoach.sim.engine import (LaneTable, _background_controls, _steer_command, lane_neighbors,
+                                   nearest_lane_index)
+from drivecoach.sim.vehicles import rect_corners
 from drivecoach.sim.engine import reward as reward_fn
 from drivecoach.sim.scenarios import SCENARIO_KINDS, _draw_speeds, build_geometry
 from drivecoach.teacher.rules import build_telemetry
@@ -401,6 +403,36 @@ class TestCollisionGeometry:
             hits += rects_overlap(a, b)
         assert 0 < hits < 300  # both outcomes exercised
 
+    def test_circle_reject_agrees_with_the_full_test(self):
+        """Pairs placed around the distance where the corner circles touch,
+        with random sizes and headings, give the separating-axis answer."""
+        def separating_axis(a, b):
+            ca, cb = rect_corners(a), rect_corners(b)
+            for v in (a, b):
+                c, s = math.cos(v.heading), math.sin(v.heading)
+                for ax, ay in ((c, s), (-s, c)):
+                    pa = [x * ax + y * ay for x, y in ca]
+                    pb = [x * ax + y * ay for x, y in cb]
+                    if max(pa) < min(pb) or max(pb) < min(pa):
+                        return False
+            return True
+
+        rng = np.random.default_rng(4)
+        outcomes = set()
+        for _ in range(3000):
+            a = plain_vehicle(0, float(rng.uniform(-300, 300)), float(rng.uniform(-20, 20)), 5.0,
+                              heading=float(rng.uniform(-3.2, 3.2)))
+            b = plain_vehicle(1, 0.0, 0.0, 5.0, heading=float(rng.uniform(-3.2, 3.2)))
+            a.length, a.width, b.length, b.width = (float(v) for v in rng.uniform(0.5, 12.0, size=4))
+            reach = (math.hypot(a.length, a.width) + math.hypot(b.length, b.width)) / 2.0
+            bearing = float(rng.uniform(-math.pi, math.pi))
+            distance = reach * float(rng.choice([rng.uniform(0.3, 1.0), rng.uniform(0.999, 1.002)]))
+            b.x, b.y = a.x + distance * math.cos(bearing), a.y + distance * math.sin(bearing)
+            got = rects_overlap(a, b)
+            assert got == separating_axis(a, b)
+            outcomes.add((got, distance > 1.001 * reach))
+        assert outcomes == {(True, False), (False, False), (False, True)}
+
     def test_known_cases(self):
         a = plain_vehicle(0, 0.0, 0.0, 5.0)
         assert rects_overlap(a, plain_vehicle(1, 4.0, 0.0, 5.0))
@@ -525,14 +557,35 @@ def reference_crossing(state: ScenarioState, veh: VehicleState, seen: set | None
     return ds - (veh.length + ego.length) / 2.0, max(0.0, v_along)
 
 
-def assert_crossing_matches_reference(state: ScenarioState, seen: set | None = None) -> None:
-    table = LaneTable(state)
-    for veh in state.background:
-        got = _crossing_ego_gap(table, veh)
-        want = reference_crossing(state, veh, seen)
-        assert got == want, (state.decision_step, veh.id, got, want)
-        if got is not None:  # == treats -0.0 as 0.0; compare the bits too
-            assert [v.hex() for v in got] == [v.hex() for v in want]
+def reference_control(state: ScenarioState, veh: VehicleState, seen: set | None = None):
+    """A background vehicle's (accel, steer) from the reference scans: IDM on
+    its lane and target lane, the panic brake for a crossing ego, and
+    lane-tracking steering. `seen` also collects "brakes" when the crossing
+    ego sets the acceleration."""
+    leader, gap, _, _ = reference_neighbors(state, veh, veh.lane)
+    accel = idm_accel(gap, veh.speed, leader.speed if leader else 0.0, veh.profile)
+    if veh.target_lane != veh.lane:
+        leader, gap, _, _ = reference_neighbors(state, veh, veh.target_lane)
+        accel = min(accel, idm_accel(gap, veh.speed, leader.speed if leader else 0.0, veh.profile))
+    blocking = reference_crossing(state, veh, seen)
+    if blocking is not None:
+        panic = dataclasses.replace(veh.profile, time_headway=0.3)
+        a = idm_accel(blocking[0], veh.speed, blocking[1], panic)
+        if a < 0.0 and a < accel:
+            accel = a
+            if seen is not None:
+                seen.add("brakes")
+    lane = state.geometry.lanes[veh.target_lane]
+    steer = _steer_command(-lane.lateral(veh.x, veh.y), wrap_angle(lane.heading - veh.heading), veh.speed)
+    return accel, steer
+
+
+def assert_controls_match_reference(state: ScenarioState, seen: set | None = None) -> None:
+    """The control pass, crossing ego included, matches the reference bit for bit."""
+    got = _background_controls(state, LaneTable.of(state))
+    for veh, control in zip(state.background, got):
+        want = reference_control(state, veh, seen)
+        assert [v.hex() for v in control] == [v.hex() for v in want], (state.decision_step, veh.id)
 
 
 ROLLOUT_CASES = [(kind, n) for kind in ("merge", "highway", "intersection") for n in (5, 20)]
@@ -652,18 +705,18 @@ class TestLaneTable:
         seen = set()
         for seed in range(5):
             for state in rollout_states(kind, n_background, seed):
-                assert_crossing_matches_reference(state, seen)
+                assert_controls_match_reference(state, seen)
         if kind == "intersection":
-            assert seen == {"fires", "behind"}
+            assert seen == {"fires", "behind", "brakes"}
 
     @pytest.mark.parametrize("kind", ["merge", "highway", "intersection"])
     def test_random_states_crossing_gap_matches_reference(self, kind):
         rng = np.random.default_rng(11)
         seen = set()
         for _ in range(40):
-            assert_crossing_matches_reference(random_state(kind, rng), seen)
+            assert_controls_match_reference(random_state(kind, rng), seen)
         if kind == "intersection":
-            assert seen == {"fires", "behind"}
+            assert seen == {"fires", "behind", "brakes"}
 
     def test_query_leaves_state_alone(self):
         """A lane query reads the stored lanes and writes none, even where a
@@ -798,3 +851,77 @@ def test_reset_spawns_are_pinned(kind):
                 state, _ = reset(config, seed=seed)
                 digest.update(json.dumps(state.state_dict(), sort_keys=True).encode())
     assert digest.hexdigest()[:16] == RESET_DIGESTS[kind]
+
+
+# sha256 prefixes of one step from each of 25 `random_state`s per kind and
+# maneuver, with about half the vehicles (the ego too) holding their lane as
+# target. These reach what the rollout digests do not: overlaps at substep 0,
+# cars exactly abeam, headings more than pi/4 off their lane, off-road cars,
+# and lane changes MOBIL accepts or rejects on safety.
+STEP_DIGESTS = {
+    ("intersection", Maneuver.SlowDown): "7c6a8f18e2236409",
+    ("intersection", Maneuver.Cruise): "c4150e1fcd60cc2a",
+    ("intersection", Maneuver.SpeedUp): "9b1a600ba2139e3e",
+    ("intersection", Maneuver.TurnLeft): "c4150e1fcd60cc2a",
+    ("intersection", Maneuver.TurnRight): "c4150e1fcd60cc2a",
+    ("merge", Maneuver.SlowDown): "84ebcfbc9c240a7c",
+    ("merge", Maneuver.Cruise): "58d2ebc0e8f661b1",
+    ("merge", Maneuver.SpeedUp): "5d2c5c8ad68e7cef",
+    ("merge", Maneuver.TurnLeft): "dff20f453341fe5c",
+    ("merge", Maneuver.TurnRight): "438650faca7100bf",
+    ("highway", Maneuver.SlowDown): "7cc6e8e06a8a847d",
+    ("highway", Maneuver.Cruise): "fa40dff1fa1d853b",
+    ("highway", Maneuver.SpeedUp): "7cbee168ae2ea039",
+    ("highway", Maneuver.TurnLeft): "deadb80aa38a5510",
+    ("highway", Maneuver.TurnRight): "905752f529e5cc35",
+}
+
+
+@pytest.mark.parametrize("maneuver", list(Maneuver))
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_random_state_steps_are_pinned(kind, maneuver):
+    rng = np.random.default_rng(7)
+    digest = hashlib.sha256()
+    collisions = 0
+    for _ in range(25):
+        state = random_state(kind, rng)
+        for veh in state.vehicles:
+            if rng.random() < 0.5:
+                veh.target_lane = veh.lane
+        outcome = step(state, maneuver)
+        collisions += "collision" in outcome.events
+        record = {"state": state.state_dict(), "reward": outcome.reward,
+                  "events": sorted(outcome.events), "tau_min": outcome.tau_min,
+                  "obs": outcome.observation.flat().tolist(),
+                  "ids": outcome.observation.neighbor_ids}
+        digest.update(json.dumps(record, sort_keys=True).encode())
+    assert collisions > 0
+    assert digest.hexdigest()[:16] == STEP_DIGESTS[kind, maneuver]
+
+
+class TestLaneChange:
+    """MOBIL on highway: a car on lane 0 stuck 10 m behind a slow leader looks
+    at lane 1, its only neighbour lane; the ego drives far off on lane 3."""
+
+    @staticmethod
+    def scene(follower_x: float, follower_speed: float):
+        ego = plain_vehicle(0, -300.0, -12.0, 20.0, lane=3)
+        changer = plain_vehicle(1, 100.0, 0.0, 20.0, lane=0)
+        leader = plain_vehicle(2, 115.0, 0.0, 10.0, lane=0)
+        follower = plain_vehicle(3, follower_x, -4.0, follower_speed, lane=1)
+        return make_state("highway", ego, [changer, leader, follower]), changer, follower
+
+    def test_unsafe_new_follower_blocks_the_change(self):
+        state, changer, follower = self.scene(92.0, 28.0)
+        # bumper gap 3 m at 8 m/s closing: the follower would brake past comfort
+        gap = changer.x - follower.x - (changer.length + follower.length) / 2.0
+        assert idm_accel(gap, follower.speed, changer.speed, follower.profile) < -changer.profile.comfort_decel
+        step(state, Maneuver.Cruise)
+        assert changer.target_lane == 0
+
+    def test_safe_gap_accepts_the_change(self):
+        state, changer, follower = self.scene(20.0, 20.0)
+        gap = changer.x - follower.x - (changer.length + follower.length) / 2.0
+        assert idm_accel(gap, follower.speed, changer.speed, follower.profile) > -changer.profile.comfort_decel
+        step(state, Maneuver.Cruise)
+        assert changer.target_lane == 1

@@ -292,10 +292,10 @@ class TestUpdate:
 
     def test_parameters_move(self):
         tr = self._collected()
-        before = {k: v.copy() for k, v in tr.policy.state_dict().items()}
+        before = {k: p.data.copy() for k, p in tr.policy.params.items()}
         tr.update()
-        moved = any(not np.array_equal(before[k], v)
-                    for k, v in tr.policy.state_dict().items())
+        moved = any(not np.array_equal(before[k], p.data)
+                    for k, p in tr.policy.params.items())
         assert moved
 
     def test_teacher_rows_produce_guidance_losses(self):
@@ -553,8 +553,8 @@ class TestCheckpointResume:
         assert resumed.episode_index == tr.episode_index
         assert resumed.teacher.decision_queries == tr.teacher.decision_queries
         assert resumed.teacher.state_dict() == tr.teacher.state_dict()
-        for k, v in tr.policy.state_dict().items():
-            np.testing.assert_array_equal(resumed.policy.state_dict()[k], v)
+        for k, p in tr.policy.params.items():
+            np.testing.assert_array_equal(resumed.policy.params[k].data, p.data)
 
     def test_resume_restores_teacher_n_shot(self, tmp_path):
         cfg = small_cfg(variant="LA-PPO", total_steps=3000, eval_interval=1000,
