@@ -189,7 +189,11 @@ def cmd_teacher(args) -> int:
     path = Path(args.state)
     if not path.exists():
         raise ConfigError(f"state file not found: {path}")
-    for i, line in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"state file {path}: {err}") from err
+    for i, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:

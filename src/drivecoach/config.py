@@ -121,8 +121,8 @@ def load_mapping(source) -> dict:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as err:
+        data = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as err:
         raise ConfigError(f"config file {path}: {err}") from err
     if data is None:
         return {}

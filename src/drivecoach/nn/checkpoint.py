@@ -102,7 +102,12 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], dict]:
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         (meta_len,) = struct.unpack("<I", take(4))
-        meta = json.loads(take(meta_len).decode("utf-8"))
+        try:
+            meta = json.loads(take(meta_len).decode("utf-8"))
+        except ValueError as err:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+            raise CheckpointError(f"checkpoint meta is not UTF-8 JSON: {err}") from err
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"checkpoint meta is not a mapping: {type(meta).__name__}")
         (count,) = struct.unpack("<I", take(4))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):

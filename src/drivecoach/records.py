@@ -1,8 +1,7 @@
 """The one reader by which a typed record comes back into the program: the
-config, scenario state records, checkpoint meta, teacher memory files, replay
-transcripts and constraints (from reflection replies, the prompt's CONSTRAINTS
-line and checkpoints) all go through it. The prompt's TELEMETRY line does not:
-only `build_prompt` writes it, and its nulls stand for infinities."""
+config, scenario state records, checkpoint meta and its teacher block, teacher
+memory files, replay transcripts and reflection constraints all go through
+it. Prompts are not read back: each carries the records its lines show."""
 
 from __future__ import annotations
 

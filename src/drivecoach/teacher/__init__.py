@@ -31,8 +31,6 @@ from .prompts import (
     build_prompt,
     build_reflection_prompt,
     estimate_tokens,
-    parse_constraints,
-    parse_telemetry,
 )
 from .rules import Telemetry, build_telemetry, goal_lane_for, scripted_decide
 from .state import STATE_DIM, encode_state

@@ -1,9 +1,10 @@
 """Decision and reflection flows on top of a chat backend.
 
-decide() never raises for backend trouble: two retries on unparseable output,
-then the scripted cascade recovers a maneuver from the prompt's telemetry
-line. reflect() is best-effort the same way and returns empty deltas on
-failure.
+The agent renders each prompt from typed records and hands the backend the
+Prompt, which carries those records. decide() never raises for backend
+trouble: two retries on unparseable output, then the scripted cascade runs on
+the prompt's telemetry and constraints. reflect() is best-effort the same way
+and returns empty deltas on failure.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from ..records import build_section
 from ..risk import RiskParams, assess
 from ..sim.engine import observe
 from ..sim.vehicles import TOKEN_TO_MANEUVER, Maneuver
-from .backends import BackendError, ChatBackend, scripted_pick
+from .backends import BackendError, ChatBackend
 from .constraints import ConstraintRule
 from .memory import MemoryEntry, MemoryRepository, retrieve
 from .prompts import FlaggedSegment, Prompt, build_prompt, build_reflection_prompt
-from .rules import build_telemetry
+from .rules import build_telemetry, scripted_decide
 from .state import encode_state
 
 MAX_ATTEMPTS = 3  # first try plus two retries
@@ -79,7 +80,7 @@ def decide(prompt: Prompt, backend: ChatBackend) -> TeacherDecision:
     start = time.perf_counter()
     for _attempt in range(MAX_ATTEMPTS):
         try:
-            reply = backend.chat(prompt.messages())
+            reply = backend.chat(prompt)
         except BackendError:
             break
         parsed = parse_decision_reply(reply)
@@ -87,9 +88,10 @@ def decide(prompt: Prompt, backend: ChatBackend) -> TeacherDecision:
             action, reason = parsed
             source = _SOURCE_BY_KIND.get(backend.kind, "llm")
             return TeacherDecision(action, reason, source, time.perf_counter() - start)
-    picked = scripted_pick(prompt)
-    # nothing recoverable: brake gently
-    action = picked[0] if picked is not None else Maneuver.SlowDown
+    if prompt.telemetry is not None:
+        action = scripted_decide(prompt.telemetry, prompt.constraints)
+    else:  # nothing to decide on: brake gently
+        action = Maneuver.SlowDown
     return TeacherDecision(action, "backend unavailable, scripted fallback",
                            "fallback", time.perf_counter() - start)
 
@@ -97,7 +99,7 @@ def decide(prompt: Prompt, backend: ChatBackend) -> TeacherDecision:
 def reflect(flagged: list[FlaggedSegment], backend: ChatBackend) -> ReflectionOutcome:
     prompt = build_reflection_prompt(flagged)
     try:
-        reply = backend.chat(prompt.messages())
+        reply = backend.chat(prompt)
     except BackendError:
         return ReflectionOutcome()
     obj = _last_json_object(reply)
@@ -131,6 +133,24 @@ def _text_delta(obj: dict, key: str) -> str:
     return value
 
 
+@dataclass
+class SavedTeacher:
+    """The teacher block of a checkpoint, as `TeacherAgent.state_dict` writes it."""
+
+    kind: str
+    n_shot: int
+    memory: MemoryRepository
+    constraints: list[ConstraintRule]
+    lessons: list[str]
+    decision_queries: int
+    reflection_queries: int
+    prev_tau: float | None  # None for infinity
+
+    def __post_init__(self):
+        if self.n_shot < 1:
+            raise ConfigError(f"n_shot: must be >= 1, got {self.n_shot}")
+
+
 class TeacherAgent:
     """Owns the memory, constraints, and lessons; queries are audited.
 
@@ -160,10 +180,11 @@ class TeacherAgent:
         # The point-mass conflict metric can flicker to infinity for one step
         # while two paths still intersect (a turning ego breaks its constant
         # velocity assumption), so the cascade sees the worse of the last two
-        # readings rather than chasing a momentary all-clear.
+        # readings rather than chasing a momentary all-clear. Rounded after
+        # that, the record holds what the prompt's TELEMETRY line shows.
         if state.decision_step == 0:
             self._prev_tau = math.inf
-        telemetry = replace(telemetry, tau_min=min(telemetry.tau_min, self._prev_tau))
+        telemetry = replace(telemetry, tau_min=min(telemetry.tau_min, self._prev_tau)).rounded()
         self._prev_tau = assessment.tau_min
         z = encode_state(obs, assessment, horizon=self.risk_params.horizon)
         retrieved = retrieve(z, self.memory, self.n_shot) if len(self.memory) else []
@@ -206,13 +227,13 @@ class TeacherAgent:
         }
 
     def load_state_dict(self, data: dict) -> None:
-        if data["kind"] != self.backend.kind:
-            warnings.warn(f"teacher saved on the {data['kind']!r} backend resumes on {self.backend.kind!r}", stacklevel=2)
-        self.n_shot = data["n_shot"]
-        self.memory = build_section("teacher.memory", MemoryRepository, data["memory"])
-        self.constraints = [build_section(f"teacher.constraints[{i}]", ConstraintRule, raw)
-                            for i, raw in enumerate(data["constraints"])]
-        self.lessons = data["lessons"]
-        self.decision_queries = data["decision_queries"]
-        self.reflection_queries = data["reflection_queries"]
-        self._prev_tau = math.inf if data["prev_tau"] is None else data["prev_tau"]
+        saved = build_section("teacher", SavedTeacher, data)
+        if saved.kind != self.backend.kind:
+            warnings.warn(f"teacher saved on the {saved.kind!r} backend resumes on {self.backend.kind!r}", stacklevel=2)
+        self.n_shot = saved.n_shot
+        self.memory = saved.memory
+        self.constraints = saved.constraints
+        self.lessons = saved.lessons
+        self.decision_queries = saved.decision_queries
+        self.reflection_queries = saved.reflection_queries
+        self._prev_tau = math.inf if saved.prev_tau is None else saved.prev_tau

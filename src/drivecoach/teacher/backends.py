@@ -1,5 +1,9 @@
 """Chat backends: remote endpoint, deterministic scripted stand-in, and
-transcript record/replay for golden tests."""
+transcript record/replay for golden tests.
+
+Every backend answers a Prompt. The remote backend sends its messages and the
+recorder writes them; the scripted stand-in reads the typed records the
+prompt carries, so it never parses its own text."""
 
 from __future__ import annotations
 
@@ -10,9 +14,9 @@ from pathlib import Path
 
 from ..errors import ConfigError
 from ..records import build_section
-from ..sim.vehicles import MANEUVER_TOKENS, Maneuver
-from .prompts import Prompt, parse_constraints, parse_telemetry
-from .rules import Telemetry, scripted_decide
+from ..sim.vehicles import MANEUVER_TOKENS
+from .prompts import Prompt
+from .rules import scripted_decide
 
 API_KEY_VAR = "TELL_LLM_API_KEY"
 DEFAULT_TIMEOUT = 30.0
@@ -26,7 +30,7 @@ class BackendError(RuntimeError):
 class ChatBackend:
     kind = "abstract"
 
-    def chat(self, messages: list[tuple[str, str]]) -> str:
+    def chat(self, prompt: Prompt) -> str:
         raise NotImplementedError
 
 
@@ -44,7 +48,7 @@ class RemoteBackend(ChatBackend):
         self.timeout = timeout
         self.temperature = temperature
 
-    def chat(self, messages):
+    def chat(self, prompt):
         # imported here: they load ssl (7 MB, 50 ms), which runs without a remote model never need
         import http.client
         import urllib.request
@@ -54,7 +58,7 @@ class RemoteBackend(ChatBackend):
             raise BackendError(f"{API_KEY_VAR} is not set")
         payload = {
             "model": self.model,
-            "messages": [{"role": role, "content": text} for role, text in messages],
+            "messages": [{"role": role, "content": text} for role, text in prompt.messages()],
             "temperature": self.temperature,
             "max_tokens": MAX_REPLY_TOKENS,
         }
@@ -73,48 +77,23 @@ class RemoteBackend(ChatBackend):
             raise BackendError(f"remote backend returned an unexpected shape: {err}") from err
 
 
-def _last_user_text(messages) -> str:
-    for role, text in reversed(messages):
-        if role == "user":
-            return text
-    return ""
-
-
-def _system_text(messages) -> str:
-    for role, text in messages:
-        if role == "system":
-            return text
-    return ""
-
-
-def scripted_pick(prompt: Prompt) -> tuple[Maneuver, Telemetry] | None:
-    """The rule cascade's maneuver on a prompt's TELEMETRY and CONSTRAINTS
-    lines, with the telemetry it ran on; None when the prompt carries none."""
-    telemetry = parse_telemetry(prompt)
-    if telemetry is None:
-        return None
-    return scripted_decide(telemetry, parse_constraints(prompt)), telemetry
-
-
 class ScriptedBackend(ChatBackend):
     """Deterministic offline teacher.
 
-    Recovers the telemetry and constraint lines from the prompt, runs the rule
-    cascade, and answers in the same shape a remote model would, so the parsing
-    path stays identical across backends.
+    Runs the rule cascade on the prompt's telemetry and constraints, or the
+    canned review on its reflection summary, and answers in the same shape a
+    remote model would, so the reply parsing stays identical across backends.
     """
 
     kind = "scripted"
 
-    def chat(self, messages):
-        user = _last_user_text(messages)
-        if "REFLECTION: " in user:
-            return self._reflect(user)
-        picked = scripted_pick(Prompt(system=_system_text(messages), user=user))
-        if picked is None:
-            raise BackendError("prompt carries no telemetry line")
-        action, telemetry = picked
-        token = MANEUVER_TOKENS[action]
+    def chat(self, prompt):
+        if prompt.reflection is not None:
+            return self._reflect(prompt.reflection)
+        telemetry = prompt.telemetry
+        if telemetry is None:
+            raise BackendError("prompt carries no telemetry")
+        token = MANEUVER_TOKENS[scripted_decide(telemetry, prompt.constraints)]
         reason = (
             f"tau_min {telemetry.tau_min:g} s, "
             f"speed {telemetry.speed:.1f} of {telemetry.desired_speed:.1f} m/s, "
@@ -126,13 +105,7 @@ class ScriptedBackend(ChatBackend):
             f"The rule cascade selects {token}.\n{body}"
         )
 
-    def _reflect(self, user: str) -> str:
-        for line in user.splitlines():
-            if line.startswith("REFLECTION: "):
-                summary = json.loads(line[len("REFLECTION: "):])
-                break
-        else:
-            raise BackendError("reflection prompt carries no summary line")
+    def _reflect(self, summary: dict) -> str:
         token = summary["action"]
         # Forbidding the brake itself would poison the cascade's last resort,
         # so a braking culprit yields advice without a hard rule.
@@ -170,15 +143,18 @@ class ReplayBackend(ChatBackend):
 
     def __init__(self, path):
         self.path = Path(path)
-        exchanges = []
         try:
-            for i, line in enumerate(self.path.read_text().splitlines(), start=1):
-                if line.strip():
-                    exchanges.append(build_section("exchange", Exchange, json.loads(line)))
-        except OSError as err:
+            text = self.path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot read transcript {self.path}: {err}") from err
-        except ValueError as err:  # ConfigError and JSONDecodeError are ValueErrors
-            raise ConfigError(f"transcript {self.path} line {i}: {err}") from err
+        exchanges = []
+        for i, line in enumerate(text.splitlines(), start=1):
+            if not line.strip():
+                continue
+            try:
+                exchanges.append(build_section("exchange", Exchange, json.loads(line)))
+            except ValueError as err:  # ConfigError and JSONDecodeError are ValueErrors
+                raise ConfigError(f"transcript {self.path} line {i}: {err}") from err
         self._responses = [e.response for e in exchanges]
         self._cursor = 0
         # transcripts remember which backend produced them, so replayed
@@ -187,7 +163,7 @@ class ReplayBackend(ChatBackend):
         if len(kinds) == 1:
             self.kind = kinds.pop()
 
-    def chat(self, messages):
+    def chat(self, prompt):
         if self._cursor >= len(self._responses):
             raise BackendError(f"transcript {self.path} exhausted after {self._cursor} calls")
         text = self._responses[self._cursor]
@@ -196,18 +172,19 @@ class ReplayBackend(ChatBackend):
 
 
 class RecordingBackend(ChatBackend):
-    """Wraps another backend and appends (messages, response) pairs to a JSONL file."""
+    """Wraps another backend and appends each prompt's messages, with the
+    response, to a JSONL file."""
 
     def __init__(self, inner: ChatBackend, path):
         self.inner = inner
         self.path = Path(path)
         self.kind = inner.kind
 
-    def chat(self, messages):
-        text = self.inner.chat(messages)
+    def chat(self, prompt):
+        text = self.inner.chat(prompt)
         record = {
             "kind": self.kind,
-            "request": {"messages": [[role, body] for role, body in messages]},
+            "request": {"messages": [[role, body] for role, body in prompt.messages()]},
             "response": text,
         }
         with self.path.open("a") as handle:

@@ -1,10 +1,11 @@
 """Prompt assembly for maneuver decisions and reflection.
 
 The wording here is an artifact of this package, tuned for a small structured
-reply. Two machine-readable lines ride along with the prose: CONSTRAINTS in
-the system message and TELEMETRY in the user message. The scripted backend
-and the parse-failure fallback both recover the decision inputs from them, so
-every backend sees the exact same information.
+reply. Machine-readable lines ride along with the prose for a remote model:
+CONSTRAINTS in the system message and TELEMETRY in the user message of a
+decision, REFLECTION in a reflection. Each Prompt also carries the typed
+records those lines were rendered from, and the scripted backend and the
+parse-failure fallback read the records; nothing parses the lines back.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..records import build_section
 from ..sim.vehicles import MANEUVER_TOKENS
 from .constraints import ConstraintRule
 from .rules import Telemetry
@@ -42,10 +42,16 @@ and the impact on surrounding traffic. Then answer with one final line containin
 only a JSON object: {{"action": "<maneuver>", "reason": "<one sentence>"}}."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Prompt:
+    """A message pair, and the records its machine-readable lines show: a
+    decision's telemetry and constraints, or a reflection's summary."""
+
     system: str
     user: str
+    telemetry: Telemetry | None = None
+    constraints: tuple[ConstraintRule, ...] = ()
+    reflection: dict | None = None  # scenario_kind, action and tau_min of the culprit
 
     def messages(self) -> list[tuple[str, str]]:
         return [("system", self.system), ("user", self.user)]
@@ -151,7 +157,7 @@ def build_prompt(obs, assessment, retrieved: Sequence, telemetry: Telemetry,
     while estimate_tokens(system) + estimate_tokens(user) > max_tokens and exemplar_blocks:
         exemplar_blocks.pop()
         user = assemble()
-    return Prompt(system=system, user=user)
+    return Prompt(system=system, user=user, telemetry=telemetry, constraints=tuple(constraints))
 
 
 @dataclass
@@ -209,19 +215,4 @@ def build_reflection_prompt(segments: Sequence[FlaggedSegment]) -> Prompt:
     }
     lines.append("REFLECTION: " + json.dumps(summary))
     lines.append("Reflect now.")
-    return Prompt(system=_REFLECTION_SYSTEM, user="\n".join(lines))
-
-
-def parse_telemetry(prompt: Prompt) -> Telemetry | None:
-    for line in prompt.user.splitlines():
-        if line.startswith("TELEMETRY: "):
-            return Telemetry.from_dict(json.loads(line[len("TELEMETRY: "):]))
-    return None
-
-
-def parse_constraints(prompt: Prompt) -> list[ConstraintRule]:
-    for line in prompt.system.splitlines():
-        if line.startswith("CONSTRAINTS: "):
-            raw = json.loads(line[len("CONSTRAINTS: "):])
-            return [build_section(f"CONSTRAINTS[{i}]", ConstraintRule, r) for i, r in enumerate(raw)]
-    return []
+    return Prompt(system=_REFLECTION_SYSTEM, user="\n".join(lines), reflection=summary)

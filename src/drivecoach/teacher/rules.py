@@ -1,11 +1,11 @@
-"""Deterministic teacher heuristic and the telemetry summary it runs on.
+"""Deterministic teacher heuristic and the telemetry record it runs on.
 
 The raw observation does not carry the ego's desired speed, its goal lane or
 the road left before its lane ends, all of which the rule cascade needs, so
 decisions run on a small Telemetry record the agent builds from the scenario
-state. The same record is embedded in every prompt as a machine-readable line,
-which lets the scripted chat backend and the parse-failure fallback reach
-identical decisions.
+state. Each decision prompt carries that record beside the TELEMETRY line it
+renders, so the scripted backend and the parse-failure fallback decide on
+the same values a remote model reads.
 
 The cascade, first match wins:
     1. a conflict ahead inside CONFLICT_TAU        -> SlowDown
@@ -25,7 +25,7 @@ never fire there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ..sim.engine import lane_neighbors
@@ -57,44 +57,21 @@ class Telemetry:
     follower_speed: float = 0.0
     ramp_left: float = math.inf  # m to the end of the ego's lane; inf where it does not end
 
+    def rounded(self) -> "Telemetry":
+        """This record at the TELEMETRY line's precision: finite floats to 3
+        places, infinities kept."""
+        return replace(self, **{name: float(round(getattr(self, name), 3))
+                                for name in _FLOAT_FIELDS})
+
     def to_dict(self) -> dict:
-        def enc(v):
-            return None if math.isinf(v) else round(v, 3)
+        """The TELEMETRY line's fields, in declaration order; JSON has no
+        infinity, so null stands for one."""
+        return {key: None if isinstance(value, float) and math.isinf(value) else value
+                for key, value in vars(self).items()}
 
-        return {
-            "scenario_kind": self.scenario_kind,
-            "speed": round(self.speed, 3),
-            "desired_speed": round(self.desired_speed, 3),
-            "lane": self.lane,
-            "goal_lane": self.goal_lane,
-            "tau_min": enc(self.tau_min),
-            "conflict_ahead": self.conflict_ahead,
-            "gap_lead": enc(self.gap_lead),
-            "lead_speed": round(self.lead_speed, 3),
-            "gap_follow": enc(self.gap_follow),
-            "follower_speed": round(self.follower_speed, 3),
-            "ramp_left": enc(self.ramp_left),
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Telemetry":
-        def dec(v):
-            return math.inf if v is None else float(v)
-
-        return cls(
-            scenario_kind=data["scenario_kind"],
-            speed=float(data["speed"]),
-            desired_speed=float(data["desired_speed"]),
-            lane=int(data["lane"]),
-            goal_lane=None if data["goal_lane"] is None else int(data["goal_lane"]),
-            tau_min=dec(data["tau_min"]),
-            conflict_ahead=bool(data["conflict_ahead"]),
-            gap_lead=dec(data.get("gap_lead")),
-            lead_speed=float(data.get("lead_speed", 0.0)),
-            gap_follow=dec(data.get("gap_follow")),
-            follower_speed=float(data.get("follower_speed", 0.0)),
-            ramp_left=dec(data.get("ramp_left")),
-        )
+_FLOAT_FIELDS = ("speed", "desired_speed", "tau_min", "gap_lead", "lead_speed",
+                 "gap_follow", "follower_speed", "ramp_left")
 
 
 def _conflict_ahead(state, assessment) -> bool:
@@ -176,8 +153,8 @@ def scripted_decide(telemetry: Telemetry,
                     constraints: Sequence[ConstraintRule] = ()) -> Maneuver:
     """Rule-cascade maneuver choice, honoring active constraints.
 
-    Runs purely on the telemetry record, so a decision recovered from a
-    prompt's machine-readable line matches the one made on live state.
+    Runs purely on the telemetry record, so the scripted backend and the
+    fallback reach the same maneuver on the same prompt.
     """
     pick = _cascade(telemetry)
     order = [pick, Maneuver.Cruise, Maneuver.SlowDown, Maneuver.SpeedUp,

@@ -196,21 +196,21 @@ def test_equation_oracles():
 class _TimeoutBackend(ChatBackend):
     kind = "remote"
 
-    def chat(self, messages):
+    def chat(self, prompt):
         raise BackendError("request timed out")
 
 
 class _GarbageBackend(ChatBackend):
     kind = "remote"
 
-    def chat(self, messages):
+    def chat(self, prompt):
         return "%%% certainly! here is some prose with no payload %%%"
 
 
 class _EmptyBackend(ChatBackend):
     kind = "remote"
 
-    def chat(self, messages):
+    def chat(self, prompt):
         return ""
 
 

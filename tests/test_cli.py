@@ -2,6 +2,8 @@
 
 import json
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ from drivecoach.config import (
     to_mapping,
 )
 from drivecoach.errors import ConfigError
-from drivecoach.nn import load_checkpoint, save_checkpoint
+from drivecoach.nn import CheckpointError, load_checkpoint, save_checkpoint
+from drivecoach.nn.checkpoint import MAGIC, VERSION
 from drivecoach.sim import Maneuver, ScenarioConfig, reset
 from drivecoach.teacher import STATE_DIM, MemoryEntry, MemoryRepository, RecordingBackend, ReplayBackend
 from drivecoach.trainer import Trainer
@@ -367,6 +370,18 @@ class TestEvalCommand:
         assert code == EXIT_ARTIFACT
         assert "checkpoint error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("meta", [b"\xff{}", b"{not json", b"[1, 2]"],
+                             ids=["not-utf8", "not-json", "not-a-mapping"])
+    def test_meta_not_a_json_mapping_exits_3(self, tmp_path, capsys, meta):
+        """A meta blob under a valid CRC that does not hold a mapping."""
+        body = MAGIC + struct.pack("<II", VERSION, len(meta)) + meta + struct.pack("<I", 0)
+        path = tmp_path / "meta.dckp"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(CheckpointError, match="checkpoint meta is not"):
+            load_checkpoint(str(path))
+        assert main(["eval", str(path)]) == EXIT_ARTIFACT
+        assert "checkpoint error: checkpoint meta is not" in capsys.readouterr().err
+
     def test_architecture_mismatch_exits_3(self, finished_run, tmp_path):
         arrays, meta = load_checkpoint(str(finished_run / "checkpoint_final.dckp"))
         meta["architecture"] = "fusion-v1:in9:embed4:heads1:act5:fused1"
@@ -556,6 +571,15 @@ class TestTeacherCommand:
         err = capsys.readouterr().err
         assert f"transcript {path} line 2: " in err
         assert named in err
+
+    @pytest.mark.parametrize("flag", ["--replay", "--state", "--config"])
+    def test_non_utf8_file_exits_2_naming_it(self, tmp_path, capsys, flag):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("caf\xe9\n".encode("latin-1"))
+        live = [] if flag == "--state" else ["--live", "--steps", "1"]
+        assert main(["teacher", flag, str(path), *live]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(path) in err and "can't decode byte 0xe9" in err
 
     def test_requires_state_or_live(self, capsys):
         assert main(["teacher"]) == EXIT_CONFIG

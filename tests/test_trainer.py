@@ -581,6 +581,25 @@ class TestCheckpointResume:
         assert resumed.teacher.backend.kind == "scripted"
         assert resumed.evaluate(n_episodes=1).step == 50
 
+    @pytest.mark.parametrize("key,value,named", [
+        ("kind", 5, "teacher.kind: expected str, got 5"),
+        ("n_shot", 0, "teacher.n_shot: must be >= 1, got 0"),
+        ("lessons", "abc", "teacher.lessons: expected a list, got 'abc'"),
+        ("decision_queries", "x", "teacher.decision_queries: expected a number, got 'x'"),
+        ("reflection_queries", 1.5, "teacher.reflection_queries: expected an integer, got 1.5"),
+        ("prev_tau", "x", "teacher.prev_tau: expected a number, got 'x'"),
+    ])
+    def test_bad_teacher_block_fails_at_resume(self, tmp_path, key, value, named):
+        tr = Trainer(merge_scenario(), small_cfg(variant="LA-PPO"), out_dir=tmp_path)
+        tr.run(stop_after_step=50)
+        arrays, meta = load_checkpoint(str(tmp_path / "checkpoint_step50.dckp"))
+        meta["teacher"][key] = value
+        doctored = tmp_path / "doctored.dckp"
+        save_checkpoint(str(doctored), arrays, meta)
+        with pytest.raises(ConfigError) as caught:
+            Trainer.resume(doctored)
+        assert str(caught.value) == named
+
     def test_truncated_flags_survive_round_trip(self, tmp_path):
         cfg = small_cfg(variant="V-PPO")
         tr = Trainer(merge_scenario(), cfg)
