@@ -38,8 +38,21 @@ class ParamStore:
         return self._params.items()
 
     def zero_grad(self) -> None:
+        """Give every parameter a zeroed .grad, allocating the ones it lacks.
+
+        Every parameter then has a gradient when adam_step runs, so Adam moves
+        even the ones a loss does not reach, on their momentum.
+        """
         for p in self._params.values():
-            p.zero_grad()
+            if p.grad is None:
+                p.grad = np.zeros_like(p.data)
+            else:
+                p.grad[...] = 0.0
+
+    def drop_grad(self) -> None:
+        """Release every parameter's .grad; the next zero_grad allocates them again."""
+        for p in self._params.values():
+            p.grad = None
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
         missing = set(self._params) - set(state)
@@ -55,7 +68,13 @@ class ParamStore:
 
 @dataclass
 class AdamState:
-    """First/second moment estimates plus the shared step counter."""
+    """First/second moment estimates plus the shared step counter.
+
+    for_params starts the moments as np.zeros, whose pages the OS maps on first
+    write, so moments that a checkpoint replaces before any step cost nothing.
+    adam_step reads each parameter's .grad, which ParamStore.zero_grad
+    allocates before the backward pass that fills it.
+    """
 
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -64,8 +83,8 @@ class AdamState:
     @classmethod
     def for_params(cls, params: ParamStore) -> "AdamState":
         return cls(
-            m={k: np.zeros_like(p.data) for k, p in params.items()},
-            v={k: np.zeros_like(p.data) for k, p in params.items()},
+            m={k: np.zeros(p.data.shape) for k, p in params.items()},
+            v={k: np.zeros(p.data.shape) for k, p in params.items()},
             step=0,
         )
 

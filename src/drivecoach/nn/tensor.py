@@ -3,6 +3,11 @@
 The tape is define-by-run: every forward op returns a fresh Tensor holding
 closures over its parents. backward() walks the graph once per call and adds
 the pass's gradients into .grad, so calling backward twice doubles them.
+
+A tracked tensor's .grad is None until something gives it one: backward()
+allocates it on first use, and ParamStore.zero_grad allocates a zeroed one for
+every parameter, so a store holds gradients only between zero_grad and the
+point its owner drops them.
 """
 
 from __future__ import annotations
@@ -15,13 +20,17 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """Dense float64 array with optional gradient tracking."""
+    """Dense float64 array with optional gradient tracking.
+
+    requires_grad marks a leaf whose .grad backward() fills; .grad starts
+    as None and is allocated by whoever first writes it.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self.grad = None
         self.requires_grad = requires_grad
         self._parents: tuple = ()
         self._backward = None
@@ -33,12 +42,13 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
     def backward(self) -> None:
-        """Accumulate dSelf/dParam into .grad of every reachable tracked tensor."""
+        """Accumulate dSelf/dParam into .grad of every reachable tracked tensor.
+
+        Nodes are visited children first, so a node's flow is complete when it
+        is reached. An interior node's flow is dropped once its parents have
+        their shares, and a leaf's once it is added into .grad.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.data.shape}")
         order: list[Tensor] = []
@@ -56,12 +66,16 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        # per-call gradient flows, added into .grad at the end
+        # per-call gradient flows, each held only until its node is visited
         flows: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for node in reversed(order):
-            g = flows.get(id(node))
+            g = flows.pop(id(node), None)
             if g is None:
                 continue
+            if node.requires_grad:
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.data)
+                node.grad += g
             if node._backward is not None:
                 for parent, pg in zip(node._parents, node._backward(g)):
                     if pg is None:
@@ -71,13 +85,6 @@ class Tensor:
                         flows[pid] = flows[pid] + pg
                     else:
                         flows[pid] = pg
-        for node in order:
-            if node.requires_grad:
-                g = flows.get(id(node))
-                if g is not None:
-                    if node.grad is None:
-                        node.grad = np.zeros_like(node.data)
-                    node.grad += g
 
 
 def _make(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:

@@ -167,20 +167,34 @@ class FusionPolicyNet:
 
         The ops and their order are forward's, so each output is bit-identical
         to forward(obs)'s at the same input. Rows of a batch may differ from
-        the same rows run one at a time in the last ulp, as any gemm may.
+        the same rows run one at a time in the last ulp, as any gemm may. Each
+        bias, tanh and residual is applied in place, the heads are projected
+        into one preallocated block, and the teacher embedding and that block
+        are released once read, so a large batch holds few arrays at once.
         """
         x = self._batch(obs)
         p = self.params
 
         def encode(prefix):
-            h = np.tanh(x @ p[f"{prefix}.w1"].data + p[f"{prefix}.b1"].data)
-            return np.tanh(h @ p[f"{prefix}.w2"].data + p[f"{prefix}.b2"].data)
+            h = x @ p[f"{prefix}.w1"].data
+            h += p[f"{prefix}.b1"].data
+            np.tanh(h, out=h)
+            out = h @ p[f"{prefix}.w2"].data
+            out += p[f"{prefix}.b2"].data
+            return np.tanh(out, out=out)
 
         h = encode("f_s")
         if self.fused:
             h_t = encode("f_t")
-            heads = [h_t @ p[f"attn{i}.wv"].data for i in range(N_HEADS)]
-            h = np.concatenate(heads, axis=-1) @ p["attn_out.w"].data + h
+            block = np.empty((len(x), N_HEADS * EMBED_DIM))
+            for i in range(N_HEADS):
+                cols = slice(i * EMBED_DIM, (i + 1) * EMBED_DIM)
+                np.matmul(h_t, p[f"attn{i}.wv"].data, out=block[:, cols])
+            del h_t
+            fused = block @ p["attn_out.w"].data
+            del block
+            fused += h
+            h = fused
         logits = h @ p["pi.w"].data + p["pi.b"].data
         shifted = logits - logits.max(axis=-1, keepdims=True)
         e = np.exp(shifted)

@@ -21,6 +21,7 @@ through the spawn RNG, never during stepping.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -40,7 +41,15 @@ from .scenarios import (
     build_geometry,
     spawn,
 )
-from .vehicles import MANEUVER_TOKENS, Maneuver, VehicleState, make_profile, rects_overlap, wrap_angle
+from .vehicles import (
+    MANEUVER_TOKENS,
+    DriverProfile,
+    Maneuver,
+    VehicleState,
+    make_profile,
+    rects_overlap,
+    wrap_angle,
+)
 
 # lateral steering gains and actuator limit; the limit leaves headroom above
 # the 0.46 rad feedforward a radius-6 arc demands at wheelbase 3
@@ -340,6 +349,16 @@ def _ego_control(state: ScenarioState, ego: VehicleState) -> tuple[float, float]
     return (max_accel if max_accel < accel else accel), _ego_steer(state, ego)
 
 
+# time headway of the last-moment brake for an ego blocking a lane from across it
+PANIC_HEADWAY = 0.3
+
+
+@functools.cache
+def _panic_profile(profile: DriverProfile) -> DriverProfile:
+    """The profile with PANIC_HEADWAY, built once per distinct profile."""
+    return replace(profile, time_headway=PANIC_HEADWAY)
+
+
 def _background_controls(state: ScenarioState, table: LaneTable) -> list[tuple[float, float]]:
     """Every background vehicle's (accel, steer), in `state.background` order,
     from `table`; it moves nothing.
@@ -369,8 +388,8 @@ def _background_controls(state: ScenarioState, table: LaneTable) -> list[tuple[f
             if ds > 0.0:
                 # last-moment reaction, not a polite yield: a short-headway
                 # profile brakes hard only once the blocking ego is genuinely close
-                panic = replace(profile, time_headway=0.3)
-                a = idm(ds - (veh.length + table.ego_length) / 2.0, speed, row[1], panic)
+                a = idm(ds - (veh.length + table.ego_length) / 2.0, speed, row[1],
+                        _panic_profile(profile))
                 if a < 0.0:
                     accel = a if a < accel else accel
         lane = lanes[target]

@@ -405,7 +405,9 @@ class Trainer:
         """One optimization cycle over the buffer; clears it afterwards.
 
         The buffer is normally full; the final rollout of a run may truncate
-        at the step budget and update on what it has.
+        at the step budget and update on what it has. The parameters hold
+        gradients only inside this call: each minibatch zeroes them, and they
+        are dropped before it returns.
         """
         n = self.buffer.n
         if n == 0:
@@ -427,6 +429,7 @@ class Trainer:
             for lo in range(0, n, cfg.batch_size):
                 idx = perm[lo:lo + cfg.batch_size]
                 reports.append(self._update_minibatch(idx, adv, targets, eps_clip, sigma))
+        self.policy.params.drop_grad()
         self.buffer.clear()
         self.updates_done += 1
         if self.out_dir is not None:
@@ -588,7 +591,13 @@ class Trainer:
 
     @classmethod
     def resume(cls, path, out_dir=None) -> "Trainer":
-        """Rebuild a run from its checkpoint alone; an LA-PPO teacher comes back on the scripted backend."""
+        """Rebuild a run from its checkpoint alone; an LA-PPO teacher comes back on the scripted backend.
+
+        It constructs a Trainer from the saved configs and then loads the saved
+        arrays into it. Construction still draws every weight from the seed,
+        which the checkpoint's weights then overwrite; the fresh Adam moments
+        it replaces were never written, and the parameters hold no gradients.
+        """
         arrays, meta = load_checkpoint(str(path))
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointError(f"unsupported checkpoint format: {meta.get('format')!r}")

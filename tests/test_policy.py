@@ -194,7 +194,8 @@ class TestForward:
         rng = np.random.default_rng(13)
         for variant in VARIANTS:
             net = FusionPolicyNet(IN_DIM, seed=14, variant=variant)
-            for batch in (1, 128):
+            # 20: the lockstep evaluation batch; 640: the bootstrap batch of an update
+            for batch in (1, 20, 128, 640):
                 x = batch_obs(rng, batch)
                 out = net.forward(x)
                 pi, log_pi, v = net.infer(x)

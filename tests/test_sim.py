@@ -33,6 +33,7 @@ from drivecoach.sim import (
     wrap_angle,
 )
 from drivecoach import risk
+from drivecoach.sim import engine
 from drivecoach.sim.engine import (LaneTable, _background_controls, _steer_command, lane_neighbors,
                                    nearest_lane_index)
 from drivecoach.sim.vehicles import rect_corners
@@ -589,6 +590,37 @@ def assert_controls_match_reference(state: ScenarioState, seen: set | None = Non
 
 
 ROLLOUT_CASES = [(kind, n) for kind in ("merge", "highway", "intersection") for n in (5, 20)]
+
+
+def test_panic_profile_built_once_per_driver_profile(monkeypatch):
+    """A crossing ego's panic brake uses one short-headway profile per driver
+    profile, however often it fires."""
+    builds, calls = {}, []
+    real_replace, cached = dataclasses.replace, engine._panic_profile
+
+    def counting_replace(profile, **changes):
+        builds[profile] = builds.get(profile, 0) + 1
+        return real_replace(profile, **changes)
+
+    def counting_panic(profile):
+        calls.append(profile)
+        return cached(profile)
+
+    cached.cache_clear()
+    monkeypatch.setattr(engine, "replace", counting_replace)
+    monkeypatch.setattr(engine, "_panic_profile", counting_panic)
+    for seed in range(20):
+        for _ in rollout_states("merge", 5, seed):
+            pass
+    assert len(calls) > len(set(calls)) > 0
+    assert builds and max(builds.values()) == 1
+    cached.cache_clear()
+    for kind in SCENARIO_KINDS:
+        for style in ("conservative", "standard", "aggressive"):
+            profile = make_profile(style, kind)
+            panic = cached(profile)
+            assert panic == real_replace(profile, time_headway=0.3), (kind, style)
+            assert cached(profile) is panic
 
 
 class TestLaneBookkeeping:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import weakref
 import zlib
 
 import numpy as np
@@ -154,10 +155,45 @@ class TestAccumulation:
         np.testing.assert_allclose(x.grad, 2 * x.data + 1)
 
     def test_zero_grad_resets(self):
-        x = Tensor(np.ones(3), requires_grad=True)
+        store = ParamStore()
+        x = store.add("x", np.ones(3))
         nn.tsum(nn.mul(x, x)).backward()
-        x.zero_grad()
+        held = x.grad
+        store.zero_grad()
+        assert x.grad is held
         np.testing.assert_allclose(x.grad, np.zeros(3))
+
+    def test_grad_exists_only_once_given(self):
+        store = ParamStore()
+        x = store.add("x", np.ones(3))
+        unused = store.add("unused", np.ones(2))
+        assert x.grad is None and unused.grad is None
+        nn.tsum(nn.mul(x, x)).backward()
+        np.testing.assert_allclose(x.grad, 2 * np.ones(3))
+        assert unused.grad is None  # backward allocates only what it reaches
+        store.zero_grad()
+        np.testing.assert_array_equal(unused.grad, np.zeros(2))
+        store.drop_grad()
+        assert x.grad is None and unused.grad is None
+
+    def test_interior_flow_freed_once_passed_on(self):
+        # x -> a -> b -> loss; each op's backward checks that the flow of the
+        # node visited before it is gone, then doubles the flow it was given
+        x = Tensor(np.ones(4), requires_grad=True)
+        received = []
+
+        def double(t):
+            def bwd(g):
+                assert all(ref() is None for ref in received)
+                received.append(weakref.ref(g))
+                return (g * 2.0,)
+
+            return nn.tensor._make(t.data * 2.0, (t,), bwd)
+
+        loss = nn.tsum(double(double(x)))
+        loss.backward()
+        assert len(received) == 2
+        np.testing.assert_array_equal(x.grad, np.full(4, 4.0))
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)

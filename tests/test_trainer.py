@@ -1,6 +1,7 @@
 """Trainer tests: schedules, buffer, collection gating, updates, artifacts."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from drivecoach.errors import ConfigError, UsageError
-from drivecoach.nn import CheckpointError, load_checkpoint, save_checkpoint
-from drivecoach.policy import value_targets
+from drivecoach import trainer as trainer_module
+from drivecoach.nn import CheckpointError, adam_step, load_checkpoint, save_checkpoint
+from drivecoach.policy import VARIANTS, value_targets
 from drivecoach.risk import delta_ttcp_metric
 from drivecoach.sim.engine import TrafficEnv, trace_record
 from drivecoach.sim.scenarios import ScenarioConfig
@@ -309,6 +311,22 @@ class TestUpdate:
             assert r.distill_loss == 0.0
             assert r.kl_penalty == 0.0
 
+    def test_every_parameter_has_a_gradient_at_each_adam_step(self, monkeypatch):
+        # past the teacher window no loss reaches teacher_pi.*, yet Adam still
+        # moves it on its momentum, so it must hold a (zero) gradient too
+        seen = []
+
+        def spy(params, state, lr):
+            seen.append({k: p.grad for k, p in params.items()})
+            adam_step(params, state, lr)
+
+        monkeypatch.setattr(trainer_module, "adam_step", spy)
+        tr = Trainer(merge_scenario(), small_cfg(variant="LA-PPO", total_steps=100))
+        tr.run()
+        assert len(seen) == tr.updates_done * 2 * (50 // 25)
+        assert all(g is not None for grads in seen for g in grads.values())
+        assert not np.any(seen[-1]["teacher_pi.w"])
+
 
 class TestEvaluate:
     def _trainer(self):
@@ -517,7 +535,74 @@ class TestRunArtifacts:
         assert a == b
 
 
+def drop_column(text: str, column: str) -> str:
+    rows = [line.split(",") for line in text.splitlines()]
+    i = rows[0].index(column)
+    return "".join(",".join(row[:i] + row[i + 1:]) + "\n" for row in rows)
+
+
+# sha256 prefixes of the artifacts of one short training run per variant (two
+# updates, the second past the teacher window, and two evaluations of two
+# episodes), with metrics.csv less its wall-clock column. A last-bit change in
+# forward, backward, Adam or infer changes one of these; one that does so on
+# purpose updates them and says why. Every gemm and the sampled actions read
+# the BLAS, so they hold for numpy 2.4.6 on scipy-openblas 0.3.31 (Haswell
+# kernels), as TEACHER_DIGESTS does.
+TRAINING_DIGESTS = {
+    "V-PPO": {
+        "losses.csv": "1fd9a2a0ca6fd99f",
+        "episodes.jsonl": "ced897a840795d70",
+        "traces.jsonl": "5642657748f428e9",
+        "checkpoint_final.dckp": "a3a87b3ab6434f00",
+        "metrics.csv": "adc77285814d6cec",
+    },
+    "A-PPO": {
+        "losses.csv": "d5429117a31ca3a5",
+        "episodes.jsonl": "5edc028874853d84",
+        "traces.jsonl": "51030bae760d59b4",
+        "checkpoint_final.dckp": "70a8b7c8043038d3",
+        "metrics.csv": "51bdec7f7f75f467",
+    },
+    "LA-PPO": {
+        "losses.csv": "f891379b5f37ca84",
+        "episodes.jsonl": "08489dfc779b3d10",
+        "traces.jsonl": "1df7f85b870beda1",
+        "checkpoint_final.dckp": "98f618ece8a277d9",
+        "metrics.csv": "8a3c78407d623b6b",
+    },
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_training_outputs_are_pinned(variant, tmp_path):
+    cfg = TrainConfig(total_steps=256, eval_interval=128, eval_episodes=2, rollout_size=128,
+                      batch_size=64, epochs=2, teacher_window_fraction=0.5, seed=0,
+                      variant=variant)
+    tr = Trainer(merge_scenario(5), cfg, out_dir=tmp_path)
+    tr.run()
+    assert tr.updates_done == 2 and len(tr.eval_reports) == 2
+    digests = {}
+    for name in TRAINING_DIGESTS[variant]:
+        data = (tmp_path / name).read_bytes()
+        if name == "metrics.csv":
+            data = drop_column(data.decode(), "decision_time_s").encode()
+        digests[name] = hashlib.sha256(data).hexdigest()[:16]
+    assert digests == TRAINING_DIGESTS[variant]
+
+
 class TestCheckpointResume:
+    def test_no_gradients_after_run(self, tmp_path):
+        tr = Trainer(merge_scenario(), small_cfg(variant="LA-PPO"), out_dir=tmp_path)
+        tr.run()
+        assert tr.updates_done > 0
+        assert all(p.grad is None for _, p in tr.policy.params.items())
+
+    def test_resumed_evaluation_holds_no_gradients(self, tmp_path):
+        Trainer(merge_scenario(), small_cfg(variant="LA-PPO"), out_dir=tmp_path).run()
+        resumed = Trainer.resume(tmp_path / "checkpoint_final.dckp")
+        resumed.evaluate()
+        assert all(p.grad is None for _, p in resumed.policy.params.items())
+
     def test_stop_resume_matches_uninterrupted(self, tmp_path):
         cfg = small_cfg(variant="LA-PPO")
         Trainer(merge_scenario(), cfg, out_dir=tmp_path / "full").run()
