@@ -28,7 +28,15 @@ from .nn import CheckpointError
 from .sim.engine import ScenarioState, TrafficEnv
 from .sim.scenarios import SCENARIO_KINDS, ScenarioConfig
 from .sim.vehicles import MANEUVER_TOKENS
-from .trainer import METRICS_HEADER, VARIANTS, EvalReport, Trainer, append_csv_row, metrics_row
+from .trainer import (
+    METRICS_HEADER,
+    VARIANTS,
+    EvalReport,
+    Trainer,
+    append_csv_row,
+    check_fresh_out_dir,
+    metrics_row,
+)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -117,6 +125,7 @@ def _report_line(report: EvalReport) -> str:
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     out = Path(cfg.out_dir)
+    check_fresh_out_dir(out)  # before config.yaml replaces the earlier run's
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "config.yaml")
     teacher = build_teacher(cfg) if cfg.train.variant == "LA-PPO" else None
@@ -138,9 +147,11 @@ def cmd_eval(args) -> int:
     if not ckpt.exists():
         raise ConfigError(f"checkpoint not found: {ckpt}")
     trainer = Trainer.resume(ckpt)
-    if args.scenario:
-        trainer.scenario = ScenarioConfig(kind=args.scenario,
-                                          n_background=trainer.scenario.n_background)
+    if args.scenario and args.scenario != trainer.scenario.kind:
+        # another kind keeps the kind-independent fields and takes its own
+        # defaults for spawn speeds, horizon and success region
+        trainer.scenario = replace(trainer.scenario, kind=args.scenario, spawn_speed_mean=None,
+                                   spawn_speed_std=None, horizon=None, success_region=None)
     if args.seed is not None:
         trainer.cfg.seed = args.seed  # moves the fixed eval seed set
     report = trainer.evaluate(n_episodes=args.episodes)
@@ -225,16 +236,21 @@ def learning_curve_auc(steps, rewards) -> float:
 def cmd_ablate(args) -> int:
     cfg = resolve_config(args)
     out = Path(cfg.out_dir)
+    seeds = [cfg.train.seed + k for k in range(3)]
+    run_dir_of = {(variant, seed): out / f"{variant.lower()}-seed{seed}"
+                  for variant in VARIANTS for seed in seeds}
+    # refuse a used sweep before its first run, not after several
+    for run_dir in run_dir_of.values():
+        check_fresh_out_dir(run_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "config.yaml")
-    seeds = [cfg.train.seed + k for k in range(3)]
     results: dict[str, list[list[EvalReport]]] = {}
     rows = []
     failures = []
     for variant in VARIANTS:
         for seed in seeds:
             run_train = replace(cfg.train, variant=variant, seed=seed)
-            run_dir = out / f"{variant.lower()}-seed{seed}"
+            run_dir = run_dir_of[variant, seed]
             try:
                 teacher = build_teacher(cfg) if variant == "LA-PPO" else None
                 trainer = Trainer(cfg.scenario, run_train, cfg.risk,

@@ -11,9 +11,19 @@ Each physics substep of `step` makes two passes over the vehicles. The
 control pass works out every vehicle's (accel, steer) and moves nothing;
 background vehicles read their lane neighbours from a `LaneTable` of the
 positions at the start of the substep. The move pass integrates each
-vehicle, sets its nearest lane, files it into the next substep's table and
-tests it against the moved ego for overlap. A table lives for one substep,
-so no lane query reads positions that have since moved.
+vehicle, locates it on the lane whose centerline is nearest its new
+position, files it into the next substep's table and tests it against the
+moved ego for overlap. A table lives for one substep, so no lane query
+reads positions that have since moved.
+
+Both passes run for every vehicle at every substep, so their per-vehicle
+bodies do in place the arithmetic of the small helpers they would otherwise
+call (`wrap_angle`, `nearest_lane_index`, `Lane.lateral`, `Lane.along`,
+`LaneTable.add`, IDM on the vehicle's own lane, `_steer_command`). Each
+copy carries a comment naming the helper it mirrors and gives that helper's
+values bit for bit, so every trajectory stays the same. The helpers stay the
+one definition for every other caller and the reference the tests check the
+copies against.
 
 Everything downstream of reset() is deterministic: randomness enters only
 through the spawn RNG, never during stepping.
@@ -42,6 +52,7 @@ from .scenarios import (
     spawn,
 )
 from .vehicles import (
+    _TWO_PI,
     MANEUVER_TOKENS,
     DriverProfile,
     Maneuver,
@@ -218,11 +229,16 @@ class LaneTable:
 
     A table is filled in one pass over the vehicles: `add` each one, ego
     first, then `seal` it with the ego. `LaneTable.of(state)` does so for the
-    stored lanes and positions; `step`'s move pass does so as it moves each
-    vehicle and sets its lane. A table keeps the positions along each lane
-    from when it was filled, while a query reads the querying vehicle where
-    it stands, so no table may outlive the positions it was built from:
-    build a new one once anything moves. Nothing stores a table.
+    stored lanes and positions. `step`'s move pass appends to `members`
+    itself, with `add`'s heading test and position along the lane, as it
+    moves each vehicle and sets its lane, and then seals the table.
+    `neighbors` and the control pass read each lane's frame (origin, cos_h,
+    sin_h) inline rather than through `Lane.along`.
+
+    A table keeps the positions along each lane from when it was filled,
+    while a query reads the querying vehicle where it stands, so no table
+    may outlive the positions it was built from: build a new one once
+    anything moves. Nothing stores a table.
     """
 
     def __init__(self, lanes):
@@ -270,7 +286,8 @@ class LaneTable:
         among equally distant ones the first in `state.vehicles` wins.
         """
         lane = self.lanes[lane_index]
-        s0 = lane.along(veh.x, veh.y)
+        # lane.along(veh.x, veh.y)
+        s0 = (veh.x - lane.origin_x) * lane.cos_h + (veh.y - lane.origin_y) * lane.sin_h
         vid = veh.id
         leader = follower = None
         lead_ds = follow_ds = math.inf
@@ -369,14 +386,43 @@ def _background_controls(state: ScenarioState, table: LaneTable) -> list[tuple[f
     following already covers an ego travelling in the lane. Steering tracks
     the target lane's centerline. The min calls are spelled as comparisons in
     the builtin's operand order, as in idm_accel's clamp.
+
+    Every vehicle's own-lane leader, its IDM acceleration and its steering
+    are worked out in place, as `LaneTable.neighbors`, `idm_accel` and
+    `_steer_command` would work them out. The target-lane and crossing-ego
+    terms, which only some vehicles read, call the helpers.
     """
-    lanes, crossing, neighbors = table.lanes, table.crossing, table.neighbors
-    idm, steer_command, wrap = idm_accel, _steer_command, wrap_angle
+    lanes, crossing, members, neighbors = table.lanes, table.crossing, table.members, table.neighbors
+    idm, fmod, isfinite, inf, pi, two_pi = idm_accel, math.fmod, math.isfinite, math.inf, math.pi, _TWO_PI
     controls = []
     for veh in state.background:
         speed, profile, lane_index = veh.speed, veh.profile, veh.lane
-        leader, gap, _, _ = neighbors(veh, lane_index)
-        accel = idm(gap, speed, leader.speed if leader else 0.0, profile)
+        # leader, gap, _, _ = table.neighbors(veh, lane_index), leader half only
+        lane = lanes[lane_index]
+        s0 = (veh.x - lane.origin_x) * lane.cos_h + (veh.y - lane.origin_y) * lane.sin_h
+        vid = veh.id
+        leader = None
+        lead_ds = inf
+        for other, s in members[lane_index]:
+            if other.id == vid:
+                continue
+            ds = s - s0
+            if ds > 0.0 and ds < lead_ds:
+                leader, lead_ds = other, ds
+        gap = inf if leader is None else lead_ds - (veh.length + leader.length) / 2.0
+        # accel = idm_accel(gap, speed, leader.speed if leader else 0.0, profile)
+        max_accel = profile.max_accel
+        free = 1.0 - (speed / profile.desired_speed) ** 4
+        if not isfinite(gap):
+            accel = max_accel * free
+        elif gap <= 0.0:
+            accel = -EMERGENCY_DECEL
+        else:
+            s_star = (profile.min_gap + speed * profile.time_headway
+                      + speed * (speed - leader.speed) / profile.braking_term)
+            accel = max_accel * (free - (s_star / gap) ** 2)
+        accel = accel if accel < max_accel else max_accel
+        accel = accel if accel > -EMERGENCY_DECEL else -EMERGENCY_DECEL
         target = veh.target_lane
         if target != lane_index:
             leader, gap, _, _ = neighbors(veh, target)
@@ -393,9 +439,14 @@ def _background_controls(state: ScenarioState, table: LaneTable) -> list[tuple[f
                 if a < 0.0:
                     accel = a if a < accel else accel
         lane = lanes[target]
-        # offset to the centerline, left-positive
-        steer = steer_command(-lane.lateral(veh.x, veh.y), wrap(lane.heading - veh.heading), speed)
-        controls.append((accel, steer))
+        # _steer_command(-lane.lateral(veh.x, veh.y), wrap_angle(lane.heading - veh.heading), speed)
+        a = fmod(lane.heading - veh.heading + pi, two_pi)
+        if a <= 0.0:
+            a += two_pi
+        raw = (KP_LATERAL * -(-(veh.x - lane.origin_x) * lane.sin_h + (veh.y - lane.origin_y) * lane.cos_h)
+               / (1.0 if 1.0 > speed else speed) + KD_HEADING * (a - pi))
+        raw = -MAX_STEER if -MAX_STEER > raw else raw
+        controls.append((accel, MAX_STEER if MAX_STEER < raw else raw))
     return controls
 
 
@@ -403,25 +454,65 @@ def _move_pass(state: ScenarioState, controls: list[tuple[float, float]], dt: fl
                table: LaneTable | None) -> bool:
     """Move every vehicle one substep under its control, ego first.
 
-    Per vehicle: integrate the kinematic bicycle, set the nearest lane, add the
-    vehicle to `table` when one is given, and test a background vehicle
-    against the already-moved ego for overlap. Then seal `table`. Returns
-    whether any background vehicle overlaps the ego.
+    Per vehicle: integrate the kinematic bicycle, set the lane whose
+    centerline is nearest the new position, file the vehicle into `table`
+    when one is given, and test a background vehicle against the
+    already-moved ego for overlap. Then seal `table`. Returns whether any
+    background vehicle overlaps the ego.
+
+    This body runs for every vehicle at every substep, so it does in place
+    what `wrap_angle`, the `wheelbase` property, `nearest_lane_index`,
+    `Lane.lateral`, `Lane.along` and `LaneTable.add` would each do in a
+    call, and gives their values bit for bit; each copy names the helper it
+    mirrors, which stays the one definition for every other caller.
     """
     ego = state.ego
-    cos, sin, tan = math.cos, math.sin, math.tan
-    wrap, nearest, overlap = wrap_angle, nearest_lane_index, rects_overlap
-    add = None if table is None else table.add
+    cos, sin, tan, fmod = math.cos, math.sin, math.tan, math.fmod
+    pi, two_pi = math.pi, _TWO_PI
+    overlap = rects_overlap
+    lanes = state.geometry.lanes
+    # nearest_lane_index: straight parallel lanes take its closed form,
+    # anything else its min over every lane
+    straight = state.geometry.ego_route is None
+    last = len(lanes) - 2
+    members = None if table is None else table.members
     collided = False
     for veh, (accel, steer) in zip(state.vehicles, controls):
         speed = veh.speed + accel * dt
         veh.speed = speed = speed if speed > 0.0 else 0.0  # max(0.0, speed), as in idm_accel's clamp
-        veh.heading = heading = wrap(veh.heading + speed / veh.wheelbase * tan(steer) * dt)
+        # wrap_angle(veh.heading + speed / veh.wheelbase * tan(steer) * dt),
+        # with the wheelbase property's 0.6 * length
+        a = fmod(veh.heading + speed / (0.6 * veh.length) * tan(steer) * dt + pi, two_pi)
+        if a <= 0.0:
+            a += two_pi
+        veh.heading = heading = a - pi
         veh.x = x = veh.x + speed * cos(heading) * dt
         veh.y = y = veh.y + speed * sin(heading) * dt
-        veh.lane = nearest(state, veh)
-        if add is not None:
-            add(veh)
+        # veh.lane = nearest_lane_index(state, veh). On its straight lanes,
+        # heading 0, |Lane.lateral(x, y)| is exactly |y - origin_y| at any
+        # finite x: the x term is a signed zero, and abs drops the sign
+        if straight:
+            z = -y / LANE_WIDTH
+            first = 0 if not z > 0.0 else (last if last < z else int(z))
+            lane, right = lanes[first], lanes[first + 1]
+            if abs(y - right.origin_y) < abs(y - lane.origin_y):
+                lane = right
+        else:
+            lane = None
+            for cand in lanes:
+                off = abs(-(x - cand.origin_x) * cand.sin_h + (y - cand.origin_y) * cand.cos_h)
+                if lane is None or off < best:
+                    lane, best = cand, off
+        veh.lane = index = lane.index
+        if members is not None:
+            # table.add(veh): wrap_angle(heading - lane.heading) within pi/4,
+            # filed with Lane.along at the new position
+            a = fmod(heading - lane.heading + pi, two_pi)
+            if a <= 0.0:
+                a += two_pi
+            if abs(a - pi) <= _QUARTER_PI:
+                members[index].append(
+                    (veh, (x - lane.origin_x) * lane.cos_h + (y - lane.origin_y) * lane.sin_h))
         # cheap reject before the separating-axis test
         if not collided and veh is not ego and abs(x - ego.x) < 12.0 and abs(y - ego.y) < 8.0:
             collided = overlap(ego, veh)
@@ -553,9 +644,11 @@ def step(state: ScenarioState, maneuver: Maneuver,
       `LaneTable` of the positions and lanes at the start of the substep.
       It moves nothing;
     - the move pass (`_move_pass`) integrates each vehicle, ego first, sets
-      its nearest lane, adds it to the next substep's table when another
-      substep follows, and tests each background vehicle against the moved
-      ego for overlap.
+      its lane to the one `nearest_lane_index` gives at the new position,
+      files it into the next substep's table, as `LaneTable.add` would, when
+      another substep follows, and tests each background vehicle against the
+      moved ego for overlap. It locates and files each vehicle in its own
+      loop body, calling neither helper.
     The ego's off-road and success checks follow.
 
     Only background vehicles read tables. The lane-change pass moves nothing,

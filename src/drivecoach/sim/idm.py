@@ -27,7 +27,7 @@ def idm_accel(gap: float, v: float, v_lead: float, profile: DriverProfile) -> fl
         s_star = (
             profile.min_gap
             + v * profile.time_headway
-            + v * dv / (2.0 * math.sqrt(profile.max_accel * profile.comfort_decel))
+            + v * dv / profile.braking_term
         )
         a = profile.max_accel * (free - (s_star / gap) ** 2)
     # max(-EMERGENCY_DECEL, min(profile.max_accel, a)), spelled as the same

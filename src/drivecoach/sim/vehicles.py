@@ -54,11 +54,15 @@ class DriverProfile:
     min_gap: float  # m
     politeness: float  # weight on others' gains in lane-change decisions
     lane_change_accel_gain_threshold: float  # m/s^2
+    # IDM's braking term 2 * sqrt(max_accel * comfort_decel), worked out once
+    # at construction; `replace` works it out again for the new profile
+    braking_term: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for f in ("desired_speed", "time_headway", "max_accel", "comfort_decel"):
             if getattr(self, f) <= 0:
                 raise ValueError(f"profile.{f} must be positive, got {getattr(self, f)}")
+        object.__setattr__(self, "braking_term", 2.0 * math.sqrt(self.max_accel * self.comfort_decel))
 
 
 # standard desired speed per scenario kind; conservative/aggressive scale it

@@ -162,6 +162,20 @@ def metrics_row(report: "EvalReport", variant: str, scenario_kind: str, seed: in
     )
 
 
+# the files a run appends to as it goes
+APPENDED_ARTIFACTS = ("metrics.csv", "losses.csv", "episodes.jsonl")
+
+
+def check_fresh_out_dir(out_dir: Path) -> None:
+    """Refuse a directory where a run starting at step 0 would append its rows
+    to an earlier run's; a resumed run appends to them on purpose."""
+    for name in APPENDED_ARTIFACTS:
+        path = out_dir / name
+        if path.exists():
+            raise ConfigError(f"out_dir: {path} already exists, and a run from step 0 would "
+                              f"append to it; use an empty directory or resume a checkpoint")
+
+
 def append_csv_row(path: Path, header: str, line: str) -> None:
     """Append one row to a CSV file, writing the header first if the file is new."""
     new = not path.exists()
@@ -641,10 +655,14 @@ class Trainer:
         """Collect/update until the step budget; returns the eval history.
 
         stop_after_step halts collection once the global step reaches it and
-        writes a resumable checkpoint instead of finishing the run. A finished
+        writes a resumable checkpoint instead of finishing the run. A run from
+        step 0 refuses an out_dir that holds an earlier run's rows
+        (`check_fresh_out_dir`); a resumed run appends to them. A finished
         run writes checkpoint_final.dckp, traces.jsonl and, for LA-PPO, the
         teacher's memory.json, a file teacher.memory_path can preload.
         """
+        if self.out_dir is not None and self.global_step == 0:
+            check_fresh_out_dir(self.out_dir)
         self._stop_at = stop_after_step
         while self.global_step < self.cfg.total_steps and not self._stopped:
             self._fill_buffer()

@@ -32,6 +32,7 @@ from drivecoach.errors import ConfigError
 from drivecoach.nn import CheckpointError, load_checkpoint, save_checkpoint
 from drivecoach.nn.checkpoint import MAGIC, VERSION
 from drivecoach.sim import Maneuver, ScenarioConfig, reset
+from drivecoach.sim.scenarios import default_success_region
 from drivecoach.teacher import STATE_DIM, MemoryEntry, MemoryRepository, RecordingBackend, ReplayBackend
 from drivecoach.trainer import Trainer
 
@@ -287,6 +288,16 @@ class TestTrainCommand:
             assert code == EXIT_CONFIG
             assert key in capsys.readouterr().err
 
+    def test_used_out_dir_exits_2_and_keeps_its_files(self, small_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(small_config), "--out", str(out)]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        code = main(["train", "--config", str(small_config), "--out", str(out), "--seed", "5"])
+        assert code == EXIT_CONFIG
+        assert str(out / "metrics.csv") in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_runtime_failure_exits_1(self, small_config, tmp_path, monkeypatch, capsys):
         def boom(self, stop_after_step=None):
             raise RuntimeError("disk on fire")
@@ -346,6 +357,41 @@ class TestEvalCommand:
         assert code == EXIT_OK
         row = (tmp_path / "h" / "eval.csv").read_text().splitlines()[1]
         assert row.split(",")[2] == "highway"
+
+    @staticmethod
+    def evaluated_scenario(ckpt, kind, out, monkeypatch) -> ScenarioConfig:
+        seen = []
+        real = Trainer.evaluate
+
+        def spy(self, n_episodes=None):
+            seen.append(self.scenario)
+            return real(self, n_episodes)
+
+        monkeypatch.setattr(Trainer, "evaluate", spy)
+        assert main(["eval", str(ckpt), "--episodes", "1", "--scenario", kind,
+                     "--out", str(out)]) == EXIT_OK
+        return seen[0]
+
+    def test_scenario_flag_keeps_the_checkpoints_fields(self, finished_run, tmp_path, monkeypatch):
+        """The checkpoint's own kind keeps its scenario whole; another kind
+        keeps the kind-independent fields and takes its own defaults."""
+        arrays, meta = load_checkpoint(str(finished_run / "checkpoint_final.dckp"))
+        meta["scenario"].update(disturbance_fraction=0.5, dt_physics=0.05, decision_period=0.5,
+                                horizon=12, spawn_speed_mean=17.0, spawn_speed_std=1.0,
+                                success_region={"min_x": 120.0, "max_lane": 0})
+        ckpt = tmp_path / "custom.dckp"
+        save_checkpoint(str(ckpt), arrays, meta)
+        saved = Trainer.resume(ckpt).scenario
+        assert saved.kind == "merge" and saved.horizon == 12
+
+        same = self.evaluated_scenario(ckpt, "merge", tmp_path / "m", monkeypatch)
+        assert same == saved
+        other = self.evaluated_scenario(ckpt, "highway", tmp_path / "h", monkeypatch)
+        assert other == ScenarioConfig(kind="highway", n_background=saved.n_background,
+                                       disturbance_fraction=0.5, dt_physics=0.05,
+                                       decision_period=0.5)
+        assert (other.spawn_speed_mean, other.spawn_speed_std, other.horizon) == (21.0, 2.5, 40)
+        assert other.success_region == default_success_region("highway")
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         code = main(["eval", str(tmp_path / "gone.dckp")])
@@ -631,6 +677,21 @@ class TestAblateCommand:
         summary = (out / "summary.md").read_text()
         for variant in ("V-PPO", "A-PPO", "LA-PPO"):
             assert f"| {variant} |" in summary
+
+    def test_used_run_directory_exits_2_before_the_first_run(self, tmp_path, monkeypatch, capsys):
+        """A rerun into a used sweep stops before it trains anything, even when
+        only the last run's directory holds rows."""
+        started = []
+        monkeypatch.setattr(Trainer, "run", lambda self, stop_after_step=None: started.append(self))
+        out = tmp_path / "sweep"
+        used = out / "la-ppo-seed2" / "episodes.jsonl"
+        used.parent.mkdir(parents=True)
+        used.write_text("{}\n")
+        code = main(["ablate", "--out", str(out), "--seed", "0"])
+        assert code == EXIT_CONFIG
+        assert str(used) in capsys.readouterr().err
+        assert started == []
+        assert sorted(p.name for p in out.iterdir()) == ["la-ppo-seed2"]
 
     def test_partial_failure_keeps_results_and_exits_1(self, tmp_path, monkeypatch, capsys):
         real_run = Trainer.run

@@ -80,6 +80,21 @@ class TestProfiles:
         with pytest.raises(ValueError, match="reckless"):
             make_profile("reckless", "highway")
 
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    @pytest.mark.parametrize("style", ["conservative", "standard", "aggressive"])
+    def test_braking_term_is_idms_bit_for_bit(self, kind, style):
+        """The stored term is IDM's 2 * sqrt(a * b), in a profile built by
+        `make_profile` and in one `replace` derives from it, and it is no
+        part of a profile's identity."""
+        profile = make_profile(style, kind)
+        for p in (profile, engine._panic_profile(profile),
+                  dataclasses.replace(profile, max_accel=1.7, comfort_decel=2.9)):
+            assert p.braking_term.hex() == (2.0 * math.sqrt(p.max_accel * p.comfort_decel)).hex()
+        assert engine._panic_profile(profile) == dataclasses.replace(profile, time_headway=0.3)
+        assert "braking_term" not in repr(profile)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.braking_term = 1.0
+
 
 class TestConfig:
     def test_validation_names_field(self):
@@ -713,6 +728,20 @@ def random_state(kind: str, rng: np.random.Generator, n_vehicles: int = 12) -> S
     return state
 
 
+def random_controls(state: ScenarioState, rng: np.random.Generator) -> list[tuple[float, float]]:
+    """One (accel, steer) per vehicle, ego first, across the actuators' ranges.
+    About a third of the vehicles are stopped and held, so they keep their
+    ties and their headings at the membership limit through a move."""
+    controls = []
+    for veh in state.vehicles:
+        if rng.random() < 0.3:
+            veh.speed = 0.0
+            controls.append((-EMERGENCY_DECEL, float(rng.uniform(-0.6, 0.6))))
+        else:
+            controls.append((float(rng.uniform(-EMERGENCY_DECEL, 3.0)), float(rng.uniform(-0.6, 0.6))))
+    return controls
+
+
 def step_outcomes_equal(a, b) -> bool:
     return (a.reward == b.reward and a.done == b.done and a.events == b.events
             and a.tau_min == b.tau_min and a.observation.neighbor_ids == b.observation.neighbor_ids
@@ -749,6 +778,17 @@ class TestLaneTable:
             assert_controls_match_reference(random_state(kind, rng), seen)
         if kind == "intersection":
             assert seen == {"fires", "behind", "brakes"}
+
+    @pytest.mark.parametrize("leader_x", [55.0, 53.0])
+    def test_touching_or_overlapping_leader_brakes_at_the_limit(self, leader_x):
+        """Bumper gap 0 and below: the control pass brakes at the limit, as
+        idm_accel does, rather than divide by the gap."""
+        ego = plain_vehicle(0, -300.0, -12.0, 20.0, lane=3)
+        follower = plain_vehicle(1, 50.0, 0.0, 20.0, lane=0)
+        leader = plain_vehicle(2, leader_x, 0.0, 10.0, lane=0)
+        state = make_state("highway", ego, [follower, leader])
+        assert_controls_match_reference(state)
+        assert _background_controls(state, LaneTable.of(state))[0][0] == -EMERGENCY_DECEL
 
     def test_query_leaves_state_alone(self):
         """A lane query reads the stored lanes and writes none, even where a
@@ -790,6 +830,47 @@ class TestLaneTable:
         assert any(veh.y > 2.0 or veh.y < -14.0 for veh in cars)
         assert any(len({v.x for v in s.vehicles if v.lane == 1}) < sum(v.lane == 1 for v in s.vehicles)
                    for s in states)
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_move_pass_locates_and_files_as_the_helpers_do(self, kind):
+        """After one move pass from a random state, every vehicle's lane is
+        `nearest_lane_index`'s, and the table the pass filed is, member for
+        member and bit for bit, `LaneTable.of` at the moved positions."""
+        rng = np.random.default_rng(19)
+        seen = set()
+        for _ in range(60):
+            state = random_state(kind, rng)
+            before = {veh.id: veh.lane for veh in state.vehicles}
+            table = LaneTable(state.geometry.lanes)
+            engine._move_pass(state, random_controls(state, rng), 0.1, table)
+            want = LaneTable.of(state)
+            for veh in state.vehicles:
+                assert veh.lane == nearest_lane_index(state, veh), veh.id
+                lane = state.geometry.lanes[veh.lane]
+                seen.add("changed lane" if veh.lane != before[veh.id] else "kept lane")
+                off_heading = abs(wrap_angle(veh.heading - lane.heading))
+                if off_heading > math.pi / 4:
+                    seen.add("off heading")
+                elif off_heading == math.pi / 4:
+                    seen.add("at the heading limit")
+                if abs(lane.lateral(veh.x, veh.y)) > LANE_WIDTH:
+                    seen.add("off road")
+                if veh.y in MIDLINES[kind]:
+                    seen.add("on a midline")
+            assert ([[(v.id, pos.hex()) for v, pos in lane] for lane in table.members]
+                    == [[(v.id, pos.hex()) for v, pos in lane] for lane in want.members])
+            assert table.crossing == want.crossing and table.ego_length == want.ego_length
+        assert seen == {"changed lane", "kept lane", "off heading", "at the heading limit",
+                        "off road", "on a midline"}
+
+    @pytest.mark.parametrize("kind,y,lane", [("merge", -2.0, 0), ("highway", -6.0, 1),
+                                             ("intersection", 0.0, 0)])
+    def test_move_pass_gives_a_tie_to_the_lower_lane(self, kind, y, lane):
+        """A vehicle held on a midline, where two lanes are equally near."""
+        state = make_state(kind, plain_vehicle(0, 0.0, y, 0.0, lane=lane, kind=kind), [])
+        engine._move_pass(state, [(0.0, 0.0)], 0.1, LaneTable(state.geometry.lanes))
+        assert (state.ego.x, state.ego.y) == (0.0, y)
+        assert state.ego.lane == lane == full_scan_lane(state, state.ego)
 
     @pytest.mark.parametrize("kind", ["merge", "highway"])
     def test_closed_form_nearest_lane_matches_full_scan(self, kind):

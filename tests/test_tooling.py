@@ -86,3 +86,17 @@ def test_records_are_read_by_the_one_reader():
                             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                             and item.name == "from_dict"]
     assert readers == []
+
+
+def test_misspelt_marker_fails_collection(tmp_path):
+    """Under the project's pytest settings an undeclared marker is an error,
+    so a misspelt `slow` cannot let a training-length gate into the
+    `-m "not slow"` loop."""
+    test = tmp_path / "test_marker.py"
+    test.write_text("import pytest\n\n\n@pytest.mark.slwo\ndef test_x():\n    pass\n")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+                          "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "--collect-only",
+                          "-q", str(test)],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode != 0
+    assert "'slwo' not found in `markers` configuration option" in run.stdout + run.stderr

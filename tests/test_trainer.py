@@ -18,6 +18,7 @@ from drivecoach.sim.scenarios import ScenarioConfig
 from drivecoach.sim.vehicles import Maneuver
 from drivecoach.teacher import ScriptedBackend, TeacherAgent
 from drivecoach.trainer import (
+    APPENDED_ARTIFACTS,
     LOSS_HEADER,
     METRICS_HEADER,
     EpisodeAccumulator,
@@ -526,6 +527,27 @@ class TestRunArtifacts:
         assert {t["episode"] for t in traces} == {0, 1}
         assert all("state" in t and "maneuver" in t for t in traces)
 
+    def test_fresh_run_refuses_a_used_out_dir(self, tmp_path):
+        """A second run from step 0 into the same directory would append its
+        rows to the first run's; it stops before writing anything."""
+        cfg = small_cfg(variant="V-PPO", total_steps=64, eval_interval=32, rollout_size=32,
+                        batch_size=16)
+        Trainer(merge_scenario(), cfg, out_dir=tmp_path).run()
+        before = {name: (tmp_path / name).read_bytes() for name in APPENDED_ARTIFACTS}
+        second = Trainer(merge_scenario(), dataclasses.replace(cfg), out_dir=tmp_path)
+        with pytest.raises(ConfigError, match="metrics.csv"):
+            second.run()
+        assert second.global_step == 0
+        assert {name: (tmp_path / name).read_bytes() for name in APPENDED_ARTIFACTS} == before
+        assert len(before["metrics.csv"].splitlines()) == 1 + 2
+        assert len(before["losses.csv"].splitlines()) == 1 + 2
+
+    @pytest.mark.parametrize("name", APPENDED_ARTIFACTS)
+    def test_each_appended_file_marks_a_used_out_dir(self, tmp_path, name):
+        (tmp_path / name).write_text("")
+        with pytest.raises(ConfigError, match=name):
+            Trainer(merge_scenario(), small_cfg(variant="V-PPO"), out_dir=tmp_path).run()
+
     def test_metrics_byte_identical_across_runs(self, tmp_path):
         cfg = small_cfg(variant="LA-PPO")
         Trainer(merge_scenario(), cfg, out_dir=tmp_path / "a").run()
@@ -626,6 +648,19 @@ class TestCheckpointResume:
         after = [r for r in full_losses[1:] if int(r.split(",")[1]) > 90]
         assert resumed_losses[1:] == after
         assert after
+
+    def test_resume_into_its_own_out_dir_appends(self, tmp_path):
+        """A run stopped and resumed into its own directory leaves the rows an
+        uninterrupted run writes."""
+        cfg = small_cfg(variant="V-PPO")
+        Trainer(merge_scenario(), cfg, out_dir=tmp_path / "full").run()
+        Trainer(merge_scenario(), dataclasses.replace(cfg), out_dir=tmp_path / "part").run(stop_after_step=90)
+        Trainer.resume(tmp_path / "part" / "checkpoint_step90.dckp", out_dir=tmp_path / "part").run()
+        for name in APPENDED_ARTIFACTS:
+            full, part = ((tmp_path / d / name).read_text() for d in ("full", "part"))
+            if name == "metrics.csv":
+                full, part = (drop_column(t, "decision_time_s") for t in (full, part))
+            assert part == full, name
 
     def test_resume_restores_counters_and_teacher(self, tmp_path):
         cfg = small_cfg(variant="LA-PPO")
