@@ -1,4 +1,5 @@
-"""Command line: train, evaluate checkpoints, probe the teacher, run ablations.
+"""Command line: train, finish an interrupted run, evaluate checkpoints, probe
+the teacher, run ablations.
 
 Exit codes: 0 ok, 1 runtime failure, 2 bad configuration or input file (state,
 memory, transcript), 3 artifact mismatch (corrupted checkpoint or architecture
@@ -64,6 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("overrides", nargs="*", metavar="KEY=VALUE",
                          help="dotted config overrides, e.g. train.lr=0.0003")
     train_p.set_defaults(handler=cmd_train)
+
+    resume_p = sub.add_parser("resume", help="finish an interrupted run from its checkpoint")
+    resume_p.add_argument("checkpoint",
+                          help="a run's checkpoint_step*.dckp; the run goes on in its directory")
+    resume_p.set_defaults(handler=cmd_resume)
 
     eval_p = sub.add_parser("eval", parents=[common], help="evaluate a checkpoint")
     eval_p.add_argument("checkpoint", help="checkpoint file to load")
@@ -132,20 +138,46 @@ def cmd_train(args) -> int:
     trainer = Trainer(cfg.scenario, cfg.train, cfg.risk, teacher=teacher, out_dir=out)
     if args.verbose:
         print(f"effective config written to {out / 'config.yaml'}")
-    reports = trainer.run()
+    _print_final(trainer.run())
+    return EXIT_OK
+
+
+def _print_final(reports: list[EvalReport]) -> None:
     if reports:
         print("final " + _report_line(reports[-1]))
     else:
         print("run finished before the first evaluation")
+
+
+def _existing_checkpoint(name: str) -> Path:
+    ckpt = Path(name)
+    if not ckpt.exists():
+        raise ConfigError(f"checkpoint not found: {ckpt}")
+    return ckpt
+
+
+def cmd_resume(args) -> int:
+    """Run a checkpoint's run on to `train.total_steps`. It appends to the
+    rows in the checkpoint's directory, so a run stopped at the checkpoint
+    ends with the files an uninterrupted run writes."""
+    ckpt = _existing_checkpoint(args.checkpoint)
+    trainer = Trainer.resume(ckpt, out_dir=ckpt.parent)
+    # running on would rewrite a finished run's final files and, from one of
+    # its periodic checkpoints, append a second copy of the later rows
+    if trainer.global_step >= trainer.cfg.total_steps:
+        raise ConfigError(f"checkpoint {ckpt} is at step {trainer.global_step} of "
+                          f"train.total_steps {trainer.cfg.total_steps}: its run is finished")
+    final = ckpt.parent / "checkpoint_final.dckp"
+    if final.exists():
+        raise ConfigError(f"checkpoint {ckpt}: {final} exists, so its run is finished")
+    _print_final(trainer.run())
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
     if args.episodes is not None and args.episodes < 1:
         raise ConfigError(f"--episodes: must be >= 1, got {args.episodes}")
-    ckpt = Path(args.checkpoint)
-    if not ckpt.exists():
-        raise ConfigError(f"checkpoint not found: {ckpt}")
+    ckpt = _existing_checkpoint(args.checkpoint)
     trainer = Trainer.resume(ckpt)
     if args.scenario and args.scenario != trainer.scenario.kind:
         # another kind keeps the kind-independent fields and takes its own

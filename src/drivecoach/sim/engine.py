@@ -7,20 +7,22 @@ the intersection). Background vehicles follow car-following accelerations
 with politeness-gated lane changes. All vehicles share one kinematic
 bicycle integrator, so physics limits apply uniformly.
 
-Each physics substep of `step` makes two passes over the vehicles. The
-control pass works out every vehicle's (accel, steer) and moves nothing;
-background vehicles read their lane neighbours from a `LaneTable` of the
-positions at the start of the substep. The move pass integrates each
-vehicle, locates it on the lane whose centerline is nearest its new
-position, files it into the next substep's table and tests it against the
-moved ego for overlap. A table lives for one substep, so no lane query
+Each physics substep of `step` works out every vehicle's (accel, steer)
+before it moves any vehicle; background vehicles read their lane neighbours
+from a `LaneTable` of the positions at the start of the substep. It then
+moves each vehicle, locates it on the lane whose centerline is nearest its
+new position and files it into the next substep's table: the ego in
+`step`'s own loop body, first, and the background in the move pass, which
+also tests each one against the moved ego for overlap. The loop body then
+checks the ego's events. A table lives for one substep, so no lane query
 reads positions that have since moved.
 
-Both passes run for every vehicle at every substep, so their per-vehicle
-bodies do in place the arithmetic of the small helpers they would otherwise
-call (`wrap_angle`, `nearest_lane_index`, `Lane.lateral`, `Lane.along`,
-`LaneTable.add`, IDM on the vehicle's own lane, `_steer_command`). Each
-copy carries a comment naming the helper it mirrors and gives that helper's
+These bodies run at every substep, so they do in place the arithmetic of
+the small helpers they would otherwise call (`wrap_angle`,
+`nearest_lane_index`, `Lane.lateral`, `Lane.along`, `LaneTable.add`, IDM on
+the vehicle's own lane, `_steer_command`, and for the ego `_ego_control`,
+`_off_road` and `SuccessRegion.contains` on straight lanes). Each copy
+carries a comment naming the helper it mirrors and gives that helper's
 values bit for bit, so every trajectory stays the same. The helpers stay the
 one definition for every other caller and the reference the tests check the
 copies against.
@@ -229,9 +231,10 @@ class LaneTable:
 
     A table is filled in one pass over the vehicles: `add` each one, ego
     first, then `seal` it with the ego. `LaneTable.of(state)` does so for the
-    stored lanes and positions. `step`'s move pass appends to `members`
-    itself, with `add`'s heading test and position along the lane, as it
-    moves each vehicle and sets its lane, and then seals the table.
+    stored lanes and positions. `step` appends to `members` itself, with
+    `add`'s heading test and position along the lane, as it moves each
+    vehicle and sets its lane: its loop body files the ego first, and the
+    move pass files each background vehicle and then seals the table.
     `neighbors` and the control pass read each lane's frame (origin, cos_h,
     sin_h) inline rather than through `Lane.along`.
 
@@ -452,21 +455,24 @@ def _background_controls(state: ScenarioState, table: LaneTable) -> list[tuple[f
 
 def _move_pass(state: ScenarioState, controls: list[tuple[float, float]], dt: float,
                table: LaneTable | None) -> bool:
-    """Move every vehicle one substep under its control, ego first.
+    """Move every background vehicle one substep under its control, in
+    `state.background` order. `step` has already moved, located and filed
+    the ego, and does not call this pass without traffic.
 
     Per vehicle: integrate the kinematic bicycle, set the lane whose
     centerline is nearest the new position, file the vehicle into `table`
-    when one is given, and test a background vehicle against the
-    already-moved ego for overlap. Then seal `table`. Returns whether any
-    background vehicle overlaps the ego.
+    when one is given, and test it against the moved ego for overlap. Then
+    seal `table`. Returns whether any background vehicle overlaps the ego.
 
     This body runs for every vehicle at every substep, so it does in place
     what `wrap_angle`, the `wheelbase` property, `nearest_lane_index`,
     `Lane.lateral`, `Lane.along` and `LaneTable.add` would each do in a
     call, and gives their values bit for bit; each copy names the helper it
-    mirrors, which stays the one definition for every other caller.
+    mirrors, which stays the one definition for every other caller. `step`
+    moves the ego with the same copies.
     """
     ego = state.ego
+    ego_x, ego_y = ego.x, ego.y
     cos, sin, tan, fmod = math.cos, math.sin, math.tan, math.fmod
     pi, two_pi = math.pi, _TWO_PI
     overlap = rects_overlap
@@ -477,7 +483,7 @@ def _move_pass(state: ScenarioState, controls: list[tuple[float, float]], dt: fl
     last = len(lanes) - 2
     members = None if table is None else table.members
     collided = False
-    for veh, (accel, steer) in zip(state.vehicles, controls):
+    for veh, (accel, steer) in zip(state.background, controls):
         speed = veh.speed + accel * dt
         veh.speed = speed = speed if speed > 0.0 else 0.0  # max(0.0, speed), as in idm_accel's clamp
         # wrap_angle(veh.heading + speed / veh.wheelbase * tan(steer) * dt),
@@ -514,7 +520,7 @@ def _move_pass(state: ScenarioState, controls: list[tuple[float, float]], dt: fl
                 members[index].append(
                     (veh, (x - lane.origin_x) * lane.cos_h + (y - lane.origin_y) * lane.sin_h))
         # cheap reject before the separating-axis test
-        if not collided and veh is not ego and abs(x - ego.x) < 12.0 and abs(y - ego.y) < 8.0:
+        if not collided and abs(x - ego_x) < 12.0 and abs(y - ego_y) < 8.0:
             collided = overlap(ego, veh)
     if table is not None:
         table.seal(ego)
@@ -638,23 +644,35 @@ def step(state: ScenarioState, maneuver: Maneuver,
     lane changes, then run physics substeps until one raises an event or
     `config.substeps` have run.
 
-    Each substep makes two passes over the vehicles:
-    - the control pass works out every vehicle's (accel, steer). The ego
-      reads only its own state and targets; background vehicles read a
-      `LaneTable` of the positions and lanes at the start of the substep.
-      It moves nothing;
-    - the move pass (`_move_pass`) integrates each vehicle, ego first, sets
-      its lane to the one `nearest_lane_index` gives at the new position,
-      files it into the next substep's table, as `LaneTable.add` would, when
-      another substep follows, and tests each background vehicle against the
-      moved ego for overlap. It locates and files each vehicle in its own
-      loop body, calling neither helper.
-    The ego's off-road and success checks follow.
+    Each substep works out every vehicle's (accel, steer) before it moves
+    any vehicle, then moves the ego and then the background:
+    - the ego's controls read only its own state and targets. Background
+      vehicles' controls (`_background_controls`) read a `LaneTable` of the
+      positions and lanes at the start of the substep;
+    - this loop body integrates the ego, sets its lane to the one
+      `nearest_lane_index` gives at the new position and, when another
+      substep follows with traffic, files it first into the next
+      substep's table, as `LaneTable.add` would;
+    - the move pass (`_move_pass`), called only with traffic, does the same
+      for each background vehicle, tests it against the moved ego for
+      overlap and seals the table;
+    - the loop body then checks the substep's events, as `_substep_events`
+      would: a collision, the ego off the road, and success only without
+      either.
+
+    The ego's part runs at every substep whatever the traffic, so the loop
+    body does it in place, with the step's invariants bound once, and gives
+    the values of the helpers it would call bit for bit: `_ego_control` on
+    straight lanes, `wrap_angle`, the `wheelbase` property,
+    `nearest_lane_index`, `LaneTable.add`, `_off_road` on straight lanes
+    and `SuccessRegion.contains`. Each copy names the helper it mirrors. On
+    the intersection's route the loop calls `_ego_control`, with its curve
+    cap, and `_off_road`.
 
     Only background vehicles read tables. The lane-change pass moves nothing,
     so it shares substep 0's table, built from the stored lanes and
-    positions; each later substep reads the table the previous move pass
-    built. No table outlives the positions it was built from, and nothing
+    positions; each later substep reads the table the previous substep
+    filed. No table outlives the positions it was built from, and nothing
     stores one, so a vehicle a caller moves by hand between steps is queried
     where it now stands.
     """
@@ -662,25 +680,106 @@ def step(state: ScenarioState, maneuver: Maneuver,
         raise UsageError("step called on a terminal episode")
     params = risk_params or risk_engine.RiskParams()
     apply_maneuver(state, maneuver)
+    background = state.background
     table = None
-    if state.background:
+    if background:
         table = LaneTable.of(state)
         _bg_lane_change_pass(state, table)
 
-    ego = state.ego
+    # invariants of the step: no substep changes the config, the geometry,
+    # the ego's targets or its size
+    config, ego = state.config, state.ego
     lanes = state.geometry.lanes
-    dt = state.config.dt_physics
-    substeps = state.config.substeps
+    straight = state.geometry.ego_route is None  # merge and highway
+    dt, substeps = config.dt_physics, config.substeps
+    cos, sin, tan, fmod = math.cos, math.sin, math.tan, math.fmod
+    pi, two_pi = math.pi, _TWO_PI
+    # _ego_control and _ego_steer on straight lanes
+    target_speed, max_accel = state.ego_target_speed, ego.profile.max_accel
+    target_y = -LANE_WIDTH * ego.target_lane
+    wheelbase = 0.6 * ego.length  # the wheelbase property
+    last = len(lanes) - 2  # nearest_lane_index's closed form
+    # _off_road on straight lanes: the road's edges, and the ramp's band
+    top = 0.5 * LANE_WIDTH
+    bottom = -LANE_WIDTH * (len(lanes) - 1) - 0.5 * LANE_WIDTH
+    merge = config.kind == "merge"
+    ramp_band = -LANE_WIDTH * 1.5
+    region = config.success_region
+    min_x, max_x, max_lane = region.min_x, region.max_x, region.max_lane
+
+    x, y, speed, heading = ego.x, ego.y, ego.speed, ego.heading
     events: set[str] = set()
     for substep in range(substeps):
-        controls = [_ego_control(state, ego)]
-        if table is not None:
-            controls += _background_controls(state, table)
+        if straight:
+            # accel, steer = _ego_control(state, ego)
+            accel = KP_SPEED * (target_speed - speed)
+            accel = -EMERGENCY_DECEL if -EMERGENCY_DECEL > accel else accel
+            accel = max_accel if max_accel < accel else accel
+            # _steer_command(target_y - y, wrap_angle(-heading), speed)
+            a = fmod(-heading + pi, two_pi)
+            if a <= 0.0:
+                a += two_pi
+            steer = KP_LATERAL * (target_y - y) / (1.0 if 1.0 > speed else speed) + KD_HEADING * (a - pi)
+            steer = -MAX_STEER if -MAX_STEER > steer else steer
+            steer = MAX_STEER if MAX_STEER < steer else steer
+        else:
+            accel, steer = _ego_control(state, ego)
+        controls = None if table is None else _background_controls(state, table)
         # the last substep's lanes feed the events and the observation; a
         # table would have no reader
-        table = LaneTable(lanes) if state.background and substep + 1 < substeps else None
-        events = _substep_events(state, _move_pass(state, controls, dt, table))
-        if events:
+        table = LaneTable(lanes) if background and substep + 1 < substeps else None
+
+        # the ego's move, as _move_pass moves each background vehicle
+        speed = speed + accel * dt
+        ego.speed = speed = speed if speed > 0.0 else 0.0  # max(0.0, speed)
+        # wrap_angle(heading + speed / ego.wheelbase * tan(steer) * dt)
+        a = fmod(heading + speed / wheelbase * tan(steer) * dt + pi, two_pi)
+        if a <= 0.0:
+            a += two_pi
+        ego.heading = heading = a - pi
+        ego.x = x = x + speed * cos(heading) * dt
+        ego.y = y = y + speed * sin(heading) * dt
+        # ego.lane = nearest_lane_index(state, ego), as in _move_pass
+        if straight:
+            z = -y / LANE_WIDTH
+            first = 0 if not z > 0.0 else (last if last < z else int(z))
+            lane, right = lanes[first], lanes[first + 1]
+            if abs(y - right.origin_y) < abs(y - lane.origin_y):
+                lane = right
+        else:
+            lane = None
+            for cand in lanes:
+                off = abs(-(x - cand.origin_x) * cand.sin_h + (y - cand.origin_y) * cand.cos_h)
+                if lane is None or off < best:
+                    lane, best = cand, off
+        ego.lane = index = lane.index
+        if table is not None:
+            # table.add(ego), the ego first: wrap_angle(heading - lane.heading)
+            # within pi/4, filed with Lane.along at the new position
+            a = fmod(heading - lane.heading + pi, two_pi)
+            if a <= 0.0:
+                a += two_pi
+            if abs(a - pi) <= _QUARTER_PI:
+                table.members[index].append(
+                    (ego, (x - lane.origin_x) * lane.cos_h + (y - lane.origin_y) * lane.sin_h))
+        collided = controls is not None and _move_pass(state, controls, dt, table)
+
+        # events = _substep_events(state, collided)
+        if straight:
+            # _off_road(state, ego)
+            off_road = y > top or y < bottom or (merge and y < ramp_band and x > MERGE_RAMP_END)
+        else:
+            off_road = _off_road(state, ego)
+        if collided or off_road:
+            if collided:
+                events.add("collision")
+            if off_road:
+                events.add("off_road")
+            break
+        # region.contains(x, index)
+        if not ((min_x is not None and x < min_x) or (max_x is not None and x > max_x)
+                or (max_lane is not None and index > max_lane)):
+            events.add("success")
             break
 
     state.decision_step += 1
@@ -720,21 +819,24 @@ def observe(state: ScenarioState) -> Observation:
     in_range.sort(key=lambda item: (item[0], item[1]))
     in_range = in_range[:N_NEIGHBOR_SLOTS]
 
-    cols = np.zeros((6, N_NEIGHBOR_SLOTS), dtype=np.float64)
+    # one feature tuple per slot, written into the zeroed block in one
+    # assignment; the block is a (6, N) view of a slot-by-feature array, which
+    # `Observation.flat` then reads in order
+    slots = []
     ids = []
-    for slot, (_, _, veh) in enumerate(in_range):
+    for _, _, veh in in_range:
         dx, dy = veh.x - ego.x, veh.y - ego.y
         vvx, vvy = veh.velocity
         dvx, dvy = vvx - evx, vvy - evy
         # rotate relative quantities into the ego frame
-        cols[0, slot] = cos_h * dx + sin_h * dy
-        cols[1, slot] = -sin_h * dx + cos_h * dy
-        cols[2, slot] = cos_h * dvx + sin_h * dvy
-        cols[3, slot] = -sin_h * dvx + cos_h * dvy
-        cols[4, slot] = math.cos(veh.heading)
-        cols[5, slot] = math.sin(veh.heading)
+        slots.append((cos_h * dx + sin_h * dy, -sin_h * dx + cos_h * dy,
+                      cos_h * dvx + sin_h * dvy, -sin_h * dvx + cos_h * dvy,
+                      math.cos(veh.heading), math.sin(veh.heading)))
         ids.append(veh.id)
-    return Observation(ego=ego_block, neighbors=cols, neighbor_ids=ids)
+    by_slot = np.zeros((N_NEIGHBOR_SLOTS, 6), dtype=np.float64)
+    if slots:
+        by_slot[:len(slots)] = slots
+    return Observation(ego=ego_block, neighbors=by_slot.T, neighbor_ids=ids)
 
 
 def trace_record(state: ScenarioState, maneuver: Maneuver, outcome: StepOutcome) -> dict:

@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from drivecoach.nn.checkpoint import MAGIC, VERSION
 from drivecoach.sim import Maneuver, ScenarioConfig, reset
 from drivecoach.sim.scenarios import default_success_region
 from drivecoach.teacher import STATE_DIM, MemoryEntry, MemoryRepository, RecordingBackend, ReplayBackend
-from drivecoach.trainer import Trainer
+from drivecoach.trainer import TrainConfig, Trainer
 
 SMALL_YAML = """\
 scenario: {kind: merge, n_background: 2}
@@ -443,6 +444,67 @@ class TestEvalCommand:
         save_checkpoint(str(doctored), arrays, meta)
         assert main(["eval", str(doctored)]) == EXIT_ARTIFACT
         assert "fusion-v2" in capsys.readouterr().err
+
+
+def without_column(text: str, column: str) -> str:
+    """A CSV text with one column dropped by its header name."""
+    rows = [line.split(",") for line in text.splitlines()]
+    i = rows[0].index(column)
+    return "\n".join(",".join(r[:i] + r[i + 1:]) for r in rows)
+
+
+class TestResumeCommand:
+    def test_resume_finishes_a_stopped_run_as_an_uninterrupted_one(self, tmp_path, capsys):
+        scenario = ScenarioConfig(kind="merge", n_background=2)
+        cfg = TrainConfig(total_steps=200, eval_interval=50, eval_episodes=2, rollout_size=50,
+                          batch_size=25, epochs=2, seed=0, variant="LA-PPO")
+        Trainer(scenario, cfg, out_dir=tmp_path / "full").run()
+        Trainer(scenario, replace(cfg), out_dir=tmp_path / "part").run(stop_after_step=90)
+        capsys.readouterr()
+        assert main(["resume", str(tmp_path / "part" / "checkpoint_step90.dckp")]) == EXIT_OK
+        assert "final step 200: success_rate=" in capsys.readouterr().out
+        for name in ("metrics.csv", "losses.csv", "episodes.jsonl", "traces.jsonl"):
+            full, part = ((tmp_path / d / name).read_text() for d in ("full", "part"))
+            if name == "metrics.csv":
+                full, part = (without_column(text, "decision_time_s") for text in (full, part))
+            assert part == full, name
+
+    def test_finished_checkpoint_exits_2_and_keeps_its_files(self, finished_run, capsys):
+        before = {p.name: p.read_bytes() for p in finished_run.iterdir()}
+        ckpt = finished_run / "checkpoint_final.dckp"
+        assert main(["resume", str(ckpt)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "step 100 of train.total_steps 100: its run is finished" in err
+        assert {p.name: p.read_bytes() for p in finished_run.iterdir()} == before
+
+    def test_earlier_checkpoint_of_a_finished_run_exits_2(self, tmp_path, capsys):
+        """A periodic checkpoint in a finished run's directory would append a
+        second copy of every later row."""
+        scenario = ScenarioConfig(kind="merge", n_background=2)
+        cfg = TrainConfig(total_steps=100, eval_interval=50, eval_episodes=1, rollout_size=50,
+                          batch_size=25, epochs=1, seed=0, variant="V-PPO", checkpoint_every_evals=1)
+        Trainer(scenario, cfg, out_dir=tmp_path).run()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        ckpt = tmp_path / "checkpoint_step50.dckp"
+        assert ckpt.exists()
+        capsys.readouterr()
+        assert main(["resume", str(ckpt)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "checkpoint_final.dckp exists, so its run is finished" in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
+        assert main(["resume", str(tmp_path / "gone.dckp")]) == EXIT_CONFIG
+        assert "gone.dckp" in capsys.readouterr().err
+
+    def test_corrupt_checkpoint_exits_3(self, finished_run, tmp_path, capsys):
+        blob = bytearray((finished_run / "checkpoint_final.dckp").read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        bad = tmp_path / "bad.dckp"
+        bad.write_bytes(bytes(blob))
+        assert main(["resume", str(bad)]) == EXIT_ARTIFACT
+        assert "checkpoint error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
 
 
 class TestTeacherCommand:

@@ -3,6 +3,7 @@ rewards, events, serialization, and lane bookkeeping."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -742,6 +743,57 @@ def random_controls(state: ScenarioState, rng: np.random.Generator) -> list[tupl
     return controls
 
 
+def reference_ego_move(state: ScenarioState, accel: float, steer: float, dt: float,
+                       table: LaneTable | None) -> None:
+    """The ego's move as `step`'s loop body does it, from the helpers it
+    mirrors: the kinematic bicycle with `wrap_angle` and the `wheelbase`
+    property, then `nearest_lane_index` and `LaneTable.add`."""
+    ego = state.ego
+    ego.speed = max(0.0, ego.speed + accel * dt)
+    ego.heading = wrap_angle(ego.heading + ego.speed / ego.wheelbase * math.tan(steer) * dt)
+    ego.x += ego.speed * math.cos(ego.heading) * dt
+    ego.y += ego.speed * math.sin(ego.heading) * dt
+    ego.lane = nearest_lane_index(state, ego)
+    if table is not None:
+        table.add(ego)
+
+
+def reference_step(state: ScenarioState, maneuver: Maneuver) -> set[str]:
+    """`step` up to its events, with the ego's part from the helpers:
+    `_ego_control`, `reference_ego_move` and `_substep_events`. The
+    background moves through the move pass, as in `step`."""
+    engine.apply_maneuver(state, maneuver)
+    table = None
+    if state.background:
+        table = LaneTable.of(state)
+        engine._bg_lane_change_pass(state, table)
+    dt, substeps = state.config.dt_physics, state.config.substeps
+    events = set()
+    for substep in range(substeps):
+        accel, steer = engine._ego_control(state, state.ego)
+        controls = None if table is None else _background_controls(state, table)
+        table = LaneTable(state.geometry.lanes) if state.background and substep + 1 < substeps else None
+        reference_ego_move(state, accel, steer, dt, table)
+        collided = controls is not None and engine._move_pass(state, controls, dt, table)
+        events = engine._substep_events(state, collided)
+        if events:
+            break
+    state.decision_step += 1
+    if not events and state.decision_step >= state.config.horizon:
+        events = {"timeout"}
+    state.done = bool(events)
+    return events
+
+
+def table_rows(table: LaneTable | None):
+    """A filed table's members, crossing rows and ego length, floats as hex."""
+    if table is None:
+        return None
+    return ([[(veh.id, s.hex()) for veh, s in lane] for lane in table.members],
+            [None if row is None else tuple(v.hex() for v in row) for row in table.crossing],
+            table.ego_length.hex())
+
+
 def step_outcomes_equal(a, b) -> bool:
     return (a.reward == b.reward and a.done == b.done and a.events == b.events
             and a.tau_min == b.tau_min and a.observation.neighbor_ids == b.observation.neighbor_ids
@@ -833,16 +885,19 @@ class TestLaneTable:
 
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
     def test_move_pass_locates_and_files_as_the_helpers_do(self, kind):
-        """After one move pass from a random state, every vehicle's lane is
-        `nearest_lane_index`'s, and the table the pass filed is, member for
-        member and bit for bit, `LaneTable.of` at the moved positions."""
+        """After the ego's reference move and one move pass from a random
+        state, every vehicle's lane is `nearest_lane_index`'s, and the table
+        the pass filed is, member for member and bit for bit, `LaneTable.of`
+        at the moved positions."""
         rng = np.random.default_rng(19)
         seen = set()
         for _ in range(60):
             state = random_state(kind, rng)
             before = {veh.id: veh.lane for veh in state.vehicles}
             table = LaneTable(state.geometry.lanes)
-            engine._move_pass(state, random_controls(state, rng), 0.1, table)
+            ego_control, *controls = random_controls(state, rng)
+            reference_ego_move(state, *ego_control, 0.1, table)
+            engine._move_pass(state, controls, 0.1, table)
             want = LaneTable.of(state)
             for veh in state.vehicles:
                 assert veh.lane == nearest_lane_index(state, veh), veh.id
@@ -866,9 +921,18 @@ class TestLaneTable:
     @pytest.mark.parametrize("kind,y,lane", [("merge", -2.0, 0), ("highway", -6.0, 1),
                                              ("intersection", 0.0, 0)])
     def test_move_pass_gives_a_tie_to_the_lower_lane(self, kind, y, lane):
-        """A vehicle held on a midline, where two lanes are equally near."""
-        state = make_state(kind, plain_vehicle(0, 0.0, y, 0.0, lane=lane, kind=kind), [])
-        engine._move_pass(state, [(0.0, 0.0)], 0.1, LaneTable(state.geometry.lanes))
+        """A vehicle held on a midline, where two lanes are equally near and
+        its stored lane is the other one: a background vehicle through the
+        move pass, and the ego through `step`'s loop body."""
+        far = plain_vehicle(0, -300.0, -300.0, 0.0, kind=kind)
+        held = plain_vehicle(1, 0.0, y, 0.0, lane=lane + 1, kind=kind)
+        state = make_state(kind, far, [held])
+        engine._move_pass(state, [(-EMERGENCY_DECEL, 0.0)], 0.1, LaneTable(state.geometry.lanes))
+        assert (held.x, held.y) == (0.0, y)
+        assert held.lane == lane == full_scan_lane(state, held)
+
+        state = make_state(kind, plain_vehicle(0, 0.0, y, 0.0, lane=lane + 1, kind=kind), [])
+        step(state, Maneuver.Cruise)  # a target speed of 0 holds the ego
         assert (state.ego.x, state.ego.y) == (0.0, y)
         assert state.ego.lane == lane == full_scan_lane(state, state.ego)
 
@@ -913,6 +977,127 @@ class TestLaneTable:
             assert moved.state_dict() == rebuilt.state_dict()
             if moved.done:
                 break
+
+
+# per kind, a pose inside the success region, and one off the road
+SUCCESS_POSE = {"merge": (245.0, -4.0, 0.0), "highway": (260.0, -8.0, 0.0),
+                "intersection": (-40.0, 2.0, math.pi)}
+OFF_ROAD_Y = {"merge": (3.0, -11.0), "highway": (3.0, -15.0), "intersection": (-20.0,)}
+EGO_CASES = ("as drawn", "held", "on a midline", "slow", "braking", "heading near pi", "collision",
+             "success", "off road", "ramp end")
+
+
+def set_ego_case(state: ScenarioState, case: str, rng: np.random.Generator) -> None:
+    """Put a random state's ego into one of `EGO_CASES`."""
+    ego, kind = state.ego, state.config.kind
+    if case in ("held", "on a midline"):
+        # stopped under a target speed of 0, it keeps its tie or its heading
+        ego.speed = state.ego_target_speed = 0.0
+        if case == "on a midline":
+            ego.x = 0.0 if kind == "intersection" else float(rng.choice([20.0, 35.5]))
+            ego.y = float(rng.choice(MIDLINES[kind]))
+    elif case == "slow":
+        ego.speed = float(rng.uniform(0.05, 0.95))
+        state.ego_target_speed = float(rng.uniform(0.0, 1.5))
+    elif case == "braking":  # far above its target, the speed loop asks past the limit
+        ego.speed, state.ego_target_speed = float(rng.uniform(20.0, 30.0)), 0.0
+    elif case == "heading near pi":
+        ego.heading = float(rng.choice([math.pi, math.pi - 1e-9, -math.pi + 1e-9]))
+    elif case == "collision" and state.background:
+        other = state.background[0]
+        other.x = ego.x + 2.0 * math.cos(ego.heading)
+        other.y = ego.y + 2.0 * math.sin(ego.heading)
+        other.lane = full_scan_lane(state, other)
+    elif case == "success":
+        ego.x, ego.y, ego.heading = SUCCESS_POSE[kind]
+    elif case == "off road":
+        ego.y = float(rng.choice(OFF_ROAD_Y[kind]))
+    elif case == "ramp end" and kind == "merge":
+        ego.x, ego.y, ego.heading, ego.speed = 199.5, -8.0, 0.0, 15.0
+    ego.lane = full_scan_lane(state, ego)
+
+
+class TestEgoSubstep:
+    """`step` moves, locates, files and checks the ego in its own loop body."""
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_step_moves_the_ego_as_the_helpers_do(self, kind, monkeypatch):
+        """One `step` from a random state, then another after the ego is
+        moved by hand, equals `reference_step` bit for bit: every position,
+        heading, speed and lane, each table the substeps file, and the
+        events."""
+        filed = []
+        move_pass = engine._move_pass
+
+        def recording_move_pass(state, controls, dt, table):
+            collided = move_pass(state, controls, dt, table)
+            filed.append((collided, table_rows(table)))
+            return collided
+
+        monkeypatch.setattr(engine, "_move_pass", recording_move_pass)
+        rng = np.random.default_rng(23)
+        seen = set()
+        for i in range(180):
+            state = random_state(kind, rng, n_vehicles=int(rng.choice([1, 7])))
+            set_ego_case(state, EGO_CASES[i % len(EGO_CASES)], rng)
+            ref = copy.deepcopy(state)
+            maneuver = Maneuver(int(rng.integers(len(Maneuver))))
+            for hand_move in (False, True):
+                if hand_move:
+                    pose = (float(rng.uniform(-20.0, 260.0)), float(rng.uniform(-14.0, 2.0)),
+                            float(rng.uniform(-math.pi, math.pi)))
+                    for s in (state, ref):
+                        s.ego.x, s.ego.y, s.ego.heading = pose  # its stored lane is now stale
+                    seen.add("moved by hand")
+                ego = state.ego
+                lanes = state.geometry.lanes
+                if abs(ego.heading) > math.pi - 1e-6:
+                    seen.add("heading near pi")
+                if ego.speed < 1.0:
+                    seen.add("below 1 m/s")
+                speed = ego.speed
+                del filed[:]
+                events = step(state, maneuver).events
+                got = filed[:]
+                del filed[:]
+                assert reference_step(ref, maneuver) == events, (i, hand_move)
+                assert filed == got, (i, hand_move)
+                assert (json.dumps(state.state_dict(), sort_keys=True)
+                        == json.dumps(ref.state_dict(), sort_keys=True)), (i, hand_move)
+
+                if engine.KP_SPEED * (state.ego_target_speed - speed) < -EMERGENCY_DECEL:
+                    seen.add("braking at the limit")
+                if kind != "intersection" and ego.target_lane != ego.lane:
+                    seen.add("target lane is not the lane")
+                if abs(wrap_angle(ego.heading - lanes[ego.lane].heading)) == math.pi / 4:
+                    seen.add("at the heading limit")
+                offsets = sorted(abs(lane.lateral(ego.x, ego.y)) for lane in lanes)
+                if offsets[0] == offsets[1]:
+                    seen.add("tie")
+                if "collision" in events and len(got) == 1:
+                    seen.add("collision at substep 0")
+                if "success" in events:
+                    seen.add("success")
+                if "off_road" in events:
+                    if kind == "intersection":
+                        seen.add("off road")
+                    elif ego.y > 2.0:
+                        seen.add("off road above")
+                    elif ego.y < -LANE_WIDTH * (len(lanes) - 0.5):
+                        seen.add("off road below")
+                    else:
+                        seen.add("past the ramp end")
+                if state.done:
+                    break
+        want = {"moved by hand", "heading near pi", "below 1 m/s", "braking at the limit",
+                "at the heading limit", "tie", "collision at substep 0", "success"}
+        if kind == "intersection":
+            want |= {"off road"}
+        else:
+            want |= {"target lane is not the lane", "off road above", "off road below"}
+        if kind == "merge":
+            want |= {"past the ramp end"}
+        assert seen == want
 
 
 # sha256 prefixes of the trace records of seeds 0-2 under MANEUVER_CYCLE. A

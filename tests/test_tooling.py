@@ -1,5 +1,6 @@
 """Guards on the names the benchmark harness in perfbench/ binds, on its
-self-test, on the declared dependencies, and on the one record reader.
+self-test, on the declared dependencies, on the one record reader, and on
+the CI workflow's tier-1 command.
 
 The traced mode wraps each `drivecoach_targets()` entry by replacing
 `owner.__dict__[attr]`, and the metrics.csv digest drops one wall-clock
@@ -100,3 +101,18 @@ def test_misspelt_marker_fails_collection(tmp_path):
                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert run.returncode != 0
     assert "'slwo' not found in `markers` configuration option" in run.stdout + run.stderr
+
+
+def test_ci_runs_the_roadmaps_tier1_command():
+    """The CI workflow parses and its one test step runs exactly ROADMAP's
+    tier-1 command, on Python 3.11 with the declared packages and pytest."""
+    yaml = pytest.importorskip("yaml")
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text()).group(1)
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
+    runs = [step["run"] for step in steps if "run" in step]
+    assert [run for run in runs if "pytest -" in run] == [tier1]
+    assert [step["with"]["python-version"] for step in steps
+            if step.get("uses", "").startswith("actions/setup-python")] == ["3.11"]
+    install = next(run for run in runs if "pip install" in run).split()
+    assert {"numpy", "pyyaml", "pytest"} <= set(install)
