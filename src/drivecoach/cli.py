@@ -25,7 +25,7 @@ from .config import (
     save_config,
 )
 from .errors import ConfigError, UsageError
-from .nn import CheckpointError
+from .nn import CheckpointError, load_checkpoint
 from .sim.engine import ScenarioState, TrafficEnv
 from .sim.scenarios import SCENARIO_KINDS, ScenarioConfig
 from .sim.vehicles import MANEUVER_TOKENS
@@ -66,7 +66,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="dotted config overrides, e.g. train.lr=0.0003")
     train_p.set_defaults(handler=cmd_train)
 
-    resume_p = sub.add_parser("resume", help="finish an interrupted run from its checkpoint")
+    resume_p = sub.add_parser(
+        "resume", help="finish an interrupted run from its checkpoint",
+        description="Finish an interrupted run from its checkpoint, in the checkpoint's "
+                    "directory. An LA-PPO run goes on with the scripted teacher, so a run "
+                    "whose teacher used another backend is refused, and so is a directory "
+                    "holding rows written after the checkpoint.")
     resume_p.add_argument("checkpoint",
                           help="a run's checkpoint_step*.dckp; the run goes on in its directory")
     resume_p.set_defaults(handler=cmd_resume)
@@ -159,17 +164,19 @@ def _existing_checkpoint(name: str) -> Path:
 def cmd_resume(args) -> int:
     """Run a checkpoint's run on to `train.total_steps`. It appends to the
     rows in the checkpoint's directory, so a run stopped at the checkpoint
-    ends with the files an uninterrupted run writes."""
+    ends with the files an uninterrupted run writes. `Trainer.run` refuses a
+    directory that holds rows past the checkpoint."""
     ckpt = _existing_checkpoint(args.checkpoint)
     trainer = Trainer.resume(ckpt, out_dir=ckpt.parent)
-    # running on would rewrite a finished run's final files and, from one of
-    # its periodic checkpoints, append a second copy of the later rows
+    # running on would rewrite a finished run's final files
     if trainer.global_step >= trainer.cfg.total_steps:
         raise ConfigError(f"checkpoint {ckpt} is at step {trainer.global_step} of "
                           f"train.total_steps {trainer.cfg.total_steps}: its run is finished")
-    final = ckpt.parent / "checkpoint_final.dckp"
-    if final.exists():
-        raise ConfigError(f"checkpoint {ckpt}: {final} exists, so its run is finished")
+    if trainer.teacher is not None:
+        saved = load_checkpoint(str(ckpt))[1]["teacher"]["kind"]
+        if saved != trainer.teacher.backend.kind:
+            raise ConfigError(f"checkpoint {ckpt}: its teacher ran on the {saved!r} backend, "
+                              f"and a resumed run goes on with the scripted one")
     _print_final(trainer.run())
     return EXIT_OK
 

@@ -469,7 +469,9 @@ def _move_pass(state: ScenarioState, controls: list[tuple[float, float]], dt: fl
     `Lane.lateral`, `Lane.along` and `LaneTable.add` would each do in a
     call, and gives their values bit for bit; each copy names the helper it
     mirrors, which stays the one definition for every other caller. `step`
-    moves the ego with the same copies.
+    moves the ego with the same copies, its pose held in locals from one
+    substep to the next; one loop over `state.vehicles`, ego first, would
+    keep a single copy but ran `highway-free` evaluation about 10% slower.
     """
     ego = state.ego
     ego_x, ego_y = ego.x, ego.y
@@ -819,24 +821,21 @@ def observe(state: ScenarioState) -> Observation:
     in_range.sort(key=lambda item: (item[0], item[1]))
     in_range = in_range[:N_NEIGHBOR_SLOTS]
 
-    # one feature tuple per slot, written into the zeroed block in one
-    # assignment; the block is a (6, N) view of a slot-by-feature array, which
-    # `Observation.flat` then reads in order
-    slots = []
+    cols = np.zeros((6, N_NEIGHBOR_SLOTS), dtype=np.float64)
     ids = []
-    for _, _, veh in in_range:
+    for slot, (_, _, veh) in enumerate(in_range):
         dx, dy = veh.x - ego.x, veh.y - ego.y
         vvx, vvy = veh.velocity
         dvx, dvy = vvx - evx, vvy - evy
         # rotate relative quantities into the ego frame
-        slots.append((cos_h * dx + sin_h * dy, -sin_h * dx + cos_h * dy,
-                      cos_h * dvx + sin_h * dvy, -sin_h * dvx + cos_h * dvy,
-                      math.cos(veh.heading), math.sin(veh.heading)))
+        cols[0, slot] = cos_h * dx + sin_h * dy
+        cols[1, slot] = -sin_h * dx + cos_h * dy
+        cols[2, slot] = cos_h * dvx + sin_h * dvy
+        cols[3, slot] = -sin_h * dvx + cos_h * dvy
+        cols[4, slot] = math.cos(veh.heading)
+        cols[5, slot] = math.sin(veh.heading)
         ids.append(veh.id)
-    by_slot = np.zeros((N_NEIGHBOR_SLOTS, 6), dtype=np.float64)
-    if slots:
-        by_slot[:len(slots)] = slots
-    return Observation(ego=ego_block, neighbors=by_slot.T, neighbor_ids=ids)
+    return Observation(ego=ego_block, neighbors=cols, neighbor_ids=ids)
 
 
 def trace_record(state: ScenarioState, maneuver: Maneuver, outcome: StepOutcome) -> dict:

@@ -649,6 +649,26 @@ class Trainer:
             trainer.teacher.load_state_dict(meta["teacher"])
         return trainer
 
+    def _check_no_rows_past(self) -> None:
+        """Refuse an out_dir whose appended files hold more rows than this run
+        had written by its step: a run killed after its last checkpoint leaves
+        them, and running on from the checkpoint would write them again."""
+        written = {"metrics.csv": self.global_step // self.cfg.eval_interval,
+                   "losses.csv": self.updates_done,
+                   "episodes.jsonl": self.episode_index}
+        for name in APPENDED_ARTIFACTS:
+            path = self.out_dir / name
+            if not path.exists():
+                continue
+            rows = len(path.read_text().splitlines())
+            if name.endswith(".csv"):
+                rows -= 1  # the header
+            if rows > written[name]:
+                raise ConfigError(
+                    f"out_dir: {path} holds {rows} rows, {rows - written[name]} of them past "
+                    f"step {self.global_step}, which running on would write again; resume the "
+                    f"run's latest checkpoint")
+
     # --- top level --------------------------------------------------------------
 
     def run(self, stop_after_step: int | None = None) -> list[EvalReport]:
@@ -657,12 +677,16 @@ class Trainer:
         stop_after_step halts collection once the global step reaches it and
         writes a resumable checkpoint instead of finishing the run. A run from
         step 0 refuses an out_dir that holds an earlier run's rows
-        (`check_fresh_out_dir`); a resumed run appends to them. A finished
+        (`check_fresh_out_dir`); a resumed run appends to them, and refuses an
+        out_dir that holds rows past its step (`_check_no_rows_past`). A finished
         run writes checkpoint_final.dckp, traces.jsonl and, for LA-PPO, the
         teacher's memory.json, a file teacher.memory_path can preload.
         """
-        if self.out_dir is not None and self.global_step == 0:
-            check_fresh_out_dir(self.out_dir)
+        if self.out_dir is not None:
+            if self.global_step == 0:
+                check_fresh_out_dir(self.out_dir)
+            else:
+                self._check_no_rows_past()
         self._stop_at = stop_after_step
         while self.global_step < self.cfg.total_steps and not self._stopped:
             self._fill_buffer()

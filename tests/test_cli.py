@@ -490,7 +490,62 @@ class TestResumeCommand:
         capsys.readouterr()
         assert main(["resume", str(ckpt)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert str(ckpt) in err and "checkpoint_final.dckp exists, so its run is finished" in err
+        assert str(tmp_path / "metrics.csv") in err and "past step 50" in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_killed_run_exits_2_and_keeps_its_files(self, tmp_path, capsys):
+        """A run killed after its last checkpoint has written rows past it;
+        resuming that checkpoint would write them a second time."""
+        scenario = ScenarioConfig(kind="merge", n_background=2)
+        cfg = TrainConfig(total_steps=200, eval_interval=50, eval_episodes=1, rollout_size=50,
+                          batch_size=25, epochs=1, seed=0, variant="V-PPO")
+        Trainer(scenario, cfg, out_dir=tmp_path).run(stop_after_step=90)
+        Trainer.resume(tmp_path / "checkpoint_step90.dckp", out_dir=tmp_path).run(stop_after_step=160)
+        (tmp_path / "checkpoint_step160.dckp").unlink()  # the kill came before it was written
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main(["resume", str(tmp_path / "checkpoint_step90.dckp")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'metrics.csv'} holds 3 rows, 2 of them past step 90" in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_update_after_the_checkpoint_at_its_step_is_past_it(self, tmp_path, capsys):
+        """At step 50 the checkpoint is written before the update that the
+        full buffer then runs, whose losses row also reads step 50."""
+        scenario = ScenarioConfig(kind="merge", n_background=2)
+        cfg = TrainConfig(total_steps=100, eval_interval=50, eval_episodes=1, rollout_size=50,
+                          batch_size=25, epochs=1, seed=0, variant="V-PPO", checkpoint_every_evals=1)
+        Trainer(scenario, cfg, out_dir=tmp_path).run()
+        ckpt = tmp_path / "checkpoint_step50.dckp"
+        at_ckpt = Trainer.resume(ckpt)
+        assert at_ckpt.updates_done == 0
+        # the other files cut back to the checkpoint, losses.csv to its first update
+        metrics = (tmp_path / "metrics.csv").read_text().splitlines()
+        (tmp_path / "metrics.csv").write_text("\n".join(metrics[:2]) + "\n")
+        episodes = (tmp_path / "episodes.jsonl").read_text().splitlines()
+        (tmp_path / "episodes.jsonl").write_text(
+            "".join(line + "\n" for line in episodes[:at_ckpt.episode_index]))
+        losses = (tmp_path / "losses.csv").read_text().splitlines()
+        assert losses[1].split(",")[:2] == ["1", "50"]
+        (tmp_path / "losses.csv").write_text("\n".join(losses[:2]) + "\n")
+        capsys.readouterr()
+        assert main(["resume", str(ckpt)]) == EXIT_CONFIG
+        assert f"{tmp_path / 'losses.csv'} holds 1 rows, 1 of them past step 50" in capsys.readouterr().err
+
+    def test_checkpoint_of_a_remote_teacher_exits_2(self, tmp_path, capsys):
+        scenario = ScenarioConfig(kind="merge", n_background=2)
+        cfg = TrainConfig(total_steps=100, eval_interval=50, eval_episodes=1, rollout_size=50,
+                          batch_size=25, epochs=1, seed=0, variant="LA-PPO")
+        Trainer(scenario, cfg, out_dir=tmp_path).run(stop_after_step=30)
+        ckpt = tmp_path / "checkpoint_step30.dckp"
+        arrays, meta = load_checkpoint(str(ckpt))
+        meta["teacher"]["kind"] = "remote"
+        save_checkpoint(str(ckpt), arrays, meta)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="'remote' backend"):
+            assert main(["resume", str(ckpt)]) == EXIT_CONFIG
+        assert "its teacher ran on the 'remote' backend" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
