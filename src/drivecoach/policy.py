@@ -3,10 +3,10 @@
 Two encoders read the same flattened observation: a student branch and a
 teacher branch. Each fusion head projects the teacher embedding; the heads
 are concatenated, projected back down, and added to the student embedding as
-a residual. Policy, action-value, and state-value heads read the fused
-vector. One demonstration head reads the raw teacher embedding, so that
-distillation trains the teacher branch without steering the student heads
-directly.
+a residual. A policy head and a state-value head read the fused vector, the
+two outputs the PPO objective reads. One demonstration head reads the raw
+teacher embedding, so that distillation trains the teacher branch without
+steering the student heads directly.
 
 Each variant builds only the weights its objective trains:
     V-PPO   the student encoder and the policy/value heads; no teacher branch
@@ -74,7 +74,6 @@ class PolicyOutput:
 
     pi: Tensor  # (B, 5) action distribution from the fused embedding
     log_pi: Tensor  # (B, 5) its log, computed stably for ratios and entropy
-    q_values: Tensor  # (B, 5) action values from the fused embedding
     v: Tensor  # (B, 1) state value
     log_teacher_pi_hat: Tensor | None  # (B, 5) log of the demonstration head; LA-PPO only
 
@@ -83,8 +82,9 @@ class FusionPolicyNet:
     """Actor-critic with a teacher branch fused in as a residual.
 
     h = h_s + concat_i(h_t @ attn{i}.wv) @ attn_out.w, where h_s and h_t are
-    the student and teacher embeddings. V-PPO has no teacher branch and its
-    heads read h_s alone; only LA-PPO has the demonstration head.
+    the student and teacher embeddings, and the policy and state-value heads
+    read h. V-PPO has no teacher branch and its heads read h_s alone; only
+    LA-PPO has the demonstration head.
     """
 
     def __init__(self, input_dim: int, seed: int = 0, variant: str = "LA-PPO"):
@@ -96,23 +96,18 @@ class FusionPolicyNet:
         self.guided = variant == "LA-PPO"
         self.params = ParamStore()
         rng = np.random.default_rng(seed)
-        # Every variant draws every array in one fixed order and drops the ones
+        # Every variant draws every weight in one fixed order and drops the ones
         # it does not keep, so each kept weight starts byte-identical across
-        # variants and versions, and so do run artifacts. That includes weights
-        # earlier versions of the net held (a teacher-branch action-value head,
-        # per-head query and key projections).
+        # variants: V-PPO, A-PPO and LA-PPO start from the same student
+        # encoder and heads, and the ablation stays paired.
         for enc, keep in (("f_s", True), ("f_t", self.fused)):
             self._linear(rng, f"{enc}.w1", f"{enc}.b1", self.input_dim, EMBED_DIM, keep)
             self._linear(rng, f"{enc}.w2", f"{enc}.b2", EMBED_DIM, EMBED_DIM, keep)
         self._linear(rng, "teacher_pi.w", "teacher_pi.b", EMBED_DIM, ACTION_DIM, self.guided)
-        _glorot(rng, EMBED_DIM, ACTION_DIM)
         for i in range(N_HEADS):
-            _glorot(rng, EMBED_DIM, EMBED_DIM)
-            _glorot(rng, EMBED_DIM, EMBED_DIM)
             self._weight(rng, f"attn{i}.wv", EMBED_DIM, EMBED_DIM, self.fused)
         self._weight(rng, "attn_out.w", N_HEADS * EMBED_DIM, EMBED_DIM, self.fused)
         self._linear(rng, "pi.w", "pi.b", EMBED_DIM, ACTION_DIM)
-        self._linear(rng, "q.w", "q.b", EMBED_DIM, ACTION_DIM)
         self._linear(rng, "v.w", "v.b", EMBED_DIM, 1)
 
     def _weight(self, rng, name, fan_in, fan_out, keep=True):
@@ -157,7 +152,6 @@ class FusionPolicyNet:
         return PolicyOutput(
             pi=softmax(logits),
             log_pi=log_softmax(logits),
-            q_values=add(matmul(h, p["q.w"]), p["q.b"]),
             v=add(matmul(h, p["v.w"]), p["v.b"]),
             log_teacher_pi_hat=log_teacher_pi_hat,
         )
@@ -221,7 +215,7 @@ class FusionPolicyNet:
     def architecture_id(self) -> str:
         """Identity string stored in checkpoints to reject mismatched loads."""
         return (
-            f"fusion-v3:in{self.input_dim}:embed{EMBED_DIM}"
+            f"fusion-v4:in{self.input_dim}:embed{EMBED_DIM}"
             f":heads{N_HEADS}:act{ACTION_DIM}:{self.variant}"
         )
 
@@ -267,16 +261,6 @@ def value_loss(values: Tensor, targets) -> Tensor:
         raise UsageError("value loss needs a non-empty batch")
     t = Tensor(np.asarray(targets, dtype=np.float64).reshape(values.data.shape))
     d = sub(values, t)
-    return tmean(mul(d, d))
-
-
-def q_value_loss(q_values: Tensor, actions, targets) -> Tensor:
-    """Same targets applied to the action-value head at the taken action."""
-    if q_values.data.size == 0:
-        raise UsageError("action-value loss needs a non-empty batch")
-    qa = gather(q_values, np.asarray(actions, dtype=np.int64))
-    t = Tensor(np.asarray(targets, dtype=np.float64).reshape(qa.data.shape))
-    d = sub(qa, t)
     return tmean(mul(d, d))
 
 

@@ -326,47 +326,35 @@ def _steer_command(lateral_err_left: float, heading_err: float, speed: float) ->
     return MAX_STEER if MAX_STEER < raw else raw
 
 
-def _ego_steer(state: ScenarioState, ego: VehicleState) -> float:
-    if state.geometry.ego_route is not None:
-        route = state.geometry.ego_route
+def _ego_control(state: ScenarioState, ego: VehicleState) -> tuple[float, float]:
+    """The ego's (accel, steer): a proportional speed loop toward its target
+    speed, and the lateral loop toward the target lane's center or along the
+    intersection's route, where one projection of the pose serves both loops.
+    On the route the target is capped at the highest speed the steering can
+    track on the curvature ahead; the slow speed loop needs early warning, so
+    the window covers a comfortable deceleration plus a margin. The min and
+    max calls are spelled as comparisons in the builtins' operand order, as in
+    idm_accel's clamp."""
+    target = state.ego_target_speed
+    route = state.geometry.ego_route
+    if route is None:
+        steer = _steer_command(-LANE_WIDTH * ego.target_lane - ego.y, wrap_angle(-ego.heading),
+                               ego.speed)
+    else:
         s, lat, path_heading = route.project(ego.x, ego.y)
+        lookahead = ego.speed * ego.speed / (2.0 * COMFORT_CURVE_DECEL) + 8.0
+        radius = route.min_radius(s, s + lookahead)
+        if not math.isinf(radius):
+            cap = math.sqrt(MAX_LATERAL_ACCEL * radius)
+            target = cap if cap < target else target  # min(target, cap)
         # feedforward holds the arc; feedback only corrects the residual
         feedforward = math.atan(ego.wheelbase * route.curvature_at(s))
         feedback = _steer_command(-lat, wrap_angle(path_heading - ego.heading), ego.speed)
-        return min(max(feedforward + feedback, -MAX_STEER), MAX_STEER)
-    target_y = -LANE_WIDTH * ego.target_lane
-    return _steer_command(target_y - ego.y, wrap_angle(-ego.heading), ego.speed)
-
-
-def _curve_speed_cap(state: ScenarioState, ego: VehicleState) -> float:
-    """Highest speed the steering can track on the curvature ahead of the
-    ego's route.
-
-    The slow proportional speed loop needs early warning, so the window covers
-    a comfortable deceleration from the current speed plus a margin.
-    """
-    route = state.geometry.ego_route
-    s, _, _ = route.project(ego.x, ego.y)
-    lookahead = ego.speed * ego.speed / (2.0 * COMFORT_CURVE_DECEL) + 8.0
-    radius = route.min_radius(s, s + lookahead)
-    if math.isinf(radius):
-        return math.inf
-    return math.sqrt(MAX_LATERAL_ACCEL * radius)
-
-
-def _ego_control(state: ScenarioState, ego: VehicleState) -> tuple[float, float]:
-    """The ego's (accel, steer): a proportional speed loop toward its target
-    speed, capped on a curved route, and the lateral loop. The min and max
-    calls are spelled as comparisons in the builtins' operand order, as in
-    idm_accel's clamp."""
-    target = state.ego_target_speed
-    if state.geometry.ego_route is not None:
-        cap = _curve_speed_cap(state, ego)
-        target = cap if cap < target else target  # min(target, cap)
+        steer = min(max(feedforward + feedback, -MAX_STEER), MAX_STEER)
     accel = KP_SPEED * (target - ego.speed)
     accel = -EMERGENCY_DECEL if -EMERGENCY_DECEL > accel else accel  # max(accel, -EMERGENCY_DECEL)
     max_accel = ego.profile.max_accel
-    return (max_accel if max_accel < accel else accel), _ego_steer(state, ego)
+    return (max_accel if max_accel < accel else accel), steer
 
 
 # time headway of the last-moment brake for an ego blocking a lane from across it
@@ -696,7 +684,7 @@ def step(state: ScenarioState, maneuver: Maneuver,
     dt, substeps = config.dt_physics, config.substeps
     cos, sin, tan, fmod = math.cos, math.sin, math.tan, math.fmod
     pi, two_pi = math.pi, _TWO_PI
-    # _ego_control and _ego_steer on straight lanes
+    # _ego_control on straight lanes
     target_speed, max_accel = state.ego_target_speed, ego.profile.max_accel
     target_y = -LANE_WIDTH * ego.target_lane
     wheelbase = 0.6 * ego.length  # the wheelbase property

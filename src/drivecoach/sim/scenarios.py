@@ -127,6 +127,14 @@ class ScenarioConfig:
 
 
 def default_success_region(kind: str) -> SuccessRegion:
+    """Where each kind's episode succeeds.
+
+    Merge keeps max_lane=1 though it never decides a `step` outcome. Lane 2
+    is nearest only in the ramp band, and past the ramp's end `_off_road`
+    ends a substep there before success is checked, so no ego is on lane 2
+    at x >= 240 when success is checked. The teacher reads it:
+    `goal_lane_for` steers a ramp ego toward lane 1 from it.
+    """
     if kind == "merge":
         return SuccessRegion(min_x=240.0, max_lane=1)
     if kind == "highway":

@@ -6,6 +6,10 @@ once per decision step and its chosen maneuver is stored alongside the
 transition; those labels drive the KL and distillation terms during updates.
 Outside the window the teacher is never queried and both terms vanish.
 
+A step's update, when it fills the buffer or ends the run, comes before its
+evaluation: the final metrics row, checkpoint_final.dckp and traces.jsonl
+score one policy.
+
 Variants share this one loop:
     V-PPO   no teacher, no fusion (the policy holds the student encoder only)
     A-PPO   fusion on, no teacher
@@ -27,7 +31,6 @@ from .nn import (
     AdamState,
     CheckpointError,
     adam_step,
-    add,
     load_checkpoint,
     save_checkpoint,
 )
@@ -38,7 +41,6 @@ from .policy import (
     entropy_bonus,
     guidance_losses,
     ppo_policy_loss,
-    q_value_loss,
     total_loss,
     value_loss,
     value_targets,
@@ -59,7 +61,9 @@ LOSS_HEADER = "update,step,total,policy_loss,value_loss,distill_loss,kl_penalty,
 # 5: the teacher's memory is memory schema 2 (entries keyed by field name)
 # 6: the env block's vehicles drop is_ego, and the env block drops disturbed_ids;
 #    the meta drops evals_done, which global_step // eval_interval gives
-CHECKPOINT_FORMAT = 6
+# 7: a step's evaluation follows its update, which a stop may leave pending;
+#    the buffer stores only its first buffer_n rows
+CHECKPOINT_FORMAT = 7
 
 
 def normalize_variant(name: str) -> str:
@@ -356,18 +360,16 @@ class Trainer:
             self._finish_episode(out.events)
         else:
             self._obs = next_flat
-        if self.global_step % self.cfg.eval_interval == 0:
-            report = self.evaluate()
-            self.eval_reports.append(report)
-            self._append_metrics(report)
-            evals_done = self.global_step // self.cfg.eval_interval
-            if self.out_dir is not None and evals_done % self.cfg.checkpoint_every_evals == 0:
-                self.save(self.out_dir / f"checkpoint_step{self.global_step}.dckp")
 
     @property
     def _stopped(self) -> bool:
         """Whether run(stop_after_step=...) has reached its stop step."""
         return self._stop_at is not None and self.global_step >= self._stop_at
+
+    @property
+    def _update_due(self) -> bool:
+        """Whether the buffer is full, or holds the run's last step."""
+        return self.buffer.full or (self.buffer.n > 0 and self.global_step >= self.cfg.total_steps)
 
     def _finish_episode(self, events: set) -> None:
         ep = self._ep
@@ -407,11 +409,6 @@ class Trainer:
                     self.teacher.run_reflection(segments)
         self.episode_index += 1
         self._obs = None
-
-    def _fill_buffer(self) -> None:
-        while (not self.buffer.full and self.global_step < self.cfg.total_steps
-               and not self._stopped):
-            self._collect_one_step()
 
     # --- optimization ---------------------------------------------------------
 
@@ -458,8 +455,7 @@ class Trainer:
         adv = (adv - adv.mean()) / (adv.std() + 1e-8)
         out = self.policy.forward(buf.obs[idx])
         policy = ppo_policy_loss(out.log_pi, actions, buf.logp[idx], adv, eps_clip)
-        value = add(value_loss(out.v, targets_all[idx]),
-                    q_value_loss(out.q_values, actions, targets_all[idx]))
+        value = value_loss(out.v, targets_all[idx])
         ent = entropy_bonus(out.pi, out.log_pi)
         kl_pen, distill, kl_value = guidance_losses(
             out.pi, out.log_teacher_pi_hat, buf.teacher_actions[idx], sigma, cfg.kl_weight)
@@ -578,7 +574,7 @@ class Trainer:
             arrays[f"adam_m.{name}"] = self.adam.m[name]
             arrays[f"adam_v.{name}"] = self.adam.v[name]
         for name in RolloutBuffer.ARRAYS:
-            arrays[f"buffer.{name}"] = getattr(self.buffer, name)
+            arrays[f"buffer.{name}"] = getattr(self.buffer, name)[:self.buffer.n]
         if self._ep.z_list:
             arrays["episode.z"] = np.stack(self._ep.z_list)
         env = None
@@ -632,9 +628,10 @@ class Trainer:
             trainer.adam.m[name] = adam_m[name]
             trainer.adam.v[name] = adam_v[name]
         trainer.adam.step = int(meta["adam_step"])
+        n = int(meta["buffer_n"])
         for name in RolloutBuffer.ARRAYS:
-            getattr(trainer.buffer, name)[:] = arrays[f"buffer.{name}"]
-        trainer.buffer.n = int(meta["buffer_n"])
+            getattr(trainer.buffer, name)[:n] = arrays[f"buffer.{name}"]
+        trainer.buffer.n = n
         trainer.global_step = int(meta["global_step"])
         trainer.updates_done = int(meta["updates_done"])
         trainer.episode_index = int(meta["episode_index"])
@@ -653,7 +650,10 @@ class Trainer:
         """Refuse an out_dir whose appended files hold more rows than this run
         had written by its step: a run killed after its last checkpoint leaves
         them, and running on from the checkpoint would write them again."""
-        written = {"metrics.csv": self.global_step // self.cfg.eval_interval,
+        evals = self.global_step // self.cfg.eval_interval
+        if self._update_due and self.global_step % self.cfg.eval_interval == 0:
+            evals -= 1  # a stop before this step's update, and its evaluation
+        written = {"metrics.csv": evals,
                    "losses.csv": self.updates_done,
                    "episodes.jsonl": self.episode_index}
         for name in APPENDED_ARTIFACTS:
@@ -674,13 +674,18 @@ class Trainer:
     def run(self, stop_after_step: int | None = None) -> list[EvalReport]:
         """Collect/update until the step budget; returns the eval history.
 
-        stop_after_step halts collection once the global step reaches it and
-        writes a resumable checkpoint instead of finishing the run. A run from
-        step 0 refuses an out_dir that holds an earlier run's rows
-        (`check_fresh_out_dir`); a resumed run appends to them, and refuses an
-        out_dir that holds rows past its step (`_check_no_rows_past`). A finished
-        run writes checkpoint_final.dckp, traces.jsonl and, for LA-PPO, the
-        teacher's memory.json, a file teacher.memory_path can preload.
+        Each collected step is followed, in order, by the update if the step
+        fills the buffer or ends the run, the evaluation if it is a multiple
+        of eval_interval, then the periodic checkpoint.
+
+        stop_after_step halts the run at that step, before any update due and
+        the evaluation after it, and writes a resumable checkpoint instead of
+        finishing the run. A run from step 0 refuses an out_dir that holds an
+        earlier run's rows (`check_fresh_out_dir`); a resumed run appends to
+        them, and refuses an out_dir that holds rows past its step
+        (`_check_no_rows_past`). A finished run writes checkpoint_final.dckp,
+        traces.jsonl and, for LA-PPO, the teacher's memory.json, a file
+        teacher.memory_path can preload.
         """
         if self.out_dir is not None:
             if self.global_step == 0:
@@ -688,10 +693,23 @@ class Trainer:
             else:
                 self._check_no_rows_past()
         self._stop_at = stop_after_step
-        while self.global_step < self.cfg.total_steps and not self._stopped:
-            self._fill_buffer()
-            if self.buffer.n and not self._stopped:
+        cfg = self.cfg
+        pending = self._update_due  # a stop's update, and its evaluation, are still to do
+        while pending or (self.global_step < cfg.total_steps and not self._stopped):
+            if not pending:
+                self._collect_one_step()
+            pending = False
+            if self._update_due:
+                if self._stopped:
+                    break
                 self.update()
+            if self.global_step % cfg.eval_interval == 0:
+                report = self.evaluate()
+                self.eval_reports.append(report)
+                self._append_metrics(report)
+                evals_done = self.global_step // cfg.eval_interval
+                if self.out_dir is not None and evals_done % cfg.checkpoint_every_evals == 0:
+                    self.save(self.out_dir / f"checkpoint_step{self.global_step}.dckp")
         if self.out_dir is not None:
             if self._stopped:
                 self.save(self.out_dir / f"checkpoint_step{self.global_step}.dckp")

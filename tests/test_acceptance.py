@@ -17,7 +17,7 @@ from test_policy import reference_forward
 
 from drivecoach.cli import main as cli_main
 from drivecoach.config import build_teacher, from_mapping, load_mapping
-from drivecoach.nn import AdamState, adam_step, add, tmean
+from drivecoach.nn import AdamState, adam_step, tmean
 from drivecoach.policy import (
     ACTION_DIM,
     VARIANTS,
@@ -27,7 +27,6 @@ from drivecoach.policy import (
     kl_penalty,
     kl_to_teacher,
     ppo_policy_loss,
-    q_value_loss,
     teacher_distribution,
     total_loss,
     value_loss,
@@ -80,8 +79,7 @@ def test_gradients_match_finite_differences():
         def objective():
             out = net.forward(obs)
             policy = ppo_policy_loss(out.log_pi, actions, old_logp, adv, 0.2)
-            value = add(value_loss(out.v, targets),
-                        q_value_loss(out.q_values, actions, targets))
+            value = value_loss(out.v, targets)
             kl_pen, distill, kl_value = guidance_losses(
                 out.pi, out.log_teacher_pi_hat, teacher_actions, 0.05, 10.0)
             ent = entropy_bonus(out.pi, out.log_pi)
@@ -130,11 +128,10 @@ def test_equation_oracles():
         net = FusionPolicyNet(FLAT_OBS_DIM, seed=seed)
         x = rng.normal(size=(5, FLAT_OBS_DIM))
         out = net.forward(x)
-        pi, q, v, tpi = reference_forward({k: p.data.copy() for k, p in net.params.items()}, x)
+        pi, v, tpi = reference_forward({k: p.data.copy() for k, p in net.params.items()}, x)
         worst_fwd = max(
             worst_fwd,
             float(np.abs(out.pi.data - pi).max()),
-            float(np.abs(out.q_values.data - q).max()),
             float(np.abs(out.v.data - v).max()),
             float(np.abs(np.exp(out.log_teacher_pi_hat.data) - tpi).max()),
         )

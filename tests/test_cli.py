@@ -459,15 +459,21 @@ class TestResumeCommand:
         cfg = TrainConfig(total_steps=200, eval_interval=50, eval_episodes=2, rollout_size=50,
                           batch_size=25, epochs=2, seed=0, variant="LA-PPO")
         Trainer(scenario, cfg, out_dir=tmp_path / "full").run()
-        Trainer(scenario, replace(cfg), out_dir=tmp_path / "part").run(stop_after_step=90)
-        capsys.readouterr()
-        assert main(["resume", str(tmp_path / "part" / "checkpoint_step90.dckp")]) == EXIT_OK
-        assert "final step 200: success_rate=" in capsys.readouterr().out
-        for name in ("metrics.csv", "losses.csv", "episodes.jsonl", "traces.jsonl"):
-            full, part = ((tmp_path / d / name).read_text() for d in ("full", "part"))
-            if name == "metrics.csv":
-                full, part = (without_column(text, "decision_time_s") for text in (full, part))
-            assert part == full, name
+        # 90 stops inside a rollout; 100 stops at an eval step whose full
+        # buffer waits for its update, and the evaluation of step 100 with it
+        for stop in (90, 100):
+            part = tmp_path / f"part{stop}"
+            stopped = Trainer(scenario, replace(cfg), out_dir=part)
+            stopped.run(stop_after_step=stop)
+            assert [r.step for r in stopped.eval_reports] == [50]
+            capsys.readouterr()
+            assert main(["resume", str(part / f"checkpoint_step{stop}.dckp")]) == EXIT_OK
+            assert "final step 200: success_rate=" in capsys.readouterr().out
+            for name in ("metrics.csv", "losses.csv", "episodes.jsonl", "traces.jsonl"):
+                full, resumed = ((d / name).read_text() for d in (tmp_path / "full", part))
+                if name == "metrics.csv":
+                    full, resumed = (without_column(t, "decision_time_s") for t in (full, resumed))
+                assert resumed == full, (stop, name)
 
     def test_finished_checkpoint_exits_2_and_keeps_its_files(self, finished_run, capsys):
         before = {p.name: p.read_bytes() for p in finished_run.iterdir()}
@@ -510,27 +516,27 @@ class TestResumeCommand:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_update_after_the_checkpoint_at_its_step_is_past_it(self, tmp_path, capsys):
-        """At step 50 the checkpoint is written before the update that the
-        full buffer then runs, whose losses row also reads step 50."""
+        """A stop at step 50 comes before the update that the full buffer then
+        runs and before that step's evaluation. Each writes a row that reads
+        step 50, so a directory holding either row is refused."""
         scenario = ScenarioConfig(kind="merge", n_background=2)
         cfg = TrainConfig(total_steps=100, eval_interval=50, eval_episodes=1, rollout_size=50,
-                          batch_size=25, epochs=1, seed=0, variant="V-PPO", checkpoint_every_evals=1)
-        Trainer(scenario, cfg, out_dir=tmp_path).run()
-        ckpt = tmp_path / "checkpoint_step50.dckp"
+                          batch_size=25, epochs=1, seed=0, variant="V-PPO")
+        Trainer(scenario, cfg, out_dir=tmp_path / "full").run()
+        part = tmp_path / "part"
+        Trainer(scenario, replace(cfg), out_dir=part).run(stop_after_step=50)
+        ckpt = part / "checkpoint_step50.dckp"
         at_ckpt = Trainer.resume(ckpt)
-        assert at_ckpt.updates_done == 0
-        # the other files cut back to the checkpoint, losses.csv to its first update
-        metrics = (tmp_path / "metrics.csv").read_text().splitlines()
-        (tmp_path / "metrics.csv").write_text("\n".join(metrics[:2]) + "\n")
-        episodes = (tmp_path / "episodes.jsonl").read_text().splitlines()
-        (tmp_path / "episodes.jsonl").write_text(
-            "".join(line + "\n" for line in episodes[:at_ckpt.episode_index]))
-        losses = (tmp_path / "losses.csv").read_text().splitlines()
-        assert losses[1].split(",")[:2] == ["1", "50"]
-        (tmp_path / "losses.csv").write_text("\n".join(losses[:2]) + "\n")
-        capsys.readouterr()
-        assert main(["resume", str(ckpt)]) == EXIT_CONFIG
-        assert f"{tmp_path / 'losses.csv'} holds 1 rows, 1 of them past step 50" in capsys.readouterr().err
+        assert at_ckpt.updates_done == 0 and at_ckpt.buffer.full
+        assert not (part / "metrics.csv").exists() and not (part / "losses.csv").exists()
+        for name, first_row in (("metrics.csv", "50,V-PPO,"), ("losses.csv", "1,50,")):
+            lines = (tmp_path / "full" / name).read_text().splitlines()
+            assert lines[1].startswith(first_row)
+            (part / name).write_text("\n".join(lines[:2]) + "\n")
+            capsys.readouterr()
+            assert main(["resume", str(ckpt)]) == EXIT_CONFIG
+            assert f"{part / name} holds 1 rows, 1 of them past step 50" in capsys.readouterr().err
+            (part / name).unlink()
 
     def test_checkpoint_of_a_remote_teacher_exits_2(self, tmp_path, capsys):
         scenario = ScenarioConfig(kind="merge", n_background=2)

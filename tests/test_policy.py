@@ -12,7 +12,7 @@ import pytest
 
 from drivecoach.errors import UsageError
 from drivecoach.sim.engine import FLAT_OBS_DIM
-from drivecoach.nn import Tensor, ShapeError, add
+from drivecoach.nn import Tensor, ShapeError
 from drivecoach.policy import (
     ACTION_DIM,
     VARIANTS,
@@ -23,7 +23,6 @@ from drivecoach.policy import (
     kl_penalty,
     kl_to_teacher,
     ppo_policy_loss,
-    q_value_loss,
     teacher_distribution,
     total_loss,
     value_loss,
@@ -59,9 +58,8 @@ def reference_forward(weights: dict, x: np.ndarray):
             teacher_pi = soft(h_t @ weights["teacher_pi.w"] + weights["teacher_pi.b"])
 
     pi = soft(h @ weights["pi.w"] + weights["pi.b"])
-    q_values = h @ weights["q.w"] + weights["q.b"]
     v_out = h @ weights["v.w"] + weights["v.b"]
-    return pi, q_values, v_out, teacher_pi
+    return pi, v_out, teacher_pi
 
 
 def batch_obs(rng, n=4):
@@ -77,26 +75,24 @@ class TestForward:
             out = net.forward(x)
             ref = reference_forward({k: p.data.copy() for k, p in net.params.items()}, x)
             np.testing.assert_allclose(out.pi.data, ref[0], atol=1e-10)
-            np.testing.assert_allclose(out.q_values.data, ref[1], atol=1e-10)
-            np.testing.assert_allclose(out.v.data, ref[2], atol=1e-10)
+            np.testing.assert_allclose(out.v.data, ref[1], atol=1e-10)
             if variant == "LA-PPO":
-                np.testing.assert_allclose(np.exp(out.log_teacher_pi_hat.data), ref[3],
+                np.testing.assert_allclose(np.exp(out.log_teacher_pi_hat.data), ref[2],
                                            atol=1e-10)
             else:
-                assert out.log_teacher_pi_hat is None and ref[3] is None
+                assert out.log_teacher_pi_hat is None and ref[2] is None
 
     def test_output_invariants(self):
         rng = np.random.default_rng(3)
         net = FusionPolicyNet(IN_DIM, seed=2)
         out = net.forward(batch_obs(rng, 5))
         assert out.pi.data.shape == (5, ACTION_DIM)
-        assert out.q_values.data.shape == (5, ACTION_DIM)
         assert out.log_teacher_pi_hat.data.shape == (5, ACTION_DIM)
         assert out.v.data.shape == (5, 1)
         np.testing.assert_allclose(out.pi.data.sum(axis=-1), 1.0, atol=1e-9)
         teacher_pi_hat = np.exp(out.log_teacher_pi_hat.data)
         np.testing.assert_allclose(teacher_pi_hat.sum(axis=-1), 1.0, atol=1e-9)
-        for field in (out.pi.data, out.q_values.data, out.v.data, teacher_pi_hat):
+        for field in (out.pi.data, out.v.data, teacher_pi_hat):
             assert np.all(np.isfinite(field))
 
     def test_deterministic(self):
@@ -142,16 +138,15 @@ class TestForward:
         logits = h_s @ w["pi.w"] + w["pi.b"]
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         np.testing.assert_allclose(out.pi.data, e / e.sum(axis=-1, keepdims=True), atol=1e-12)
-        np.testing.assert_allclose(out.q_values.data, h_s @ w["q.w"] + w["q.b"], atol=1e-12)
         np.testing.assert_allclose(out.v.data, h_s @ w["v.w"] + w["v.b"], atol=1e-12)
 
     def test_parameter_inventory(self):
-        expected = {"V-PPO": (10, 23_435), "A-PPO": (17, 110_987), "LA-PPO": (19, 111_632)}
+        expected = {"V-PPO": (8, 22_790), "A-PPO": (15, 110_342), "LA-PPO": (17, 110_987)}
         for variant, (n_tensors, n_params) in expected.items():
             net = FusionPolicyNet(FLAT_OBS_DIM, seed=0, variant=variant)
             assert len(net.params) == n_tensors, variant
             assert sum(p.data.size for _, p in net.params.items()) == n_params, variant
-            assert net.architecture_id().startswith("fusion-v3:")
+            assert net.architecture_id().startswith("fusion-v4:")
             assert net.architecture_id().endswith(f":{variant}")
 
     def test_kept_weights_start_identical_across_variants(self):
@@ -159,6 +154,38 @@ class TestForward:
         for variant in ("V-PPO", "A-PPO"):
             for name, p in FusionPolicyNet(IN_DIM, seed=5, variant=variant).params.items():
                 assert np.array_equal(p.data, full[name]), (variant, name)
+
+    def test_construction_draws_each_weight_once(self, monkeypatch):
+        """Every variant draws the same documented sequence and nothing else;
+        a kept weight is its draw, and a bias starts at zero."""
+        order = [("f_s.w1", IN_DIM, 128), ("f_s.w2", 128, 128),
+                 ("f_t.w1", IN_DIM, 128), ("f_t.w2", 128, 128),
+                 ("teacher_pi.w", 128, ACTION_DIM), ("attn0.wv", 128, 128),
+                 ("attn1.wv", 128, 128), ("attn_out.w", 256, 128),
+                 ("pi.w", 128, ACTION_DIM), ("v.w", 128, 1)]
+        default_rng = np.random.default_rng
+        for variant in VARIANTS:
+            made = []
+
+            def recorded_rng(seed):
+                made.append(default_rng(seed))
+                return made[-1]
+
+            monkeypatch.setattr(np.random, "default_rng", recorded_rng)
+            net = FusionPolicyNet(IN_DIM, seed=5, variant=variant)
+            monkeypatch.undo()
+            fresh = default_rng(5)
+            draws = {}
+            for name, fan_in, fan_out in order:
+                limit = math.sqrt(6.0 / (fan_in + fan_out))
+                draws[name] = fresh.uniform(-limit, limit, size=(fan_in, fan_out))
+            assert len(made) == 1
+            assert made[0].bit_generator.state == fresh.bit_generator.state, variant
+            for name, p in net.params.items():
+                if name in draws:
+                    assert np.array_equal(p.data, draws[name]), (variant, name)
+                else:  # a bias
+                    assert not np.any(p.data), (variant, name)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(UsageError, match="variant"):
@@ -247,14 +274,6 @@ class TestValueLoss:
     def test_empty_batch_rejected(self):
         with pytest.raises(UsageError):
             value_loss(Tensor(np.zeros((0, 1))), np.zeros(0))
-
-    def test_q_head_loss_hits_taken_action_only(self):
-        q = Tensor(np.array([[1.0, 5.0, 0.0, 0.0, 0.0],
-                             [0.0, 0.0, 2.0, 0.0, 0.0]]))
-        actions = np.array([1, 2])
-        targets = np.array([4.0, 2.0])
-        # ((5-4)^2 + (2-2)^2) / 2
-        assert q_value_loss(q, actions, targets).data == pytest.approx(0.5)
 
 
 class TestPpoLoss:
@@ -523,7 +542,7 @@ class TestGradients:
         total.backward()
 
         for name in ("f_s.w1", "f_t.w2", "attn0.wv", "attn1.wv", "attn_out.w",
-                     "pi.w", "v.w", "teacher_pi.w", "q.w"):
+                     "pi.w", "v.w", "teacher_pi.w"):
             param = net.params[name]
             flat_idx = rng.integers(param.data.size, size=3)
             for idx in flat_idx:
@@ -555,7 +574,7 @@ class TestGradients:
             old_logp = np.log(np.full(8, 0.2))
             targets = rng.normal(size=8)
             policy = ppo_policy_loss(out.log_pi, actions, old_logp, rng.normal(size=8), 0.2)
-            value = add(value_loss(out.v, targets), q_value_loss(out.q_values, actions, targets))
+            value = value_loss(out.v, targets)
             kl_pen, distill, kl_value = guidance_losses(out.pi, out.log_teacher_pi_hat,
                                                         teacher_actions, sigma=0.01,
                                                         kl_weight=10.0)

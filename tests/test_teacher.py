@@ -1034,9 +1034,9 @@ class TestScriptedTeacherAsDriver:
 # memory supplies exemplars inside these runs. The last decision goes through
 # a backend that always fails, so the fallback reads the run's constraints.
 TEACHER_DIGESTS = {
-    "merge": "7695e484fab2aa3c",
-    "highway": "d0bae2b2a3f6ee39",
-    "intersection": "019b5bd44441790f",
+    "merge": "5566e52e94b858d4",
+    "highway": "cf27353d048185c2",
+    "intersection": "8fd117fc96cca867",
 }
 
 

@@ -28,6 +28,7 @@ from drivecoach.trainer import (
     Trainer,
     clip_schedule,
     gae_advantages,
+    metrics_row,
     normalize_variant,
     sigma_schedule,
     window_steps,
@@ -424,11 +425,12 @@ class TestLockstepEvaluation:
     N = 6
 
     def _trainer(self, out_dir=None):
-        # merge with 5 vehicles: seed 0's untrained A-PPO policy ends its six
-        # eval episodes after 16, 30, 18, 14, 16 and 26 steps, by success,
-        # timeout and leaving the road
+        # merge with 5 vehicles: seed 2's untrained A-PPO policy ends its six
+        # eval episodes after 23, 2, 28, 15, 21 and 15 steps, by success and
+        # by collision. Seeds 0 and 1 end all six the same way, so their
+        # lockstep batches never see episodes with different endings.
         cfg = small_cfg(total_steps=100, eval_interval=100, eval_episodes=self.N,
-                        rollout_size=50, batch_size=25, variant="A-PPO")
+                        rollout_size=50, batch_size=25, variant="A-PPO", seed=2)
         return Trainer(merge_scenario(n_background=5), cfg, out_dir=out_dir)
 
     def test_matches_sequential_rollouts(self, monkeypatch):
@@ -527,6 +529,30 @@ class TestRunArtifacts:
         assert {t["episode"] for t in traces} == {0, 1}
         assert all("state" in t and "maneuver" in t for t in traces)
 
+    @pytest.mark.parametrize("rollout_size", [50, 64], ids=["full-buffer", "partial-rollout"])
+    def test_final_row_scores_the_saved_policy(self, tmp_path, rollout_size):
+        """The last evaluation comes after the run's last update, so the final
+        metrics row, checkpoint_final.dckp and traces.jsonl score one policy.
+        With 50-step rollouts step 200 fills the buffer; with 64-step ones
+        the run ends on a partial rollout of 8 steps. In both, the last update
+        changes seed 1's greedy LA-PPO episodes, so an evaluation before it
+        would write another row."""
+        cfg = small_cfg(variant="LA-PPO", seed=1, rollout_size=rollout_size)
+        Trainer(merge_scenario(), cfg, out_dir=tmp_path).run()
+        final_row = (tmp_path / "metrics.csv").read_text().splitlines()[-1]
+        report = Trainer.resume(tmp_path / "checkpoint_final.dckp").evaluate()
+        saved_row = metrics_row(report, cfg.variant, "merge", cfg.seed)
+        assert (drop_column(f"{METRICS_HEADER}\n{final_row}", "decision_time_s")
+                == drop_column(f"{METRICS_HEADER}\n{saved_row}", "decision_time_s"))
+        episodes = {}
+        for line in (tmp_path / "traces.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            episodes.setdefault(record["episode"], []).append(record)
+        assert report.eval_reward == float(np.mean(
+            [sum(r["reward"] for r in ep) for ep in episodes.values()]))
+        assert report.success_rate == (
+            sum("success" in ep[-1]["events"] for ep in episodes.values()) / len(episodes))
+
     def test_fresh_run_refuses_a_used_out_dir(self, tmp_path):
         """A second run from step 0 into the same directory would append its
         rows to the first run's; it stops before writing anything."""
@@ -572,25 +598,25 @@ def drop_column(text: str, column: str) -> str:
 # kernels), as TEACHER_DIGESTS does.
 TRAINING_DIGESTS = {
     "V-PPO": {
-        "losses.csv": "1fd9a2a0ca6fd99f",
-        "episodes.jsonl": "ced897a840795d70",
-        "traces.jsonl": "5642657748f428e9",
-        "checkpoint_final.dckp": "a3a87b3ab6434f00",
-        "metrics.csv": "adc77285814d6cec",
+        "losses.csv": "80db8d03d25c5920",
+        "episodes.jsonl": "5cc710ef79e7fb02",
+        "traces.jsonl": "10faa2f867d06f63",
+        "checkpoint_final.dckp": "1250c140d6094d52",
+        "metrics.csv": "0be9f649c443ca20",
     },
     "A-PPO": {
-        "losses.csv": "d5429117a31ca3a5",
-        "episodes.jsonl": "5edc028874853d84",
-        "traces.jsonl": "51030bae760d59b4",
-        "checkpoint_final.dckp": "70a8b7c8043038d3",
-        "metrics.csv": "51bdec7f7f75f467",
+        "losses.csv": "af7611125258858a",
+        "episodes.jsonl": "9510f62d82a41f4a",
+        "traces.jsonl": "5b248fd2252fa987",
+        "checkpoint_final.dckp": "3fd7eaacdb460488",
+        "metrics.csv": "e1cd69bec7044b31",
     },
     "LA-PPO": {
-        "losses.csv": "f891379b5f37ca84",
-        "episodes.jsonl": "08489dfc779b3d10",
-        "traces.jsonl": "1df7f85b870beda1",
-        "checkpoint_final.dckp": "98f618ece8a277d9",
-        "metrics.csv": "8a3c78407d623b6b",
+        "losses.csv": "8adccb1d91c4983b",
+        "episodes.jsonl": "60067e0d23a4ccfe",
+        "traces.jsonl": "ca27205b9c3f174e",
+        "checkpoint_final.dckp": "a8188cd2ecbfa0e0",
+        "metrics.csv": "5fe6bca0262855f0",
     },
 }
 
@@ -748,20 +774,33 @@ class TestCheckpointResume:
     def test_previous_checkpoint_format_rejected(self, tmp_path):
         cfg = small_cfg(variant="LA-PPO")
         tr = Trainer(merge_scenario(), cfg, out_dir=tmp_path)
-        tr.run(stop_after_step=50)
-        arrays, meta = load_checkpoint(str(tmp_path / "checkpoint_step50.dckp"))
-        # format 5 stored evals_done, the env block's disturbed_ids and each
-        # vehicle's is_ego
-        env = meta["env"]
-        env["disturbed_ids"] = []
-        for veh in [env["ego"], *env["background"]]:
-            veh["is_ego"] = veh is env["ego"]
-        meta["evals_done"] = 0
-        meta["format"] = 5
+        tr.run(stop_after_step=30)
+        arrays, meta = load_checkpoint(str(tmp_path / "checkpoint_step30.dckp"))
+        assert meta["format"] == 7 and len(arrays["buffer.obs"]) == meta["buffer_n"] == 30
+        # format 6 stored every row of the buffer, and a checkpoint at an eval
+        # step held that step's evaluation whether or not its update was done
+        for name in RolloutBuffer.ARRAYS:
+            arrays[f"buffer.{name}"] = getattr(tr.buffer, name)
+        meta["format"] = 6
         doctored = tmp_path / "doctored.dckp"
         save_checkpoint(str(doctored), arrays, meta)
-        with pytest.raises(CheckpointError, match="format"):
+        with pytest.raises(CheckpointError, match="format: 6"):
             Trainer.resume(doctored)
+
+    def test_checkpoint_stores_only_the_live_buffer_rows(self, tmp_path):
+        cfg = small_cfg(variant="LA-PPO", teacher_window_fraction=0.5)
+        tr = Trainer(merge_scenario(), cfg, out_dir=tmp_path)
+        tr.run(stop_after_step=30)
+        arrays, _ = load_checkpoint(str(tmp_path / "checkpoint_step30.dckp"))
+        for name in RolloutBuffer.ARRAYS:
+            assert np.array_equal(arrays[f"buffer.{name}"], getattr(tr.buffer, name)[:30]), name
+        resumed = Trainer.resume(tmp_path / "checkpoint_step30.dckp")
+        for name in RolloutBuffer.ARRAYS:
+            assert np.array_equal(getattr(resumed.buffer, name), getattr(tr.buffer, name)), name
+        Trainer(merge_scenario(), dataclasses.replace(cfg), out_dir=tmp_path / "whole").run()
+        arrays, meta = load_checkpoint(str(tmp_path / "whole" / "checkpoint_final.dckp"))
+        assert meta["buffer_n"] == 0
+        assert all(len(arrays[f"buffer.{name}"]) == 0 for name in RolloutBuffer.ARRAYS)
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         cfg = small_cfg(variant="V-PPO")
@@ -787,18 +826,21 @@ class TestCheckpointResume:
             Trainer.resume(doctored)
 
     def test_previous_architecture_version_rejected(self, tmp_path):
-        # fusion-v2 nets held all 19 tensors whatever the variant
         cfg = small_cfg(variant="V-PPO")
         tr = Trainer(merge_scenario(), cfg, out_dir=tmp_path)
         tr.run(stop_after_step=50)
         ckpt = tmp_path / "checkpoint_step50.dckp"
         arrays, meta = load_checkpoint(str(ckpt))
-        assert meta["architecture"] == "fusion-v3:in42:embed128:heads2:act5:V-PPO"
-        meta["architecture"] = "fusion-v2:in42:embed128:heads2:act5:fused0"
-        doctored = tmp_path / "doctored.dckp"
-        save_checkpoint(str(doctored), arrays, meta)
-        with pytest.raises(CheckpointError, match="architecture"):
-            Trainer.resume(doctored)
+        assert meta["architecture"] == "fusion-v4:in42:embed128:heads2:act5:V-PPO"
+        for previous in (
+            "fusion-v2:in42:embed128:heads2:act5:fused0",  # all 19 tensors whatever the variant
+            "fusion-v3:in42:embed128:heads2:act5:V-PPO",  # with the action-value head q
+        ):
+            meta["architecture"] = previous
+            doctored = tmp_path / "doctored.dckp"
+            save_checkpoint(str(doctored), arrays, meta)
+            with pytest.raises(CheckpointError, match=f"checkpoint holds '{previous}'"):
+                Trainer.resume(doctored)
 
     def test_periodic_checkpoints_written(self, tmp_path):
         cfg = small_cfg(variant="V-PPO", checkpoint_every_evals=2)
