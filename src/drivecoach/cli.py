@@ -168,8 +168,9 @@ def cmd_resume(args) -> int:
     directory that holds rows past the checkpoint."""
     ckpt = _existing_checkpoint(args.checkpoint)
     trainer = Trainer.resume(ckpt, out_dir=ckpt.parent)
-    # running on would rewrite a finished run's final files
-    if trainer.global_step >= trainer.cfg.total_steps:
+    # running on would rewrite a finished run's final files; a run stopped at
+    # its last step still holds the rows of its last update
+    if trainer.global_step >= trainer.cfg.total_steps and trainer.buffer.n == 0:
         raise ConfigError(f"checkpoint {ckpt} is at step {trainer.global_step} of "
                           f"train.total_steps {trainer.cfg.total_steps}: its run is finished")
     if trainer.teacher is not None:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
+from .sampling import draw_indices, weighted_cdf
 from .nn import (
     ParamStore,
     ShapeError,
@@ -200,7 +201,9 @@ class FusionPolicyNet:
         """Pick one action for a single observation.
 
         Returns (action, log-prob of that action, state value). Sampling
-        needs an explicit generator so rollouts stay reproducible.
+        needs an explicit generator so rollouts stay reproducible; it draws
+        the action `rng.choice(ACTION_DIM, p=pi)` would, and probabilities
+        with a NaN or infinite total raise ValueError.
         """
         pi, log_pi, v = self.infer(obs)
         probs = pi[0]
@@ -209,7 +212,7 @@ class FusionPolicyNet:
         else:
             if rng is None:
                 raise UsageError("sampling an action requires a random generator")
-            action = int(rng.choice(ACTION_DIM, p=probs))
+            action = int(draw_indices(rng, weighted_cdf(probs), 1)[0])
         return action, float(log_pi[0, action]), float(v[0, 0])
 
     def architecture_id(self) -> str:

@@ -27,6 +27,11 @@ values bit for bit, so every trajectory stays the same. The helpers stay the
 one definition for every other caller and the reference the tests check the
 copies against.
 
+`observe` writes each observation into one flat vector of FLAT_OBS_DIM
+floats, the vector the policy reads. An `Observation`'s `ego` and
+`neighbors` are views into that vector, and `flat()` returns the vector
+itself, not a copy: a caller that writes into any of them must copy first.
+
 Everything downstream of reset() is deterministic: randomness enters only
 through the spawn RNG, never during stepping.
 """
@@ -86,17 +91,35 @@ REWARD_OFF_ROAD = 5.0
 REWARD_SUCCESS = 5.0
 
 
+FLAT_OBS_DIM = 6 + 6 * N_NEIGHBOR_SLOTS
+
+
 @dataclass
 class Observation:
     """Ego block is the world pose; neighbor columns are ego-frame relative
-    position/velocity plus the neighbor's absolute heading encoding."""
+    position/velocity plus the neighbor's absolute heading encoding.
 
-    ego: np.ndarray  # (6,) [x, y, vx, vy, cos h, sin h]
-    neighbors: np.ndarray  # (6, N) feature-by-slot, zero-padded
+    Both live in one flat vector: the ego block, then each slot's six
+    features. `ego` and `neighbors` are views into it, and `flat()` returns
+    the vector itself, so a caller that writes into any of them writes the
+    observation: copy first."""
+
+    vector: np.ndarray  # (FLAT_OBS_DIM,) ego block, then slot by slot, zero-padded
     neighbor_ids: list[int]  # one per filled slot, closest first
 
+    @property
+    def ego(self) -> np.ndarray:
+        """(6,) [x, y, vx, vy, cos h, sin h], a view into the vector."""
+        return self.vector[:6]
+
+    @property
+    def neighbors(self) -> np.ndarray:
+        """(6, N) feature-by-slot, a view into the vector."""
+        return self.vector[6:].reshape(N_NEIGHBOR_SLOTS, 6).T
+
     def flat(self) -> np.ndarray:
-        return np.concatenate([self.ego, self.neighbors.T.ravel()])
+        """The observation's own vector, not a copy."""
+        return self.vector
 
     @property
     def neighbor_count(self) -> int:
@@ -104,10 +127,8 @@ class Observation:
 
     @property
     def ego_speed(self) -> float:
-        return float(math.hypot(self.ego[2], self.ego[3]))
-
-
-FLAT_OBS_DIM = 6 + 6 * N_NEIGHBOR_SLOTS
+        vector = self.vector
+        return float(math.hypot(vector[2], vector[3]))
 
 
 @dataclass
@@ -326,22 +347,24 @@ def _steer_command(lateral_err_left: float, heading_err: float, speed: float) ->
     return MAX_STEER if MAX_STEER < raw else raw
 
 
-def _ego_control(state: ScenarioState, ego: VehicleState) -> tuple[float, float]:
+def _ego_control(state: ScenarioState, ego: VehicleState,
+                 projection: tuple[float, float, float] | None = None) -> tuple[float, float]:
     """The ego's (accel, steer): a proportional speed loop toward its target
     speed, and the lateral loop toward the target lane's center or along the
     intersection's route, where one projection of the pose serves both loops.
-    On the route the target is capped at the highest speed the steering can
-    track on the curvature ahead; the slow speed loop needs early warning, so
-    the window covers a comfortable deceleration plus a margin. The min and
-    max calls are spelled as comparisons in the builtins' operand order, as in
-    idm_accel's clamp."""
+    A caller that holds `route.project` of the ego's pose passes it as
+    `projection`. On the route the target is capped at the highest speed the
+    steering can track on the curvature ahead; the slow speed loop needs
+    early warning, so the window covers a comfortable deceleration plus a
+    margin. The min and max calls are spelled as comparisons in the builtins'
+    operand order, as in idm_accel's clamp."""
     target = state.ego_target_speed
     route = state.geometry.ego_route
     if route is None:
         steer = _steer_command(-LANE_WIDTH * ego.target_lane - ego.y, wrap_angle(-ego.heading),
                                ego.speed)
     else:
-        s, lat, path_heading = route.project(ego.x, ego.y)
+        s, lat, path_heading = route.project(ego.x, ego.y) if projection is None else projection
         lookahead = ego.speed * ego.speed / (2.0 * COMFORT_CURVE_DECEL) + 8.0
         radius = route.min_radius(s, s + lookahead)
         if not math.isinf(radius):
@@ -656,8 +679,10 @@ def step(state: ScenarioState, maneuver: Maneuver,
     straight lanes, `wrap_angle`, the `wheelbase` property,
     `nearest_lane_index`, `LaneTable.add`, `_off_road` on straight lanes
     and `SuccessRegion.contains`. Each copy names the helper it mirrors. On
-    the intersection's route the loop calls `_ego_control`, with its curve
-    cap, and `_off_road`.
+    the intersection's route the loop projects the moved pose onto the
+    route once per substep: that projection answers `_off_road`, and the
+    next substep's `_ego_control`, with its curve cap, reads it rather than
+    project the same pose again.
 
     Only background vehicles read tables. The lane-change pass moves nothing,
     so it shares substep 0's table, built from the stored lanes and
@@ -680,7 +705,8 @@ def step(state: ScenarioState, maneuver: Maneuver,
     # the ego's targets or its size
     config, ego = state.config, state.ego
     lanes = state.geometry.lanes
-    straight = state.geometry.ego_route is None  # merge and highway
+    route = state.geometry.ego_route
+    straight = route is None  # merge and highway
     dt, substeps = config.dt_physics, config.substeps
     cos, sin, tan, fmod = math.cos, math.sin, math.tan, math.fmod
     pi, two_pi = math.pi, _TWO_PI
@@ -696,6 +722,7 @@ def step(state: ScenarioState, maneuver: Maneuver,
     ramp_band = -LANE_WIDTH * 1.5
     region = config.success_region
     min_x, max_x, max_lane = region.min_x, region.max_x, region.max_lane
+    projection = None  # on the route, route.project(x, y) once the ego has moved
 
     x, y, speed, heading = ego.x, ego.y, ego.speed, ego.heading
     events: set[str] = set()
@@ -713,7 +740,7 @@ def step(state: ScenarioState, maneuver: Maneuver,
             steer = -MAX_STEER if -MAX_STEER > steer else steer
             steer = MAX_STEER if MAX_STEER < steer else steer
         else:
-            accel, steer = _ego_control(state, ego)
+            accel, steer = _ego_control(state, ego, projection)
         controls = None if table is None else _background_controls(state, table)
         # the last substep's lanes feed the events and the observation; a
         # table would have no reader
@@ -759,7 +786,9 @@ def step(state: ScenarioState, maneuver: Maneuver,
             # _off_road(state, ego)
             off_road = y > top or y < bottom or (merge and y < ramp_band and x > MERGE_RAMP_END)
         else:
-            off_road = _off_road(state, ego)
+            # _off_road(state, ego), whose projection the next substep's control reads
+            projection = route.project(x, y)
+            off_road = abs(projection[1]) > LANE_WIDTH
         if collided or off_road:
             if collided:
                 events.add("collision")
@@ -796,34 +825,38 @@ def reward(state: ScenarioState, maneuver: Maneuver, events: set[str]) -> float:
 
 
 def observe(state: ScenarioState) -> Observation:
+    """The ego's world pose and, per slot, the nearest background vehicles
+    within SENSING_RADIUS, closest first and the lower id on a tie, written
+    into one flat vector."""
     ego = state.ego
-    evx, evy = ego.velocity
-    cos_h, sin_h = math.cos(ego.heading), math.sin(ego.heading)
-    ego_block = np.array([ego.x, ego.y, evx, evy, cos_h, sin_h], dtype=np.float64)
-
-    in_range = []
-    for veh in state.background:
-        d = math.hypot(veh.x - ego.x, veh.y - ego.y)
-        if d <= SENSING_RADIUS:
-            in_range.append((d, veh.id, veh))
-    in_range.sort(key=lambda item: (item[0], item[1]))
-    in_range = in_range[:N_NEIGHBOR_SLOTS]
-
-    cols = np.zeros((6, N_NEIGHBOR_SLOTS), dtype=np.float64)
+    x, y, speed = ego.x, ego.y, ego.speed
+    cos, sin = math.cos, math.sin
+    cos_h, sin_h = cos(ego.heading), sin(ego.heading)
+    evx, evy = speed * cos_h, speed * sin_h  # ego.velocity
+    values = [x, y, evx, evy, cos_h, sin_h]
     ids = []
-    for slot, (_, _, veh) in enumerate(in_range):
-        dx, dy = veh.x - ego.x, veh.y - ego.y
-        vvx, vvy = veh.velocity
-        dvx, dvy = vvx - evx, vvy - evy
-        # rotate relative quantities into the ego frame
-        cols[0, slot] = cos_h * dx + sin_h * dy
-        cols[1, slot] = -sin_h * dx + cos_h * dy
-        cols[2, slot] = cos_h * dvx + sin_h * dvy
-        cols[3, slot] = -sin_h * dvx + cos_h * dvy
-        cols[4, slot] = math.cos(veh.heading)
-        cols[5, slot] = math.sin(veh.heading)
-        ids.append(veh.id)
-    return Observation(ego=ego_block, neighbors=cols, neighbor_ids=ids)
+    background = state.background
+    if background:
+        hypot = math.hypot
+        in_range = []
+        for i, veh in enumerate(background):
+            d = hypot(veh.x - x, veh.y - y)
+            if d <= SENSING_RADIUS:
+                in_range.append((d, veh.id, i))
+        # by distance, then id, then spawn order
+        in_range.sort()
+        for _, vid, i in in_range[:N_NEIGHBOR_SLOTS]:
+            veh = background[i]
+            dx, dy = veh.x - x, veh.y - y
+            c, s = cos(veh.heading), sin(veh.heading)
+            dvx, dvy = veh.speed * c - evx, veh.speed * s - evy  # from veh.velocity
+            # relative quantities rotated into the ego frame
+            values += (cos_h * dx + sin_h * dy, -sin_h * dx + cos_h * dy,
+                       cos_h * dvx + sin_h * dvy, -sin_h * dvx + cos_h * dvy, c, s)
+            ids.append(vid)
+    vector = np.zeros(FLAT_OBS_DIM)
+    vector[:len(values)] = values
+    return Observation(vector=vector, neighbor_ids=ids)
 
 
 def trace_record(state: ScenarioState, maneuver: Maneuver, outcome: StepOutcome) -> dict:

@@ -73,12 +73,13 @@ class Route:
     def __init__(self, segments):
         if not segments:
             raise ValueError("route needs at least one segment")
-        self.segments = list(segments)
-        self._offsets = []
+        self.segments = tuple(segments)
+        offsets = []
         total = 0.0
         for seg in self.segments:
-            self._offsets.append(total)
+            offsets.append(total)
             total += seg.length
+        self._offsets = tuple(offsets)
         self.length = total
 
     def project(self, x: float, y: float):

@@ -17,16 +17,24 @@ ego's start (x, y, speed, heading, lane), the traffic lanes with their odds
 and x windows, and the minimum spacing along a lane. `spawn` places every
 layout's traffic through one path and reads each vehicle's y and heading
 from its lane.
+
+Geometry and driver profiles are immutable and shared per kind:
+`build_geometry(kind)` and `make_profile(style, kind)` build each one once
+and return that same object to every later caller, so every episode of a
+kind holds the same `Geometry` and its vehicles of one style the same
+`DriverProfile`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ConfigError
+from ..sampling import draw_indices, weighted_cdf
 from .paths import ArcSegment, Route, StraightSegment
 from .vehicles import VehicleState, make_profile
 
@@ -42,6 +50,7 @@ _HORIZON = {"intersection": 30, "merge": 30, "highway": 40}
 
 _STYLES = ("conservative", "standard", "aggressive")
 _STYLE_WEIGHTS = (0.3, 0.4, 0.3)
+_STYLE_CDF = weighted_cdf(_STYLE_WEIGHTS)
 
 
 @dataclass(frozen=True)
@@ -170,18 +179,20 @@ class Lane:
         return -(x - self.origin_x) * self.sin_h + (y - self.origin_y) * self.cos_h
 
 
-@dataclass
+@dataclass(frozen=True)
 class Geometry:
-    lanes: list[Lane]  # all drivable lanes, including cross-road ones
+    lanes: tuple[Lane, ...]  # all drivable lanes, including cross-road ones
     ego_route: Route | None  # curved reference path (intersection only)
 
 
+@functools.cache
 def build_geometry(kind: str) -> Geometry:
+    """The kind's geometry, built at the first call and shared by every later one."""
     if kind == "merge":
-        lanes = [Lane(i, 0.0, -LANE_WIDTH * i, 0.0) for i in range(3)]
+        lanes = tuple(Lane(i, 0.0, -LANE_WIDTH * i, 0.0) for i in range(3))
         return Geometry(lanes, ego_route=None)
     if kind == "highway":
-        lanes = [Lane(i, 0.0, -LANE_WIDTH * i, 0.0) for i in range(4)]
+        lanes = tuple(Lane(i, 0.0, -LANE_WIDTH * i, 0.0) for i in range(4))
         return Geometry(lanes, ego_route=None)
     if kind == "intersection":
         eastbound = Lane(0, 0.0, -2.0, 0.0)
@@ -193,7 +204,7 @@ def build_geometry(kind: str) -> Geometry:
                 StraightSegment(-4.0, 2.0, math.pi, 76.0),  # westbound exit
             ]
         )
-        return Geometry([eastbound, westbound], ego_route=route)
+        return Geometry((eastbound, westbound), ego_route=route)
     raise ConfigError(f"scenario.kind: {kind!r} is not one of {SCENARIO_KINDS}")
 
 
@@ -205,6 +216,13 @@ class _Layout:
     windows: dict[int, tuple[float, float]]  # traffic lane -> x window (lo, hi)
     lane_p: tuple[float, ...] | None  # odds of the lanes in `windows` order; None is uniform
     gap: float  # minimum spacing along a lane
+    # the lanes in `windows` order and the cdf of `lane_p`, worked out once at construction
+    lanes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    lane_cdf: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lanes", tuple(self.windows))
+        object.__setattr__(self, "lane_cdf", None if self.lane_p is None else weighted_cdf(self.lane_p))
 
 
 _LAYOUTS = {
@@ -235,10 +253,14 @@ def _spaced_positions(rng: np.random.Generator, n: int, lo: float, hi: float, ga
 
 def _draw_speeds(rng: np.random.Generator, profiles, config: ScenarioConfig):
     """Normal speeds truncated to [0, 1.5 * desired]; a fixed-count subset is
-    resampled uniformly as the abnormal-speed disturbance."""
+    resampled uniformly as the abnormal-speed disturbance. The truncation is
+    np.clip's, spelled as comparisons: a -0.0 draw stays -0.0."""
     n = len(profiles)
-    speeds = rng.normal(config.spawn_speed_mean, config.spawn_speed_std, size=n)
-    speeds = [float(np.clip(s, 0.0, 1.5 * p.desired_speed)) for s, p in zip(speeds, profiles)]
+    speeds = rng.normal(config.spawn_speed_mean, config.spawn_speed_std, size=n).tolist()
+    for i, p in enumerate(profiles):
+        s, hi = speeds[i], 1.5 * p.desired_speed
+        s = 0.0 if s < 0.0 else s
+        speeds[i] = hi if s > hi else s
     n_disturbed = int(round(config.disturbance_fraction * n))
     disturbed = sorted(rng.choice(n, size=n_disturbed, replace=False).tolist()) if n_disturbed else []
     for i in disturbed:
@@ -250,17 +272,26 @@ def spawn(config: ScenarioConfig, geometry: Geometry,
           rng: np.random.Generator) -> tuple[VehicleState, list[VehicleState]]:
     """The ego and the background traffic, ids in spawn order.
 
-    Each background vehicle is drawn a lane, placed in that lane's x window,
-    and takes its y and heading from the lane's centreline in `geometry`.
+    Each background vehicle is drawn a style, a speed and a lane, in that
+    order, is placed in that lane's x window, and takes its y and heading
+    from the lane's centreline in `geometry`. Each weighted pick is drawn
+    through its cdf (`draw_indices`), and a uniform lane pick by
+    `rng.integers`, so every draw is the one `rng.choice` would make. No
+    traffic draws nothing.
     """
     kind = config.kind
     layout = _LAYOUTS[kind]
-    styles = list(rng.choice(_STYLES, size=config.n_background, p=_STYLE_WEIGHTS))
-    profiles = [make_profile(str(s), kind) for s in styles]
-    speeds = _draw_speeds(rng, profiles, config)
-
     ego = VehicleState(0, *layout.ego, profile=make_profile("standard", kind))
-    lane_of = [int(l) for l in rng.choice(list(layout.windows), size=config.n_background, p=layout.lane_p)]
+    n = config.n_background
+    if not n:
+        return ego, []
+    profiles = [make_profile(_STYLES[s], kind) for s in draw_indices(rng, _STYLE_CDF, n).tolist()]
+    speeds = _draw_speeds(rng, profiles, config)
+    if layout.lane_cdf is None:
+        picks = rng.integers(0, len(layout.lanes), size=n)
+    else:
+        picks = draw_indices(rng, layout.lane_cdf, n)
+    lane_of = [layout.lanes[i] for i in picks.tolist()]
     per_lane: dict[int, list[int]] = {}
     for i, lane in enumerate(lane_of):
         per_lane.setdefault(lane, []).append(i)

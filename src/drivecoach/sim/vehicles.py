@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -76,7 +77,9 @@ _STYLE = {
 }
 
 
+@functools.cache
 def make_profile(style: str, scenario_kind: str) -> DriverProfile:
+    """The style's profile on the kind, built at the first call and shared by every later one."""
     if style not in _STYLE:
         raise ValueError(f"unknown driver style {style!r}")
     if scenario_kind not in _SCENARIO_SPEED:

@@ -24,9 +24,10 @@ def encode_state(obs, assessment, horizon: float = 6.0) -> np.ndarray:
     z[:EGO_BLOCK] = obs.ego
     tau_offset = EGO_BLOCK + 4 * N_NEIGHBOR_SLOTS
     z[tau_offset:] = horizon
+    neighbors = obs.neighbors
     for slot in range(obs.neighbor_count):
         base = EGO_BLOCK + 4 * slot
-        z[base:base + 4] = obs.neighbors[:4, slot]
+        z[base:base + 4] = neighbors[:4, slot]
         z[tau_offset + slot] = min(assessment.taus[obs.neighbor_ids[slot]], horizon)
     return z
 

@@ -55,6 +55,9 @@ from .teacher import FlaggedSegment, ScriptedBackend, TeacherAgent
 METRICS_HEADER = "step,variant,scenario,success_rate,eval_reward,avg_speed,delta_ttcp,decision_time_s,seed"
 LOSS_HEADER = "update,step,total,policy_loss,value_loss,distill_loss,kl_penalty,kl_value,entropy,clip,sigma"
 
+# the maneuver of each action code: a tuple lookup costs less than Maneuver(code)
+_MANEUVERS = tuple(Maneuver)
+
 # 2: the buffer stores time-limit truncation apart from termination
 # 3: the buffer drops its step ids, and the meta its copy of the scenario config
 # 4: the teacher block records its n_shot and backend kind
@@ -337,7 +340,7 @@ class Trainer:
             self._ep.z_list.append(z)
         action, logp, value = self.policy.act(self._obs, rng=self.rng)
         try:
-            out = self.env.step(Maneuver(action))
+            out = self.env.step(_MANEUVERS[action])
         except Exception as err:
             raise RuntimeError(
                 f"environment fault at global step {self.global_step}, "
@@ -489,8 +492,8 @@ class Trainer:
             t0 = time.perf_counter()
             pi, _, _ = self.policy.infer(np.stack(list(live.values())))
             forward_s.append(time.perf_counter() - t0)
-            for e, action in zip(list(live), np.argmax(pi, axis=1)):
-                out = step(e, envs[e], Maneuver(int(action)))
+            for e, action in zip(list(live), np.argmax(pi, axis=1).tolist()):
+                out = step(e, envs[e], _MANEUVERS[action])
                 if out.done:
                     del live[e]
                 else:

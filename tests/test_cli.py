@@ -475,6 +475,30 @@ class TestResumeCommand:
                     full, resumed = (without_column(t, "decision_time_s") for t in (full, resumed))
                 assert resumed == full, (stop, name)
 
+    def test_resume_at_the_last_step_runs_its_pending_update(self, tmp_path, capsys):
+        """A run stopped at its last step holds the rows of its last update,
+        so it is not finished: resume runs that update and the final
+        evaluation, and then the run's final checkpoint is refused."""
+        scenario = ScenarioConfig(kind="merge", n_background=2)
+        cfg = TrainConfig(total_steps=100, eval_interval=50, eval_episodes=2, rollout_size=64,
+                          batch_size=32, epochs=1, seed=0, variant="V-PPO")
+        Trainer(scenario, cfg, out_dir=tmp_path / "full").run()
+        part = tmp_path / "part"
+        Trainer(scenario, replace(cfg), out_dir=part).run(stop_after_step=100)
+        ckpt = part / "checkpoint_step100.dckp"
+        at_ckpt = Trainer.resume(ckpt)
+        assert (at_ckpt.global_step, at_ckpt.buffer.n, at_ckpt.updates_done) == (100, 36, 1)
+        capsys.readouterr()
+        assert main(["resume", str(ckpt)]) == EXIT_OK
+        assert "final step 100: success_rate=" in capsys.readouterr().out
+        for name in ("metrics.csv", "losses.csv", "episodes.jsonl", "traces.jsonl"):
+            full, resumed = ((d / name).read_text() for d in (tmp_path / "full", part))
+            if name == "metrics.csv":
+                full, resumed = (without_column(t, "decision_time_s") for t in (full, resumed))
+            assert resumed == full, name
+        assert main(["resume", str(part / "checkpoint_final.dckp")]) == EXIT_CONFIG
+        assert "its run is finished" in capsys.readouterr().err
+
     def test_finished_checkpoint_exits_2_and_keeps_its_files(self, finished_run, capsys):
         before = {p.name: p.read_bytes() for p in finished_run.iterdir()}
         ckpt = finished_run / "checkpoint_final.dckp"

@@ -13,6 +13,7 @@ import pytest
 from drivecoach.errors import UsageError
 from drivecoach.sim.engine import FLAT_OBS_DIM
 from drivecoach.nn import Tensor, ShapeError
+from drivecoach.sampling import draw_indices, weighted_cdf
 from drivecoach.policy import (
     ACTION_DIM,
     VARIANTS,
@@ -216,6 +217,26 @@ class TestForward:
         x = np.zeros(IN_DIM)
         a = [net.act(x, rng=np.random.default_rng(3))[0] for _ in range(3)]
         assert a[0] == a[1] == a[2]
+
+    def test_act_samples_the_action_generator_choice_draws(self):
+        rng = np.random.default_rng(15)
+        for seed in range(20):
+            net = FusionPolicyNet(IN_DIM, seed=seed)
+            x = rng.normal(size=IN_DIM)
+            mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                action, _, _ = net.act(x, rng=mine)
+                assert action == int(ref.choice(ACTION_DIM, p=net.infer(x)[0][0]))
+            assert mine.bit_generator.state == ref.bit_generator.state
+
+    def test_act_rejects_nan_probabilities(self):
+        net = FusionPolicyNet(IN_DIM, seed=16)
+        net.params["pi.b"].data[0] = np.nan
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="finite"):
+            net.act(np.zeros(IN_DIM), rng=rng)
+        assert rng.bit_generator.state == before
 
     def test_infer_bit_identical_to_forward(self):
         rng = np.random.default_rng(13)
@@ -585,3 +606,37 @@ class TestGradients:
             dead[variant] = [name for name, p in net.params.items()
                              if p.grad is None or not np.any(p.grad != 0.0)]
         assert dead == {variant: [] for variant in VARIANTS}
+
+
+class TestDrawIndices:
+    """`weighted_cdf` and `draw_indices`, which `spawn` and `act` draw
+    through, against the `Generator.choice` call each replaces."""
+
+    def test_matches_generator_choice(self):
+        meta = np.random.default_rng(0)
+        for _ in range(300):
+            k = int(meta.integers(1, 9))
+            p = meta.random(k)
+            p[meta.random(k) < 0.2] = 0.0  # some impossible picks
+            p[int(meta.integers(k))] += 0.1
+            p /= p.sum()
+            cdf = weighted_cdf(p)
+            for size in (0, 1, int(meta.integers(2, 50))):
+                seed = int(meta.integers(2**32))
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = draw_indices(got_rng, cdf, size)
+                want = want_rng.choice(k, size=size, p=p)
+                assert np.array_equal(got, want), (p, size)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            # one draw is choice's scalar draw
+            got_rng, want_rng = np.random.default_rng(k), np.random.default_rng(k)
+            assert draw_indices(got_rng, cdf, 1)[0] == want_rng.choice(k, p=p)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("p", [[0.5, np.nan, 0.5], [np.inf, 0.0, 0.0], [0.2, 0.3, np.inf],
+                                   [np.inf, -np.inf, 1.0], [0.0, 0.0, 0.0]])
+    def test_non_finite_or_zero_total_raises_as_choice_does(self, p):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(3, p=p)
+        with pytest.raises(ValueError, match="finite positive total"), np.errstate(invalid="ignore"):
+            weighted_cdf(p)

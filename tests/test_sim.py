@@ -39,7 +39,9 @@ from drivecoach.sim.engine import (LaneTable, _background_controls, _steer_comma
                                    nearest_lane_index)
 from drivecoach.sim.vehicles import rect_corners
 from drivecoach.sim.engine import reward as reward_fn
-from drivecoach.sim.scenarios import SCENARIO_KINDS, _draw_speeds, build_geometry
+from drivecoach.sim import scenarios
+from drivecoach.sim.paths import Route
+from drivecoach.sim.scenarios import N_NEIGHBOR_SLOTS, SCENARIO_KINDS, _draw_speeds, build_geometry
 from drivecoach.teacher.rules import build_telemetry
 
 
@@ -157,6 +159,79 @@ class TestSpawn:
             for i in range(len(vehicles)):
                 for j in range(i + 1, len(vehicles)):
                     assert not rects_overlap(vehicles[i], vehicles[j])
+
+
+def choice_spawn(config: ScenarioConfig, geometry, rng: np.random.Generator):
+    """`spawn` as it drew through `Generator.choice` and truncated through
+    `np.clip`: the reference its cdf and integer draws must match."""
+    kind = config.kind
+    layout = scenarios._LAYOUTS[kind]
+    styles = list(rng.choice(scenarios._STYLES, size=config.n_background, p=scenarios._STYLE_WEIGHTS))
+    profiles = [make_profile(str(s), kind) for s in styles]
+    n = len(profiles)
+    speeds = rng.normal(config.spawn_speed_mean, config.spawn_speed_std, size=n)
+    speeds = [float(np.clip(s, 0.0, 1.5 * p.desired_speed)) for s, p in zip(speeds, profiles)]
+    n_disturbed = int(round(config.disturbance_fraction * n))
+    disturbed = sorted(rng.choice(n, size=n_disturbed, replace=False).tolist()) if n_disturbed else []
+    for i in disturbed:
+        speeds[i] = float(rng.uniform(0.3 * config.spawn_speed_mean, 1.7 * config.spawn_speed_mean))
+    ego = VehicleState(0, *layout.ego, profile=make_profile("standard", kind))
+    lane_of = [int(l) for l in rng.choice(list(layout.windows), size=n, p=layout.lane_p)]
+    per_lane = {}
+    for i, lane in enumerate(lane_of):
+        per_lane.setdefault(lane, []).append(i)
+    background = []
+    for lane, members in sorted(per_lane.items()):
+        lo, hi = layout.windows[lane]
+        if kind != "intersection" and lane == ego.lane:
+            lo = max(lo, ego.x + 20.0)
+        road = geometry.lanes[lane]
+        for i, x in zip(members, scenarios._spaced_positions(rng, len(members), lo, hi, layout.gap)):
+            if kind == "intersection" and abs(x) < 6.0:
+                x = 6.0 if x >= 0 else -6.0
+            background.append(VehicleState(id=len(background) + 1, x=x, y=road.origin_y, speed=speeds[i],
+                                           heading=road.heading, lane=lane, profile=profiles[i]))
+    return ego, background
+
+
+class TestSpawnDraws:
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_spawn_draws_what_generator_choice_drew(self, kind):
+        """Every vehicle, and the generator's state after the spawn, equal the
+        `Generator.choice` reference. A wide speed spread also takes the
+        truncation to both of its bounds."""
+        geometry = build_geometry(kind)
+        bounds = set()
+        for n_background in (0, 1, 5, 10, 20):
+            for std in (None, 40.0):
+                config = ScenarioConfig(kind=kind, n_background=n_background, spawn_speed_std=std,
+                                        disturbance_fraction=0.0 if std else 0.15)
+                for seed in range(50):
+                    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = scenarios.spawn(config, geometry, got_rng)
+                    want = choice_spawn(config, geometry, want_rng)
+                    assert ([v.to_dict() for v in [got[0], *got[1]]]
+                            == [v.to_dict() for v in [want[0], *want[1]]]), (n_background, std, seed)
+                    assert [v.speed.hex() for v in got[1]] == [v.speed.hex() for v in want[1]]
+                    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                    bounds |= {"zero" if v.speed == 0.0 else "top" for v in got[1]
+                               if v.speed in (0.0, 1.5 * v.profile.desired_speed)}
+        assert bounds == {"zero", "top"}
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_geometry_and_profiles_are_built_once_per_kind(self, kind):
+        geometry = build_geometry(kind)
+        assert build_geometry(kind) is geometry
+        state, _ = reset(ScenarioConfig(kind=kind, n_background=5), seed=0)
+        assert state.geometry is geometry
+        assert all(v.profile is make_profile(v.profile.name, kind) for v in state.vehicles)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            geometry.lanes = ()
+        with pytest.raises(TypeError):
+            geometry.lanes[0] = geometry.lanes[-1]
+        if geometry.ego_route is not None:
+            with pytest.raises(TypeError):
+                geometry.ego_route.segments[0] = geometry.ego_route.segments[-1]
 
 
 class TestIdm:
@@ -329,6 +404,19 @@ class TestObserve:
         cfg = ScenarioConfig(kind="highway", n_background=3)
         _, obs = reset(cfg, seed=2)
         assert obs.flat().shape == (FLAT_OBS_DIM,)
+
+    @pytest.mark.parametrize("kind", SCENARIO_KINDS)
+    def test_flat_is_the_observations_own_vector(self, kind):
+        """`flat()` is the ego block then each slot's features, and it, `ego`
+        and `neighbors` are one array: no copy is made."""
+        state, obs = reset(ScenarioConfig(kind=kind, n_background=10), seed=3)
+        for _ in range(3):
+            flat = obs.flat()
+            assert flat.shape == (FLAT_OBS_DIM,) and flat is obs.flat()
+            assert np.array_equal(flat, np.concatenate([obs.ego, obs.neighbors.T.ravel()]))
+            assert obs.neighbors.shape == (6, N_NEIGHBOR_SLOTS)
+            assert np.shares_memory(obs.ego, flat) and np.shares_memory(obs.neighbors, flat)
+            obs = step(state, Maneuver.Cruise).observation
 
     def test_distance_sorted_and_capped(self):
         ego = plain_vehicle(0, 100.0, -8.0, 20.0, lane=2)
@@ -1098,6 +1186,26 @@ class TestEgoSubstep:
         if kind == "merge":
             want |= {"past the ramp end"}
         assert seen == want
+
+
+def test_intersection_projects_the_route_once_per_substep(monkeypatch):
+    """The moved pose's projection answers `_off_road` and the next
+    substep's control, so a step that runs every substep projects once per
+    substep plus once for substep 0's control."""
+    calls = []
+    project = Route.project
+    monkeypatch.setattr(Route, "project", lambda self, x, y: calls.append(1) or project(self, x, y))
+    full_steps = 0
+    for seed in range(5):
+        state, _ = reset(ScenarioConfig(kind="intersection", n_background=5), seed=seed)
+        while not state.done:
+            calls.clear()
+            outcome = step(state, Maneuver.Cruise)
+            assert 2 <= len(calls) <= state.config.substeps + 1
+            if not outcome.done:
+                full_steps += 1
+                assert len(calls) == state.config.substeps + 1
+    assert full_steps > 0
 
 
 # sha256 prefixes of the trace records of seeds 0-2 under MANEUVER_CYCLE. A

@@ -1,6 +1,6 @@
 """Guards on the names the benchmark harness in perfbench/ binds, on its
 self-test, on the declared dependencies, on the one record reader, and on
-the CI workflow's tier-1 command.
+the CI workflow's tier-1 command and benchmark smoke run.
 
 The traced mode wraps each `drivecoach_targets()` entry by replacing
 `owner.__dict__[attr]`, and the metrics.csv digest drops one wall-clock
@@ -116,3 +116,20 @@ def test_ci_runs_the_roadmaps_tier1_command():
             if step.get("uses", "").startswith("actions/setup-python")] == ["3.11"]
     install = next(run for run in runs if "pip install" in run).split()
     assert {"numpy", "pyyaml", "pytest"} <= set(install)
+
+
+def test_ci_runs_the_benchmark_smoke_steps():
+    """CI runs the benchmark's self-test and one short traced highway-free run
+    whose last line must read `"correct": true`, so a rename of an entry point
+    that perfbench/spans.py wraps fails CI rather than the benchmark."""
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
+    lines = [line.strip() for step in steps for line in step.get("run", "").splitlines()]
+    assert "python3 perfbench/selftest.py" in lines
+    smoke = [line for line in lines if line.startswith("python3 perfbench/run.py ")]
+    assert len(smoke) == 1
+    assert "--workload highway-free --seed 0 --seconds 1 --trace 1 | tail -n 1" in smoke[0]
+    assert any('["correct"] is not True' in line for line in lines)
+    smoke_step = next(step for step in steps if smoke[0] in step.get("run", ""))
+    assert smoke_step.get("shell") == "bash"  # pipefail: a failing run fails the step
