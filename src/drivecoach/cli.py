@@ -167,17 +167,17 @@ def cmd_resume(args) -> int:
     ends with the files an uninterrupted run writes. `Trainer.run` refuses a
     directory that holds rows past the checkpoint."""
     ckpt = _existing_checkpoint(args.checkpoint)
-    trainer = Trainer.resume(ckpt, out_dir=ckpt.parent)
+    arrays, meta = load_checkpoint(str(ckpt))
+    trainer = Trainer.from_checkpoint(arrays, meta, out_dir=ckpt.parent)
+    del arrays  # the trainer has copied them
     # running on would rewrite a finished run's final files; a run stopped at
     # its last step still holds the rows of its last update
     if trainer.global_step >= trainer.cfg.total_steps and trainer.buffer.n == 0:
         raise ConfigError(f"checkpoint {ckpt} is at step {trainer.global_step} of "
                           f"train.total_steps {trainer.cfg.total_steps}: its run is finished")
-    if trainer.teacher is not None:
-        saved = load_checkpoint(str(ckpt))[1]["teacher"]["kind"]
-        if saved != trainer.teacher.backend.kind:
-            raise ConfigError(f"checkpoint {ckpt}: its teacher ran on the {saved!r} backend, "
-                              f"and a resumed run goes on with the scripted one")
+    if trainer.teacher is not None and meta["teacher"]["kind"] != trainer.teacher.backend.kind:
+        raise ConfigError(f"checkpoint {ckpt}: its teacher ran on the {meta['teacher']['kind']!r} "
+                          f"backend, and a resumed run goes on with the scripted one")
     _print_final(trainer.run())
     return EXIT_OK
 
@@ -224,7 +224,7 @@ def cmd_teacher(args) -> int:
     cfg = resolve_config(args)
     teacher = build_teacher(cfg, record=args.record, replay=args.replay)
     if args.live:
-        env = TrafficEnv(cfg.scenario, cfg.risk)
+        env = TrafficEnv(cfg.scenario)
         env.reset(seed=cfg.train.seed)
         for step in range(args.steps):
             decision, _ = teacher.decide_step(env.state)

@@ -197,8 +197,8 @@ class FusionPolicyNet:
         log_pi = shifted - np.log(e.sum(axis=-1, keepdims=True))
         return pi, log_pi, h @ p["v.w"].data + p["v.b"].data
 
-    def act(self, obs, rng: np.random.Generator | None = None, greedy: bool = False):
-        """Pick one action for a single observation.
+    def act(self, obs, rng: np.random.Generator):
+        """Sample one action for a single observation.
 
         Returns (action, log-prob of that action, state value). Sampling
         needs an explicit generator so rollouts stay reproducible; it draws
@@ -206,13 +206,7 @@ class FusionPolicyNet:
         with a NaN or infinite total raise ValueError.
         """
         pi, log_pi, v = self.infer(obs)
-        probs = pi[0]
-        if greedy:
-            action = int(np.argmax(probs))
-        else:
-            if rng is None:
-                raise UsageError("sampling an action requires a random generator")
-            action = int(draw_indices(rng, weighted_cdf(probs), 1)[0])
+        action = int(draw_indices(rng, weighted_cdf(pi[0]), 1)[0])
         return action, float(log_pi[0, action]), float(v[0, 0])
 
     def architecture_id(self) -> str:

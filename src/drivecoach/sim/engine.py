@@ -33,7 +33,8 @@ floats, the vector the policy reads. An `Observation`'s `ego` and
 itself, not a copy: a caller that writes into any of them must copy first.
 
 Everything downstream of reset() is deterministic: randomness enters only
-through the spawn RNG, never during stepping.
+through the spawn RNG, never during stepping. `step` scores no risk: a caller
+that reads conflict times assesses the state with `drivecoach.risk.assess`.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .. import risk as risk_engine
 from ..errors import ConfigError, UsageError
 from ..records import build_section
 from .idm import EMERGENCY_DECEL, idm_accel, mobil_accepts, mobil_safe
@@ -137,7 +137,6 @@ class StepOutcome:
     reward: float
     done: bool
     events: set[str]
-    tau_min: float
 
 
 @dataclass
@@ -651,8 +650,7 @@ def apply_maneuver(state: ScenarioState, maneuver: Maneuver) -> None:
     # turns at the intersection (no adjacent lane) leave targets untouched
 
 
-def step(state: ScenarioState, maneuver: Maneuver,
-         risk_params: risk_engine.RiskParams | None = None) -> StepOutcome:
+def step(state: ScenarioState, maneuver: Maneuver) -> StepOutcome:
     """One decision step: apply the maneuver, let background vehicles choose
     lane changes, then run physics substeps until one raises an event or
     `config.substeps` have run.
@@ -693,7 +691,6 @@ def step(state: ScenarioState, maneuver: Maneuver,
     """
     if state.done:
         raise UsageError("step called on a terminal episode")
-    params = risk_params or risk_engine.RiskParams()
     apply_maneuver(state, maneuver)
     background = state.background
     table = None
@@ -806,8 +803,7 @@ def step(state: ScenarioState, maneuver: Maneuver,
         events = {"timeout"}
     r = reward(state, maneuver, events)
     state.done = bool(events)
-    return StepOutcome(observation=observe(state), reward=r, done=state.done, events=events,
-                       tau_min=risk_engine.assess(state, params).tau_min)
+    return StepOutcome(observation=observe(state), reward=r, done=state.done, events=events)
 
 
 def reward(state: ScenarioState, maneuver: Maneuver, events: set[str]) -> float:
@@ -876,12 +872,11 @@ def trace_record(state: ScenarioState, maneuver: Maneuver, outcome: StepOutcome)
 
 
 class TrafficEnv:
-    """Thin stateful wrapper bundling config, risk params, and episode state."""
+    """Thin stateful wrapper bundling config and episode state."""
 
-    def __init__(self, config: ScenarioConfig, risk_params: risk_engine.RiskParams | None = None):
+    def __init__(self, config: ScenarioConfig):
         config.validate()
         self.config = config
-        self.risk_params = risk_params or risk_engine.RiskParams()
         self.state: ScenarioState | None = None
 
     def reset(self, seed: int) -> Observation:
@@ -891,4 +886,4 @@ class TrafficEnv:
     def step(self, maneuver: Maneuver) -> StepOutcome:
         if self.state is None:
             raise UsageError("step called before reset")
-        return step(self.state, maneuver, self.risk_params)
+        return step(self.state, maneuver)

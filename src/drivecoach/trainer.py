@@ -4,7 +4,9 @@ The student acts at every step. While the run is inside the guidance window
 (the first teacher_window_fraction of the step budget) the teacher is queried
 once per decision step and its chosen maneuver is stored alongside the
 transition; those labels drive the KL and distillation terms during updates.
-Outside the window the teacher is never queried and both terms vanish.
+Outside the window the teacher is never queried and both terms vanish. Risk
+is assessed only where it is read: on the steps the teacher labels, for
+memory and reflection, and on each evaluation step, for delta_ttcp.
 
 A step's update, when it fills the buffer or ends the run, comes before its
 evaluation: the final metrics row, checkpoint_final.dckp and traces.jsonl
@@ -45,6 +47,7 @@ from .policy import (
     value_loss,
     value_targets,
 )
+from . import risk as risk_engine
 from .records import build_section
 from .risk import INFRACTION_EVENTS, RiskParams, delta_ttcp_metric, flag_segments, risk_value
 from .sim.engine import FLAT_OBS_DIM, ScenarioState, TrafficEnv, observe, trace_record
@@ -277,6 +280,7 @@ class EpisodeAccumulator:
     seed: int = 0
     ret: float = 0.0
     length: int = 0
+    # these three cover the steps the teacher labelled, a prefix of the episode
     actions: list[int] = field(default_factory=list)
     omegas: list[float] = field(default_factory=list)
     taus: list[float] = field(default_factory=list)
@@ -307,7 +311,7 @@ class Trainer:
         self.policy = FusionPolicyNet(FLAT_OBS_DIM, seed=train.seed, variant=train.variant)
         self.adam = AdamState.for_params(self.policy.params)
         self.rng = np.random.default_rng(train.seed)
-        self.env = TrafficEnv(scenario, self.risk_params)
+        self.env = TrafficEnv(scenario)
         self.buffer = RolloutBuffer(train.rollout_size, FLAT_OBS_DIM)
         self.global_step = 0
         self.updates_done = 0
@@ -331,9 +335,9 @@ class Trainer:
     def _collect_one_step(self) -> None:
         if self._obs is None:
             self._begin_episode()
-        in_window = self.global_step < window_steps(self.cfg)
+        queried = self.teacher is not None and self.global_step < window_steps(self.cfg)
         teacher_action = None
-        if self.teacher is not None and in_window:
+        if queried:
             decision, z = self.teacher.decide_step(self.env.state)
             teacher_action = int(decision.action)
             self._ep.z_steps.append(self._ep.length)
@@ -346,7 +350,6 @@ class Trainer:
                 f"environment fault at global step {self.global_step}, "
                 f"episode {self.episode_index}: {err}"
             ) from err
-        omega = risk_value(out.tau_min, bool(INFRACTION_EVENTS & out.events), self.risk_params)
         next_flat = out.observation.flat()
         self.buffer.add(obs=self._obs, action=action, logp=logp, reward=out.reward,
                         value=value, done=out.done, next_obs=next_flat,
@@ -355,9 +358,12 @@ class Trainer:
         ep = self._ep
         ep.ret += out.reward
         ep.length += 1
-        ep.actions.append(action)
-        ep.omegas.append(omega)
-        ep.taus.append(float(out.tau_min))
+        if queried:
+            tau_min = risk_engine.assess(self.env.state, self.risk_params).tau_min
+            ep.actions.append(action)
+            ep.omegas.append(risk_value(tau_min, bool(INFRACTION_EVENTS & out.events),
+                                        self.risk_params))
+            ep.taus.append(float(tau_min))
         self.global_step += 1
         if out.done:
             self._finish_episode(out.events)
@@ -485,7 +491,7 @@ class Trainer:
         path it would take alone, unless an argmax is within an ulp of a tie.
         Returns the wall time of each batched forward.
         """
-        envs = [TrafficEnv(self.scenario, self.risk_params) for _ in range(n)]
+        envs = [TrafficEnv(self.scenario) for _ in range(n)]
         live = {e: env.reset(seed=self._eval_seed(e)).flat() for e, env in enumerate(envs)}
         forward_s = []
         while live:
@@ -514,7 +520,7 @@ class Trainer:
             out = env.step(maneuver)
             returns[e] += out.reward
             speeds[e].append(out.observation.ego_speed)
-            taus[e].append(out.tau_min)
+            taus[e].append(risk_engine.assess(env.state, self.risk_params).tau_min)
             success[e] = "success" in out.events
             return out
 
@@ -604,14 +610,18 @@ class Trainer:
 
     @classmethod
     def resume(cls, path, out_dir=None) -> "Trainer":
-        """Rebuild a run from its checkpoint alone; an LA-PPO teacher comes back on the scripted backend.
+        """Rebuild a run from its checkpoint file alone; see `from_checkpoint`."""
+        return cls.from_checkpoint(*load_checkpoint(str(path)), out_dir=out_dir)
+
+    @classmethod
+    def from_checkpoint(cls, arrays: dict, meta: dict, out_dir=None) -> "Trainer":
+        """Rebuild a run from a loaded checkpoint; an LA-PPO teacher comes back on the scripted backend.
 
         It constructs a Trainer from the saved configs and then loads the saved
         arrays into it. Construction still draws every weight from the seed,
         which the checkpoint's weights then overwrite; the fresh Adam moments
         it replaces were never written, and the parameters hold no gradients.
         """
-        arrays, meta = load_checkpoint(str(path))
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise CheckpointError(f"unsupported checkpoint format: {meta.get('format')!r}")
         train = build_section("train", TrainConfig, meta["train"])

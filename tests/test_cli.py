@@ -9,6 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from drivecoach import cli as cli_module
+from drivecoach import trainer as trainer_module
 from drivecoach.cli import (
     EXIT_ARTIFACT,
     EXIT_CONFIG,
@@ -577,6 +579,34 @@ class TestResumeCommand:
             assert main(["resume", str(ckpt)]) == EXIT_CONFIG
         assert "its teacher ran on the 'remote' backend" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_resume_loads_its_checkpoint_once(self, tmp_path, monkeypatch, capsys):
+        """One load answers both the run and the teacher-backend refusal."""
+        scenario = ScenarioConfig(kind="merge", n_background=2)
+        cfg = TrainConfig(total_steps=100, eval_interval=50, eval_episodes=1, rollout_size=50,
+                          batch_size=25, epochs=1, seed=0, variant="LA-PPO")
+        Trainer(scenario, cfg, out_dir=tmp_path / "run").run(stop_after_step=30)
+        ckpt = tmp_path / "run" / "checkpoint_step30.dckp"
+        arrays, meta = load_checkpoint(str(ckpt))
+        meta["teacher"]["kind"] = "remote"
+        (tmp_path / "remote").mkdir()
+        remote = tmp_path / "remote" / ckpt.name
+        save_checkpoint(str(remote), arrays, meta)
+        loads = []
+
+        def counted_load(path):
+            loads.append(path)
+            return load_checkpoint(path)
+
+        monkeypatch.setattr(cli_module, "load_checkpoint", counted_load)
+        monkeypatch.setattr(trainer_module, "load_checkpoint", counted_load)
+        with pytest.warns(UserWarning, match="'remote' backend"):
+            assert main(["resume", str(remote)]) == EXIT_CONFIG
+        assert "its teacher ran on the 'remote' backend" in capsys.readouterr().err
+        assert loads == [str(remote)]
+        loads.clear()
+        assert main(["resume", str(ckpt)]) == EXIT_OK
+        assert loads == [str(ckpt)]
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         assert main(["resume", str(tmp_path / "gone.dckp")]) == EXIT_CONFIG

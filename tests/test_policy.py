@@ -202,16 +202,6 @@ class TestForward:
         out = net.forward(np.zeros(IN_DIM))
         assert out.pi.data.shape == (1, ACTION_DIM)
 
-    def test_act_greedy_is_argmax(self):
-        rng = np.random.default_rng(11)
-        net = FusionPolicyNet(IN_DIM, seed=10)
-        x = rng.normal(size=IN_DIM)
-        action, logp, value = net.act(x, greedy=True)
-        out = net.forward(x)
-        assert action == int(np.argmax(out.pi.data[0]))
-        assert logp == pytest.approx(math.log(out.pi.data[0, action]))
-        assert value == pytest.approx(float(out.v.data[0, 0]))
-
     def test_act_sampling_deterministic_per_rng(self):
         net = FusionPolicyNet(IN_DIM, seed=12)
         x = np.zeros(IN_DIM)

@@ -1010,7 +1010,7 @@ class TestScriptedTeacherAsDriver:
         seeds of train seeds 0-2. A teacher weaker than the students it
         guides pulls them down; before the must-merge rule it reached 44."""
         cfg = from_mapping(load_mapping("merge-lite"))
-        env = TrafficEnv(cfg.scenario, cfg.risk)
+        env = TrafficEnv(cfg.scenario)
         successes = 0
         seeds = []
         for train_seed in (0, 1, 2):

@@ -1,6 +1,7 @@
 """Guards on the names the benchmark harness in perfbench/ binds, on its
-self-test, on the declared dependencies, on the one record reader, and on
-the CI workflow's tier-1 command and benchmark smoke run.
+self-test, on the declared dependencies, on the one record reader, on the
+simulator's imports, and on the CI workflow's tier-1 command and benchmark
+smoke run.
 
 The traced mode wraps each `drivecoach_targets()` entry by replacing
 `owner.__dict__[attr]`, and the metrics.csv digest drops one wall-clock
@@ -89,6 +90,32 @@ def test_records_are_read_by_the_one_reader():
     assert readers == []
 
 
+# the layers built on the simulator, which it must not import
+ABOVE_THE_SIMULATOR = {f"drivecoach.{name}" for name in
+                       ("risk", "teacher", "trainer", "policy", "nn", "config", "cli")}
+
+
+def test_simulator_imports_no_layer_above_it():
+    """No module under src/drivecoach/sim/ imports drivecoach.risk or a layer
+    that builds on the simulator, function-local imports included."""
+    sim = ROOT / "src" / "drivecoach" / "sim"
+    found = []
+    for path in sorted(sim.rglob("*.py")):
+        package = ["drivecoach", "sim", *path.parent.relative_to(sim).parts]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = package[:len(package) - node.level + 1] if node.level else []
+                module = ".".join(base + ([node.module] if node.module else []))
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}" for name in names
+                      if ".".join(name.split(".")[:2]) in ABOVE_THE_SIMULATOR]
+    assert found == []
+
+
 def test_misspelt_marker_fails_collection(tmp_path):
     """Under the project's pytest settings an undeclared marker is an error,
     so a misspelt `slow` cannot let a training-length gate into the
@@ -114,8 +141,12 @@ def test_ci_runs_the_roadmaps_tier1_command():
     assert [run for run in runs if "pytest -" in run] == [tier1]
     assert [step["with"]["python-version"] for step in steps
             if step.get("uses", "").startswith("actions/setup-python")] == ["3.11"]
+    # the versions the pinned digests hold for
     install = next(run for run in runs if "pip install" in run).split()
-    assert {"numpy", "pyyaml", "pytest"} <= set(install)
+    assert {"numpy==2.4.6", "pyyaml==6.0.3", "pytest==9.0.3"} <= set(install)
+    # the OpenBLAS core, which keys FINAL_CHECKPOINT_DIGESTS, is printed first
+    core = next(i for i, run in enumerate(runs) if "openblas_core()" in run)
+    assert core < runs.index(tier1)
 
 
 def test_ci_runs_the_benchmark_smoke_steps():

@@ -1,14 +1,18 @@
 """Trainer tests: schedules, buffer, collection gating, updates, artifacts."""
 
+import ctypes
 import dataclasses
 import hashlib
 import json
 import math
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from drivecoach.errors import ConfigError, UsageError
+from drivecoach import risk
 from drivecoach import trainer as trainer_module
 from drivecoach.nn import CheckpointError, adam_step, load_checkpoint, save_checkpoint
 from drivecoach.policy import VARIANTS, value_targets
@@ -274,6 +278,78 @@ class TestCollect:
         assert len(tr.teacher.memory) >= 1
 
 
+class PhaseCounts:
+    """Counts `risk.assess` calls and env steps by the phase of a run they fall
+    in: "evaluate", "_write_traces", or "collect" for everything else. The
+    teacher assesses through its own binding, so its calls are not counted."""
+
+    def __init__(self, monkeypatch):
+        self.phase = "collect"
+        self.steps, self.assessed = Counter(), Counter()
+        step, assess = TrafficEnv.step, risk.assess
+
+        def counted_step(env, maneuver):
+            self.steps[self.phase] += 1
+            return step(env, maneuver)
+
+        def counted_assess(state, params):
+            self.assessed[self.phase] += 1
+            return assess(state, params)
+
+        monkeypatch.setattr(TrafficEnv, "step", counted_step)
+        monkeypatch.setattr(risk, "assess", counted_assess)
+        for name in ("evaluate", "_write_traces"):
+            monkeypatch.setattr(Trainer, name, self._phase(name, getattr(Trainer, name)))
+
+    def _phase(self, name, method):
+        def phased(trainer, *args, **kwargs):
+            self.phase = name
+            try:
+                return method(trainer, *args, **kwargs)
+            finally:
+                self.phase = "collect"
+        return phased
+
+
+class TestRiskAssessment:
+    """The trainer assesses risk only where it reads it: each evaluation step,
+    for delta_ttcp, and each step the teacher labels, for memory and
+    reflection. The simulator step assesses nothing."""
+
+    def test_a_ppo_assesses_evaluation_steps_only(self, monkeypatch, tmp_path):
+        counts = PhaseCounts(monkeypatch)
+        tr = Trainer(merge_scenario(), small_cfg(variant="A-PPO"), out_dir=tmp_path)
+        tr.run()
+        assert counts.steps["collect"] == 200
+        assert counts.steps["evaluate"] > 0 and counts.steps["_write_traces"] > 0
+        assert counts.assessed == Counter(evaluate=counts.steps["evaluate"])
+        assert tr._ep.actions == tr._ep.omegas == tr._ep.taus == []
+
+    def test_la_ppo_collection_assesses_each_labelled_step(self, monkeypatch, tmp_path):
+        counts = PhaseCounts(monkeypatch)
+        cfg = small_cfg(variant="LA-PPO", teacher_window_fraction=0.3)
+        tr = Trainer(merge_scenario(), cfg, out_dir=tmp_path)
+        tr.run()
+        assert tr.teacher.decision_queries == window_steps(cfg) == 60
+        assert counts.assessed == Counter(collect=60, evaluate=counts.steps["evaluate"])
+
+    def test_episode_lists_cover_the_labelled_prefix(self):
+        """The teacher labels steps 0..44; the episode open at step 45 began
+        inside the window, so only its first steps are labelled."""
+        cfg = small_cfg(variant="LA-PPO", total_steps=150, eval_interval=1000,
+                        rollout_size=150, batch_size=50, teacher_window_fraction=0.3)
+        tr = Trainer(merge_scenario(), cfg)
+        crossed = False
+        while tr.global_step < 90:
+            tr._collect_one_step()
+            ep = tr._ep
+            n = len(ep.z_steps)
+            assert ep.z_steps == list(range(n))
+            assert len(ep.actions) == len(ep.omegas) == len(ep.taus) == n
+            crossed |= 0 < n < ep.length
+        assert crossed
+
+
 class TestUpdate:
     def _collected(self, variant="V-PPO", **overrides):
         cfg = small_cfg(total_steps=100, eval_interval=1000, rollout_size=40,
@@ -369,7 +445,7 @@ class TestEvaluate:
         flat = env.reset(seed=tr._eval_seed(0)).flat()
         total, done = 0.0, False
         while not done:
-            action, _, _ = tr.policy.act(flat, greedy=True)
+            action = np.argmax(tr.policy.infer(flat)[0][0])
             out = env.step(Maneuver(action))
             total += out.reward
             flat = out.observation.flat()
@@ -377,22 +453,22 @@ class TestEvaluate:
         assert report.eval_reward == pytest.approx(total)
 
 
-def step_record(action, out):
+def step_record(action, env, out, risk_params):
     return (int(action), out.reward, sorted(out.events), out.observation.ego_speed,
-            out.tau_min)
+            risk.assess(env.state, risk_params).tau_min)
 
 
 def sequential_greedy(tr, n):
-    """Reference: each eval episode alone, one B=1 greedy act per decision."""
+    """Reference: each eval episode alone, one B=1 argmax per decision."""
     episodes = []
     for e in range(n):
-        env = TrafficEnv(tr.scenario, tr.risk_params)
+        env = TrafficEnv(tr.scenario)
         flat = env.reset(seed=tr._eval_seed(e)).flat()
         steps, done = [], False
         while not done:
-            action, _, _ = tr.policy.act(flat, greedy=True)
+            action = np.argmax(tr.policy.infer(flat)[0][0])
             out = env.step(Maneuver(action))
-            steps.append(step_record(action, out))
+            steps.append(step_record(action, env, out, tr.risk_params))
             flat = out.observation.flat()
             done = out.done
         episodes.append(steps)
@@ -400,15 +476,15 @@ def sequential_greedy(tr, n):
 
 
 def sequential_traces(tr) -> bytes:
-    """Reference traces.jsonl: episode after episode, one B=1 greedy act per step."""
+    """Reference traces.jsonl: episode after episode, one B=1 argmax per step."""
     lines = []
-    env = TrafficEnv(tr.scenario, tr.risk_params)
+    env = TrafficEnv(tr.scenario)
     for e in range(tr.cfg.eval_episodes):
         flat = env.reset(seed=tr._eval_seed(e)).flat()
         done = False
         while not done:
             pre = env.state.state_dict()
-            action, _, _ = tr.policy.act(flat, greedy=True)
+            action = np.argmax(tr.policy.infer(flat)[0][0])
             out = env.step(Maneuver(action))
             record = trace_record(env.state, Maneuver(action), out)
             record["episode"] = e
@@ -449,7 +525,7 @@ class TestLockstepEvaluation:
 
         def logged_step(env, maneuver):
             out = step(env, maneuver)
-            env.log.append(step_record(maneuver, out))
+            env.log.append(step_record(maneuver, env, out, tr.risk_params))
             return out
 
         batches = []
@@ -589,53 +665,80 @@ def drop_column(text: str, column: str) -> str:
     return "".join(",".join(row[:i] + row[i + 1:]) + "\n" for row in rows)
 
 
+def openblas_core() -> str | None:
+    """The kernel set the OpenBLAS that numpy bundles has loaded, such as
+    "SkylakeX" or "Haswell" (OPENBLAS_CORETYPE can force one), or None when
+    numpy bundles no scipy-openblas."""
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 # sha256 prefixes of the artifacts of one short training run per variant (two
 # updates, the second past the teacher window, and two evaluations of two
 # episodes), with metrics.csv less its wall-clock column. A last-bit change in
 # forward, backward, Adam or infer changes one of these; one that does so on
 # purpose updates them and says why. Every gemm and the sampled actions read
-# the BLAS, so they hold for numpy 2.4.6 on scipy-openblas 0.3.31 (Haswell
-# kernels), as TEACHER_DIGESTS does.
+# the BLAS, so they hold for numpy 2.4.6 on scipy-openblas 0.3.31. These four
+# read the same on each OpenBLAS core in FINAL_CHECKPOINT_DIGESTS.
 TRAINING_DIGESTS = {
     "V-PPO": {
         "losses.csv": "80db8d03d25c5920",
         "episodes.jsonl": "5cc710ef79e7fb02",
         "traces.jsonl": "10faa2f867d06f63",
-        "checkpoint_final.dckp": "1250c140d6094d52",
         "metrics.csv": "0be9f649c443ca20",
     },
     "A-PPO": {
         "losses.csv": "af7611125258858a",
         "episodes.jsonl": "9510f62d82a41f4a",
         "traces.jsonl": "5b248fd2252fa987",
-        "checkpoint_final.dckp": "3fd7eaacdb460488",
         "metrics.csv": "e1cd69bec7044b31",
     },
     "LA-PPO": {
         "losses.csv": "8adccb1d91c4983b",
         "episodes.jsonl": "60067e0d23a4ccfe",
         "traces.jsonl": "ca27205b9c3f174e",
-        "checkpoint_final.dckp": "a8188cd2ecbfa0e0",
         "metrics.csv": "5fe6bca0262855f0",
     },
+}
+
+# The same run's checkpoint_final.dckp by the OpenBLAS core `openblas_core`
+# reads, then by variant: its weights differ in their last bits from one
+# kernel set to another. OPENBLAS_CORETYPE=Zen loads the Haswell kernels.
+FINAL_CHECKPOINT_DIGESTS = {
+    "SkylakeX": {"V-PPO": "eb8a7d4efda74984", "A-PPO": "b30a39cef8edb4fa",
+                 "LA-PPO": "f76df985788b7990"},
+    "Haswell": {"V-PPO": "8a2d8b86a0b0734e", "A-PPO": "73445277da713cab",
+                "LA-PPO": "146d279eb51a15ed"},
+    "Sandybridge": {"V-PPO": "67cb0776895c360c", "A-PPO": "5eca76d3b445fdb1",
+                    "LA-PPO": "b55a08036d3896da"},
 }
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_training_outputs_are_pinned(variant, tmp_path):
+    core = openblas_core()
+    assert core in FINAL_CHECKPOINT_DIGESTS, (
+        f"OpenBLAS core {core!r} has no pinned checkpoint digests; "
+        f"pinned cores: {sorted(FINAL_CHECKPOINT_DIGESTS)}")
     cfg = TrainConfig(total_steps=256, eval_interval=128, eval_episodes=2, rollout_size=128,
                       batch_size=64, epochs=2, teacher_window_fraction=0.5, seed=0,
                       variant=variant)
     tr = Trainer(merge_scenario(5), cfg, out_dir=tmp_path)
     tr.run()
     assert tr.updates_done == 2 and len(tr.eval_reports) == 2
+    want = {**TRAINING_DIGESTS[variant],
+            "checkpoint_final.dckp": FINAL_CHECKPOINT_DIGESTS[core][variant]}
     digests = {}
-    for name in TRAINING_DIGESTS[variant]:
+    for name in want:
         data = (tmp_path / name).read_bytes()
         if name == "metrics.csv":
             data = drop_column(data.decode(), "decision_time_s").encode()
         digests[name] = hashlib.sha256(data).hexdigest()[:16]
-    assert digests == TRAINING_DIGESTS[variant]
+    assert digests == want
 
 
 class TestCheckpointResume:
@@ -674,6 +777,25 @@ class TestCheckpointResume:
         after = [r for r in full_losses[1:] if int(r.split(",")[1]) > 90]
         assert resumed_losses[1:] == after
         assert after
+
+    @pytest.mark.parametrize("stop", [40, 150])
+    def test_stop_in_and_past_the_window_matches_uninterrupted(self, tmp_path, stop):
+        """Stopped with an episode open inside the teacher window (steps 0..99)
+        or past it, and resumed into its own directory, an LA-PPO run leaves
+        the files an uninterrupted run writes."""
+        cfg = small_cfg(variant="LA-PPO", teacher_window_fraction=0.5)
+        Trainer(merge_scenario(), cfg, out_dir=tmp_path / "full").run()
+        part = Trainer(merge_scenario(), dataclasses.replace(cfg), out_dir=tmp_path / "part")
+        part.run(stop_after_step=stop)
+        assert part._obs is not None and part._ep.length > 0
+        assert bool(part._ep.z_list) == (stop < window_steps(cfg))
+        Trainer.resume(tmp_path / "part" / f"checkpoint_step{stop}.dckp",
+                       out_dir=tmp_path / "part").run()
+        for name in (*APPENDED_ARTIFACTS, "traces.jsonl", "memory.json", "checkpoint_final.dckp"):
+            full, part_ = ((tmp_path / d / name).read_bytes() for d in ("full", "part"))
+            if name == "metrics.csv":
+                full, part_ = (drop_column(t.decode(), "decision_time_s") for t in (full, part_))
+            assert part_ == full, name
 
     def test_resume_into_its_own_out_dir_appends(self, tmp_path):
         """A run stopped and resumed into its own directory leaves the rows an
