@@ -225,15 +225,16 @@ def cmd_teacher(args) -> int:
     teacher = build_teacher(cfg, record=args.record, replay=args.replay)
     if args.live:
         env = TrafficEnv(cfg.scenario)
-        env.reset(seed=cfg.train.seed)
+        obs = env.reset(seed=cfg.train.seed)
         for step in range(args.steps):
-            decision, _ = teacher.decide_step(env.state)
+            decision, _ = teacher.decide_step(env.state, obs)
             if args.verbose:
                 _print_prompt(teacher.last_prompt)
             _print_decision(step, decision)
             out = env.step(decision.action)
             if out.done:
                 break
+            obs = out.observation
         return EXIT_OK
     if not args.state:
         raise ConfigError("teacher command needs --state FILE or --live")

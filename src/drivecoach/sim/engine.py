@@ -28,9 +28,9 @@ one definition for every other caller and the reference the tests check the
 copies against.
 
 `observe` writes each observation into one flat vector of FLAT_OBS_DIM
-floats, the vector the policy reads. An `Observation`'s `ego` and
-`neighbors` are views into that vector, and `flat()` returns the vector
-itself, not a copy: a caller that writes into any of them must copy first.
+floats, `Observation.vector`, the vector the policy reads. An
+`Observation`'s `ego` and `neighbors` are views into it: a caller that
+writes into any of them must copy first.
 
 Everything downstream of reset() is deterministic: randomness enters only
 through the spawn RNG, never during stepping. `step` scores no risk: a caller
@@ -99,10 +99,8 @@ class Observation:
     """Ego block is the world pose; neighbor columns are ego-frame relative
     position/velocity plus the neighbor's absolute heading encoding.
 
-    Both live in one flat vector: the ego block, then each slot's six
-    features. `ego` and `neighbors` are views into it, and `flat()` returns
-    the vector itself, so a caller that writes into any of them writes the
-    observation: copy first."""
+    `ego` and `neighbors` are views into `vector`, so a caller that writes
+    into any of the three writes the observation: copy first."""
 
     vector: np.ndarray  # (FLAT_OBS_DIM,) ego block, then slot by slot, zero-padded
     neighbor_ids: list[int]  # one per filled slot, closest first
@@ -116,10 +114,6 @@ class Observation:
     def neighbors(self) -> np.ndarray:
         """(6, N) feature-by-slot, a view into the vector."""
         return self.vector[6:].reshape(N_NEIGHBOR_SLOTS, 6).T
-
-    def flat(self) -> np.ndarray:
-        """The observation's own vector, not a copy."""
-        return self.vector
 
     @property
     def neighbor_count(self) -> int:

@@ -172,10 +172,11 @@ class TeacherAgent:
         self.last_prompt: Prompt | None = None  # most recent decision prompt, for inspection
         self._prev_tau = math.inf  # previous step's tau_min, for hysteresis
 
-    def decide_step(self, state) -> tuple[TeacherDecision, np.ndarray]:
-        """Full pipeline for one decision step; returns the decision and z."""
-        obs = observe(state)
-        assessment = assess(state, self.risk_params)
+    def decide_step(self, state, obs=None, assessment=None) -> tuple[TeacherDecision, np.ndarray]:
+        """Full pipeline for one decision step; returns the decision and z.
+        obs and assessment, if given, must be observe(state) and assess(state, self.risk_params)."""
+        obs = observe(state) if obs is None else obs
+        assessment = assess(state, self.risk_params) if assessment is None else assessment
         telemetry = build_telemetry(state, assessment)
         # The point-mass conflict metric can flicker to infinity for one step
         # while two paths still intersect (a turning ego breaks its constant

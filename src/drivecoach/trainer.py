@@ -5,8 +5,9 @@ The student acts at every step. While the run is inside the guidance window
 once per decision step and its chosen maneuver is stored alongside the
 transition; those labels drive the KL and distillation terms during updates.
 Outside the window the teacher is never queried and both terms vanish. Risk
-is assessed only where it is read: on the steps the teacher labels, for
-memory and reflection, and on each evaluation step, for delta_ttcp.
+is assessed only where it is read: on each evaluation step, for delta_ttcp,
+and after each labelled step, for memory, reflection and the next label. The
+teacher is handed the trainer's observation of every state it labels.
 
 A step's update, when it fills the buffer or ends the run, comes before its
 evaluation: the final metrics row, checkpoint_final.dckp and traces.jsonl
@@ -50,7 +51,7 @@ from .policy import (
 from . import risk as risk_engine
 from .records import build_section
 from .risk import INFRACTION_EVENTS, RiskParams, delta_ttcp_metric, flag_segments, risk_value
-from .sim.engine import FLAT_OBS_DIM, ScenarioState, TrafficEnv, observe, trace_record
+from .sim.engine import FLAT_OBS_DIM, Observation, ScenarioState, TrafficEnv, observe, trace_record
 from .sim.scenarios import ScenarioConfig
 from .sim.vehicles import MANEUVER_TOKENS, Maneuver
 from .teacher import FlaggedSegment, ScriptedBackend, TeacherAgent
@@ -69,7 +70,8 @@ _MANEUVERS = tuple(Maneuver)
 #    the meta drops evals_done, which global_step // eval_interval gives
 # 7: a step's evaluation follows its update, which a stop may leave pending;
 #    the buffer stores only its first buffer_n rows
-CHECKPOINT_FORMAT = 7
+# 8: the episode block drops z_steps, which len(z_list) gives
+CHECKPOINT_FORMAT = 8
 
 
 def normalize_variant(name: str) -> str:
@@ -280,11 +282,10 @@ class EpisodeAccumulator:
     seed: int = 0
     ret: float = 0.0
     length: int = 0
-    # these three cover the steps the teacher labelled, a prefix of the episode
+    # these four cover the steps the teacher labelled, a prefix of the episode
     actions: list[int] = field(default_factory=list)
     omegas: list[float] = field(default_factory=list)
     taus: list[float] = field(default_factory=list)
-    z_steps: list[int] = field(default_factory=list)  # step index of each teacher query
     z_list: list[np.ndarray] = field(default_factory=list)
 
     def to_meta(self) -> dict:
@@ -303,6 +304,9 @@ class Trainer:
         self.cfg = train
         self.risk_params = risk or RiskParams()
         if train.variant == "LA-PPO":
+            if teacher is not None and teacher.risk_params != self.risk_params:
+                raise ConfigError(f"teacher: risk params {teacher.risk_params} differ from the run's "
+                                  f"{self.risk_params}, which a resume would rebuild it on")
             self.teacher = teacher or TeacherAgent(ScriptedBackend(), self.risk_params)
         else:
             if teacher is not None:
@@ -317,7 +321,8 @@ class Trainer:
         self.updates_done = 0
         self.episode_index = 0
         self.eval_reports: list[EvalReport] = []
-        self._obs: np.ndarray | None = None
+        self._obs: Observation | None = None  # of env.state, while an episode is open
+        self._assessment: risk_engine.ConflictAssessment | None = None  # after a labelled step
         self._ep = EpisodeAccumulator()
         self._stop_at: int | None = None
         self.out_dir = Path(out_dir) if out_dir is not None else None
@@ -328,8 +333,7 @@ class Trainer:
 
     def _begin_episode(self) -> None:
         seed = int(self.rng.integers(2**31 - 1))
-        obs = self.env.reset(seed=seed)
-        self._obs = obs.flat()
+        self._obs = self.env.reset(seed=seed)
         self._ep = EpisodeAccumulator(seed=seed)
 
     def _collect_one_step(self) -> None:
@@ -338,11 +342,11 @@ class Trainer:
         queried = self.teacher is not None and self.global_step < window_steps(self.cfg)
         teacher_action = None
         if queried:
-            decision, z = self.teacher.decide_step(self.env.state)
+            decision, z = self.teacher.decide_step(self.env.state, self._obs, self._assessment)
             teacher_action = int(decision.action)
-            self._ep.z_steps.append(self._ep.length)
             self._ep.z_list.append(z)
-        action, logp, value = self.policy.act(self._obs, rng=self.rng)
+        obs = self._obs.vector
+        action, logp, value = self.policy.act(obs, rng=self.rng)
         try:
             out = self.env.step(_MANEUVERS[action])
         except Exception as err:
@@ -350,16 +354,16 @@ class Trainer:
                 f"environment fault at global step {self.global_step}, "
                 f"episode {self.episode_index}: {err}"
             ) from err
-        next_flat = out.observation.flat()
-        self.buffer.add(obs=self._obs, action=action, logp=logp, reward=out.reward,
-                        value=value, done=out.done, next_obs=next_flat,
+        self.buffer.add(obs=obs, action=action, logp=logp, reward=out.reward,
+                        value=value, done=out.done, next_obs=out.observation.vector,
                         teacher_action=teacher_action,
                         truncated="timeout" in out.events)
         ep = self._ep
         ep.ret += out.reward
         ep.length += 1
+        self._assessment = risk_engine.assess(self.env.state, self.risk_params) if queried else None
         if queried:
-            tau_min = risk_engine.assess(self.env.state, self.risk_params).tau_min
+            tau_min = self._assessment.tau_min
             ep.actions.append(action)
             ep.omegas.append(risk_value(tau_min, bool(INFRACTION_EVENTS & out.events),
                                         self.risk_params))
@@ -368,7 +372,7 @@ class Trainer:
         if out.done:
             self._finish_episode(out.events)
         else:
-            self._obs = next_flat
+            self._obs = out.observation
 
     @property
     def _stopped(self) -> bool:
@@ -393,8 +397,7 @@ class Trainer:
                 f.write(line + "\n")
         if self.teacher is not None and ep.z_list:
             # one memory entry per episode, anchored at the riskiest queried step
-            best = max(range(len(ep.z_steps)), key=lambda i: ep.omegas[ep.z_steps[i]])
-            step_idx = ep.z_steps[best]
+            best = max(range(len(ep.z_list)), key=ep.omegas.__getitem__)
             if "collision" in events:
                 label = "collision"
             elif "success" in events:
@@ -402,7 +405,7 @@ class Trainer:
             else:
                 label = "other"
             self.teacher.record_episode(ep.z_list[best], self.scenario.kind,
-                                        Maneuver(ep.actions[step_idx]), label, ep.ret)
+                                        Maneuver(ep.actions[best]), label, ep.ret)
             if self.global_step <= window_steps(self.cfg):
                 ranges = flag_segments(ep.omegas, self.risk_params)
                 if ranges:
@@ -417,7 +420,7 @@ class Trainer:
                     ]
                     self.teacher.run_reflection(segments)
         self.episode_index += 1
-        self._obs = None
+        self._obs = self._assessment = None
 
     # --- optimization ---------------------------------------------------------
 
@@ -492,7 +495,7 @@ class Trainer:
         Returns the wall time of each batched forward.
         """
         envs = [TrafficEnv(self.scenario) for _ in range(n)]
-        live = {e: env.reset(seed=self._eval_seed(e)).flat() for e, env in enumerate(envs)}
+        live = {e: env.reset(seed=self._eval_seed(e)).vector for e, env in enumerate(envs)}
         forward_s = []
         while live:
             t0 = time.perf_counter()
@@ -503,7 +506,7 @@ class Trainer:
                 if out.done:
                     del live[e]
                 else:
-                    live[e] = out.observation.flat()
+                    live[e] = out.observation.vector
         return forward_s
 
     def evaluate(self, n_episodes: int | None = None) -> EvalReport:
@@ -654,7 +657,7 @@ class Trainer:
         trainer._ep = build_section("episode", EpisodeAccumulator, {
             **meta["episode"], "z_list": list(arrays.get("episode.z", ()))})
         if trainer.env.state is not None and not trainer.env.state.done:
-            trainer._obs = observe(trainer.env.state).flat()
+            trainer._obs = observe(trainer.env.state)
         if trainer.teacher is not None:
             trainer.teacher.load_state_dict(meta["teacher"])
         return trainer

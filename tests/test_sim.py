@@ -403,16 +403,16 @@ class TestObserve:
     def test_flat_dimension(self):
         cfg = ScenarioConfig(kind="highway", n_background=3)
         _, obs = reset(cfg, seed=2)
-        assert obs.flat().shape == (FLAT_OBS_DIM,)
+        assert obs.vector.shape == (FLAT_OBS_DIM,)
 
     @pytest.mark.parametrize("kind", SCENARIO_KINDS)
     def test_flat_is_the_observations_own_vector(self, kind):
-        """`flat()` is the ego block then each slot's features, and it, `ego`
+        """`vector` is the ego block then each slot's features, and it, `ego`
         and `neighbors` are one array: no copy is made."""
         state, obs = reset(ScenarioConfig(kind=kind, n_background=10), seed=3)
         for _ in range(3):
-            flat = obs.flat()
-            assert flat.shape == (FLAT_OBS_DIM,) and flat is obs.flat()
+            flat = obs.vector
+            assert flat.shape == (FLAT_OBS_DIM,)
             assert np.array_equal(flat, np.concatenate([obs.ego, obs.neighbors.T.ravel()]))
             assert obs.neighbors.shape == (6, N_NEIGHBOR_SLOTS)
             assert np.shares_memory(obs.ego, flat) and np.shares_memory(obs.neighbors, flat)
@@ -560,7 +560,7 @@ class TestSerialization:
         out_b = step(clone, Maneuver.Cruise)
         assert out_a.reward == out_b.reward
         assert out_a.events == out_b.events
-        np.testing.assert_array_equal(out_a.observation.flat(), out_b.observation.flat())
+        np.testing.assert_array_equal(out_a.observation.vector, out_b.observation.vector)
 
     @pytest.mark.parametrize("kind", ["merge", "highway", "intersection"])
     def test_state_dict_round_trip_field_for_field(self, kind):
@@ -592,7 +592,7 @@ class TestSerialization:
         with pytest.raises(UsageError):
             env.step(Maneuver.Cruise)
         obs = env.reset(seed=2)
-        assert obs.flat().shape == (FLAT_OBS_DIM,)
+        assert obs.vector.shape == (FLAT_OBS_DIM,)
         out = env.step(Maneuver.Cruise)
         assert isinstance(out.reward, float)
 
@@ -885,7 +885,7 @@ def table_rows(table: LaneTable | None):
 def step_outcomes_equal(a, b) -> bool:
     return (a.reward == b.reward and a.done == b.done and a.events == b.events
             and a.observation.neighbor_ids == b.observation.neighbor_ids
-            and np.array_equal(a.observation.flat(), b.observation.flat()))
+            and np.array_equal(a.observation.vector, b.observation.vector))
 
 
 class TestLaneTable:
@@ -1299,7 +1299,7 @@ def test_random_state_steps_are_pinned(kind, maneuver):
         record = {"state": state.state_dict(), "reward": outcome.reward,
                   "events": sorted(outcome.events),
                   "tau_min": risk.assess(state, risk.RiskParams()).tau_min,
-                  "obs": outcome.observation.flat().tolist(),
+                  "obs": outcome.observation.vector.tolist(),
                   "ids": outcome.observation.neighbor_ids}
         digest.update(json.dumps(record, sort_keys=True).encode())
     assert collisions > 0

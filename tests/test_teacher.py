@@ -1047,8 +1047,8 @@ def test_teacher_inputs_and_outputs_are_pinned(kind, tmp_path):
     decisions = []
     decide_step = agent.decide_step
 
-    def spy(state):
-        decision, z = decide_step(state)
+    def spy(state, *inputs):
+        decision, z = decide_step(state, *inputs)
         decisions.append((MANEUVER_TOKENS[decision.action], decision.source, decision.rationale))
         return decision, z
 

@@ -144,8 +144,10 @@ def test_ci_runs_the_roadmaps_tier1_command():
     # the versions the pinned digests hold for
     install = next(run for run in runs if "pip install" in run).split()
     assert {"numpy==2.4.6", "pyyaml==6.0.3", "pytest==9.0.3"} <= set(install)
-    # the OpenBLAS core, which keys FINAL_CHECKPOINT_DIGESTS, is printed first
+    # the OpenBLAS core, which keys FINAL_CHECKPOINT_DIGESTS, is printed first,
+    # with the thread count, on which the headline gate's figures also depend
     core = next(i for i, run in enumerate(runs) if "openblas_core()" in run)
+    assert "openblas_threads()" in runs[core]
     assert core < runs.index(tier1)
 
 

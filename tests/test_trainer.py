@@ -16,11 +16,12 @@ from drivecoach import risk
 from drivecoach import trainer as trainer_module
 from drivecoach.nn import CheckpointError, adam_step, load_checkpoint, save_checkpoint
 from drivecoach.policy import VARIANTS, value_targets
-from drivecoach.risk import delta_ttcp_metric
+from drivecoach.risk import RiskParams, delta_ttcp_metric
 from drivecoach.sim.engine import TrafficEnv, trace_record
 from drivecoach.sim.scenarios import ScenarioConfig
 from drivecoach.sim.vehicles import Maneuver
 from drivecoach.teacher import ScriptedBackend, TeacherAgent
+from drivecoach.teacher import agent as agent_module
 from drivecoach.trainer import (
     APPENDED_ARTIFACTS,
     LOSS_HEADER,
@@ -216,6 +217,19 @@ class TestVariantGating:
         with pytest.raises(ConfigError, match="variant"):
             Trainer(merge_scenario(), small_cfg(variant="V-PPO"), teacher=teacher)
 
+    def test_la_ppo_rejects_teacher_on_other_risk_params(self):
+        # a resume rebuilds the teacher on the run's risk params, and the
+        # teacher reads the trainer's assessments
+        teacher = TeacherAgent(ScriptedBackend(), RiskParams(conflict_radius=12.0, horizon=3.0))
+        with pytest.raises(ConfigError, match="risk params"):
+            Trainer(merge_scenario(), small_cfg(variant="LA-PPO"), teacher=teacher)
+        with pytest.raises(ConfigError, match="risk params"):
+            Trainer(merge_scenario(), small_cfg(variant="LA-PPO"), RiskParams(beta=2.0),
+                    teacher=TeacherAgent(ScriptedBackend()))
+        same = TeacherAgent(ScriptedBackend(), RiskParams(beta=2.0))
+        assert Trainer(merge_scenario(), small_cfg(variant="LA-PPO"), RiskParams(beta=2.0),
+                       teacher=same).teacher is same
+
 
 class TestCollect:
     def test_fills_buffer_and_counts_episodes(self):
@@ -281,12 +295,15 @@ class TestCollect:
 class PhaseCounts:
     """Counts `risk.assess` calls and env steps by the phase of a run they fall
     in: "evaluate", "_write_traces", or "collect" for everything else. The
-    teacher assesses through its own binding, so its calls are not counted."""
+    teacher assesses and observes through its own module's bindings, which
+    are counted apart, in `teacher`. `episode_starts` holds the global step
+    at which each training episode began."""
 
     def __init__(self, monkeypatch):
         self.phase = "collect"
-        self.steps, self.assessed = Counter(), Counter()
-        step, assess = TrafficEnv.step, risk.assess
+        self.steps, self.assessed, self.teacher = Counter(), Counter(), Counter()
+        self.episode_starts = []
+        step, assess, begin = TrafficEnv.step, risk.assess, Trainer._begin_episode
 
         def counted_step(env, maneuver):
             self.steps[self.phase] += 1
@@ -296,10 +313,23 @@ class PhaseCounts:
             self.assessed[self.phase] += 1
             return assess(state, params)
 
+        def counted_begin(trainer):
+            self.episode_starts.append(trainer.global_step)
+            return begin(trainer)
+
         monkeypatch.setattr(TrafficEnv, "step", counted_step)
         monkeypatch.setattr(risk, "assess", counted_assess)
+        monkeypatch.setattr(Trainer, "_begin_episode", counted_begin)
+        for name in ("assess", "observe"):
+            monkeypatch.setattr(agent_module, name, self._counted(name, getattr(agent_module, name)))
         for name in ("evaluate", "_write_traces"):
             monkeypatch.setattr(Trainer, name, self._phase(name, getattr(Trainer, name)))
+
+    def _counted(self, name, function):
+        def counted(*args):
+            self.teacher[name] += 1
+            return function(*args)
+        return counted
 
     def _phase(self, name, method):
         def phased(trainer, *args, **kwargs):
@@ -323,15 +353,33 @@ class TestRiskAssessment:
         assert counts.steps["collect"] == 200
         assert counts.steps["evaluate"] > 0 and counts.steps["_write_traces"] > 0
         assert counts.assessed == Counter(evaluate=counts.steps["evaluate"])
+        assert not counts.teacher
         assert tr._ep.actions == tr._ep.omegas == tr._ep.taus == []
 
     def test_la_ppo_collection_assesses_each_labelled_step(self, monkeypatch, tmp_path):
+        """The teacher reads the trainer's observation of each labelled state,
+        and its assessment of every one but an episode's first."""
         counts = PhaseCounts(monkeypatch)
         cfg = small_cfg(variant="LA-PPO", teacher_window_fraction=0.3)
         tr = Trainer(merge_scenario(), cfg, out_dir=tmp_path)
         tr.run()
         assert tr.teacher.decision_queries == window_steps(cfg) == 60
         assert counts.assessed == Counter(collect=60, evaluate=counts.steps["evaluate"])
+        labelled_starts = sum(start < 60 for start in counts.episode_starts)
+        assert 1 < labelled_starts < 60
+        assert counts.teacher == Counter(assess=labelled_starts)
+
+    def test_resumed_run_assesses_its_first_labelled_state(self, monkeypatch, tmp_path):
+        """A checkpoint holds no assessment, so the teacher works out the
+        first labelled state after a resume itself."""
+        cfg = small_cfg(variant="LA-PPO", teacher_window_fraction=0.3)
+        Trainer(merge_scenario(), cfg, out_dir=tmp_path).run(stop_after_step=40)
+        part = Trainer.resume(tmp_path / "checkpoint_step40.dckp")
+        assert part._ep.length > 0
+        counts = PhaseCounts(monkeypatch)
+        part.run(stop_after_step=60)
+        labelled_starts = sum(start < 60 for start in counts.episode_starts)
+        assert counts.teacher == Counter(assess=1 + labelled_starts)
 
     def test_episode_lists_cover_the_labelled_prefix(self):
         """The teacher labels steps 0..44; the episode open at step 45 began
@@ -343,8 +391,7 @@ class TestRiskAssessment:
         while tr.global_step < 90:
             tr._collect_one_step()
             ep = tr._ep
-            n = len(ep.z_steps)
-            assert ep.z_steps == list(range(n))
+            n = len(ep.z_list)
             assert len(ep.actions) == len(ep.omegas) == len(ep.taus) == n
             crossed |= 0 < n < ep.length
         assert crossed
@@ -442,13 +489,13 @@ class TestEvaluate:
         tr = self._trainer()
         report = tr.evaluate(n_episodes=1)
         env = TrafficEnv(merge_scenario())
-        flat = env.reset(seed=tr._eval_seed(0)).flat()
+        flat = env.reset(seed=tr._eval_seed(0)).vector
         total, done = 0.0, False
         while not done:
             action = np.argmax(tr.policy.infer(flat)[0][0])
             out = env.step(Maneuver(action))
             total += out.reward
-            flat = out.observation.flat()
+            flat = out.observation.vector
             done = out.done
         assert report.eval_reward == pytest.approx(total)
 
@@ -463,13 +510,13 @@ def sequential_greedy(tr, n):
     episodes = []
     for e in range(n):
         env = TrafficEnv(tr.scenario)
-        flat = env.reset(seed=tr._eval_seed(e)).flat()
+        flat = env.reset(seed=tr._eval_seed(e)).vector
         steps, done = [], False
         while not done:
             action = np.argmax(tr.policy.infer(flat)[0][0])
             out = env.step(Maneuver(action))
             steps.append(step_record(action, env, out, tr.risk_params))
-            flat = out.observation.flat()
+            flat = out.observation.vector
             done = out.done
         episodes.append(steps)
     return episodes
@@ -480,7 +527,7 @@ def sequential_traces(tr) -> bytes:
     lines = []
     env = TrafficEnv(tr.scenario)
     for e in range(tr.cfg.eval_episodes):
-        flat = env.reset(seed=tr._eval_seed(e)).flat()
+        flat = env.reset(seed=tr._eval_seed(e)).vector
         done = False
         while not done:
             pre = env.state.state_dict()
@@ -490,7 +537,7 @@ def sequential_traces(tr) -> bytes:
             record["episode"] = e
             record["state"] = pre
             lines.append(json.dumps(record, sort_keys=True) + "\n")
-            flat = out.observation.flat()
+            flat = out.observation.vector
             done = out.done
     return "".join(lines).encode()
 
@@ -665,16 +712,30 @@ def drop_column(text: str, column: str) -> str:
     return "".join(",".join(row[:i] + row[i + 1:]) + "\n" for row in rows)
 
 
+def _openblas_call(name: str, restype):
+    """Call the no-argument function `name` of the scipy-openblas that numpy
+    bundles, or return None when numpy bundles none."""
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
+        function = getattr(ctypes.CDLL(str(lib)), name, None)
+        if function is not None:
+            function.argtypes, function.restype = [], restype
+            return function()
+    return None
+
+
 def openblas_core() -> str | None:
     """The kernel set the OpenBLAS that numpy bundles has loaded, such as
     "SkylakeX" or "Haswell" (OPENBLAS_CORETYPE can force one), or None when
     numpy bundles no scipy-openblas."""
-    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("*openblas*")):
-        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.argtypes, corename.restype = [], ctypes.c_char_p
-            return corename().decode()
-    return None
+    core = _openblas_call("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    return None if core is None else core.decode()
+
+
+def openblas_threads() -> int | None:
+    """The thread count of the OpenBLAS that numpy bundles
+    (OPENBLAS_NUM_THREADS can set it), or None when numpy bundles no
+    scipy-openblas."""
+    return _openblas_call("scipy_openblas_get_num_threads64_", ctypes.c_int)
 
 
 # sha256 prefixes of the artifacts of one short training run per variant (two
@@ -709,12 +770,12 @@ TRAINING_DIGESTS = {
 # reads, then by variant: its weights differ in their last bits from one
 # kernel set to another. OPENBLAS_CORETYPE=Zen loads the Haswell kernels.
 FINAL_CHECKPOINT_DIGESTS = {
-    "SkylakeX": {"V-PPO": "eb8a7d4efda74984", "A-PPO": "b30a39cef8edb4fa",
-                 "LA-PPO": "f76df985788b7990"},
-    "Haswell": {"V-PPO": "8a2d8b86a0b0734e", "A-PPO": "73445277da713cab",
-                "LA-PPO": "146d279eb51a15ed"},
-    "Sandybridge": {"V-PPO": "67cb0776895c360c", "A-PPO": "5eca76d3b445fdb1",
-                    "LA-PPO": "b55a08036d3896da"},
+    "SkylakeX": {"V-PPO": "9028de7ae26acd60", "A-PPO": "23c4ab8ce474090d",
+                 "LA-PPO": "a9f258cd10152425"},
+    "Haswell": {"V-PPO": "612f61510473d675", "A-PPO": "66aab1ca56252015",
+                "LA-PPO": "bd14f21a540f4574"},
+    "Sandybridge": {"V-PPO": "a32ea407842364db", "A-PPO": "fb3a65e7303a0473",
+                    "LA-PPO": "247613656f977b35"},
 }
 
 
@@ -894,19 +955,20 @@ class TestCheckpointResume:
         assert (tmp_path / "again.dckp").read_bytes() == ckpt.read_bytes()
 
     def test_previous_checkpoint_format_rejected(self, tmp_path):
-        cfg = small_cfg(variant="LA-PPO")
+        # stop inside the window, with a labelled episode open
+        cfg = small_cfg(variant="LA-PPO", teacher_window_fraction=0.5)
         tr = Trainer(merge_scenario(), cfg, out_dir=tmp_path)
-        tr.run(stop_after_step=30)
-        arrays, meta = load_checkpoint(str(tmp_path / "checkpoint_step30.dckp"))
-        assert meta["format"] == 7 and len(arrays["buffer.obs"]) == meta["buffer_n"] == 30
-        # format 6 stored every row of the buffer, and a checkpoint at an eval
-        # step held that step's evaluation whether or not its update was done
-        for name in RolloutBuffer.ARRAYS:
-            arrays[f"buffer.{name}"] = getattr(tr.buffer, name)
-        meta["format"] = 6
+        tr.run(stop_after_step=40)
+        arrays, meta = load_checkpoint(str(tmp_path / "checkpoint_step40.dckp"))
+        assert meta["format"] == 8 and "z_steps" not in meta["episode"]
+        # format 7's episode block also held z_steps, the step index of each
+        # teacher query: 0 .. len(z_list) - 1
+        meta["episode"]["z_steps"] = list(range(len(arrays["episode.z"])))
+        assert meta["episode"]["z_steps"]
+        meta["format"] = 7
         doctored = tmp_path / "doctored.dckp"
         save_checkpoint(str(doctored), arrays, meta)
-        with pytest.raises(CheckpointError, match="format: 6"):
+        with pytest.raises(CheckpointError, match="format: 7"):
             Trainer.resume(doctored)
 
     def test_checkpoint_stores_only_the_live_buffer_rows(self, tmp_path):
