@@ -17,15 +17,30 @@ also tests each one against the moved ego for overlap. The loop body then
 checks the ego's events. A table lives for one substep, so no lane query
 reads positions that have since moved.
 
-These bodies run at every substep, so they do in place the arithmetic of
-the small helpers they would otherwise call (`wrap_angle`,
-`nearest_lane_index`, `Lane.lateral`, `Lane.along`, `LaneTable.add`, IDM on
-the vehicle's own lane, `_steer_command`, and for the ego `_ego_control`,
-`_off_road` and `SuccessRegion.contains` on straight lanes). Each copy
-carries a comment naming the helper it mirrors and gives that helper's
-values bit for bit, so every trajectory stays the same. The helpers stay the
-one definition for every other caller and the reference the tests check the
-copies against.
+Four bodies run at every substep, so each does in place the arithmetic of
+the rules it would otherwise call, with a comment naming the rule at each
+copy, and gives that rule's values bit for bit, so every trajectory stays
+the same:
+- `step`'s loop body moves the ego: the speed loop and lane tracking on
+  straight lanes, `_steer_command`, `wrap_angle`, the `wheelbase`
+  property, `nearest_lane_index`, `Lane.lateral`, `Lane.along`,
+  `LaneTable.add`, and the substep's events, with the ego off the road and
+  in the success region;
+- `_move_pass` moves the background vehicles: `wrap_angle`, the
+  `wheelbase` property, `nearest_lane_index`, `Lane.lateral`, `Lane.along`
+  and `LaneTable.add`;
+- `_background_controls`: the leader half of `LaneTable.neighbors`, IDM on
+  the vehicle's own lane (`idm_accel`), `_steer_command`, `wrap_angle` and
+  `Lane.lateral`;
+- `LaneTable.neighbors`: `Lane.along`.
+The named helpers are the one definition in the program for every other
+caller. The rest have no caller outside these bodies, so their one
+definition is a reference in `tests/test_sim.py`, which checks the copies
+against it: `reference_ego_control` for the straight-lane speed loop and
+lane tracking, and `reference_events`, with `reference_offroad` and
+`reference_in_region`, for the substep's events. On merge and highway both
+movers locate a vehicle by a closed form of `nearest_lane_index`'s scan,
+argued at `_move_pass`'s copy.
 
 `observe` writes each observation into one flat vector of FLAT_OBS_DIM
 floats, `Observation.vector`, the vector the policy reads. An
@@ -201,26 +216,9 @@ def reset(config: ScenarioConfig, seed: int):
 # --- lane bookkeeping -------------------------------------------------------
 
 def nearest_lane_index(state: ScenarioState, veh: VehicleState) -> int:
-    """Index of the lane whose centerline is nearest; the lowest index wins a tie.
-
-    Merge and highway lanes are straight and parallel, lane i along
-    y = -LANE_WIDTH * i, so `|lateral|` shrinks toward -y / LANE_WIDTH and
-    only the two lanes around it can be nearest. Comparing those two by the
-    same values as `min` over every lane gives its answer for every finite
-    point with |y| < 2**50, ties included.
-    """
-    geometry = state.geometry
-    if geometry.ego_route is not None:
-        return min(geometry.lanes, key=lambda lane: abs(lane.lateral(veh.x, veh.y))).index
-    lanes = geometry.lanes
-    x, y = veh.x, veh.y
-    # int(min(max(0.0, z), last)) as comparisons, as in idm_accel's clamp
-    z = -y / LANE_WIDTH
-    last = len(lanes) - 2
-    first = 0 if not z > 0.0 else (last if last < z else int(z))
-    left, right = lanes[first], lanes[first + 1]
-    # as in min(), the later lane wins only when strictly nearer
-    return right.index if abs(right.lateral(x, y)) < abs(left.lateral(x, y)) else left.index
+    """Index of the lane whose centerline is nearest, by `min` over every
+    lane: the lowest index wins a tie."""
+    return min(state.geometry.lanes, key=lambda lane: abs(lane.lateral(veh.x, veh.y))).index
 
 
 def _refresh_lanes(state: ScenarioState) -> None:
@@ -245,12 +243,10 @@ class LaneTable:
 
     A table is filled in one pass over the vehicles: `add` each one, ego
     first, then `seal` it with the ego. `LaneTable.of(state)` does so for the
-    stored lanes and positions. `step` appends to `members` itself, with
-    `add`'s heading test and position along the lane, as it moves each
-    vehicle and sets its lane: its loop body files the ego first, and the
-    move pass files each background vehicle and then seals the table.
-    `neighbors` and the control pass read each lane's frame (origin, cos_h,
-    sin_h) inline rather than through `Lane.along`.
+    stored lanes and positions. `step` files each vehicle into `members`
+    itself as it moves it and sets its lane: its loop body files the ego
+    first, and the move pass files each background vehicle and then seals
+    the table.
 
     A table keeps the positions along each lane from when it was filled,
     while a query reads the querying vehicle where it stands, so no table
@@ -341,32 +337,29 @@ def _steer_command(lateral_err_left: float, heading_err: float, speed: float) ->
 
 
 def _ego_control(state: ScenarioState, ego: VehicleState,
-                 projection: tuple[float, float, float] | None = None) -> tuple[float, float]:
-    """The ego's (accel, steer): a proportional speed loop toward its target
-    speed, and the lateral loop toward the target lane's center or along the
-    intersection's route, where one projection of the pose serves both loops.
-    A caller that holds `route.project` of the ego's pose passes it as
-    `projection`. On the route the target is capped at the highest speed the
-    steering can track on the curvature ahead; the slow speed loop needs
-    early warning, so the window covers a comfortable deceleration plus a
-    margin. The min and max calls are spelled as comparisons in the builtins'
-    operand order, as in idm_accel's clamp."""
+                 projection: tuple[float, float, float] | None) -> tuple[float, float]:
+    """The ego's (accel, steer) on the intersection's route: a proportional
+    speed loop toward its target speed, and the lateral loop along the
+    route, where one projection of the pose serves both loops. A caller that
+    holds `route.project` of the ego's pose passes it as `projection`; None
+    projects here. The target is capped at the highest speed the steering
+    can track on the curvature ahead; the slow speed loop needs early
+    warning, so the window covers a comfortable deceleration plus a margin.
+    The speed clamps are spelled as comparisons in the builtins' operand
+    order, as in idm_accel's clamp. On straight lanes `step` works the
+    ego's control out in place."""
     target = state.ego_target_speed
     route = state.geometry.ego_route
-    if route is None:
-        steer = _steer_command(-LANE_WIDTH * ego.target_lane - ego.y, wrap_angle(-ego.heading),
-                               ego.speed)
-    else:
-        s, lat, path_heading = route.project(ego.x, ego.y) if projection is None else projection
-        lookahead = ego.speed * ego.speed / (2.0 * COMFORT_CURVE_DECEL) + 8.0
-        radius = route.min_radius(s, s + lookahead)
-        if not math.isinf(radius):
-            cap = math.sqrt(MAX_LATERAL_ACCEL * radius)
-            target = cap if cap < target else target  # min(target, cap)
-        # feedforward holds the arc; feedback only corrects the residual
-        feedforward = math.atan(ego.wheelbase * route.curvature_at(s))
-        feedback = _steer_command(-lat, wrap_angle(path_heading - ego.heading), ego.speed)
-        steer = min(max(feedforward + feedback, -MAX_STEER), MAX_STEER)
+    s, lat, path_heading = route.project(ego.x, ego.y) if projection is None else projection
+    lookahead = ego.speed * ego.speed / (2.0 * COMFORT_CURVE_DECEL) + 8.0
+    radius = route.min_radius(s, s + lookahead)
+    if not math.isinf(radius):
+        cap = math.sqrt(MAX_LATERAL_ACCEL * radius)
+        target = cap if cap < target else target  # min(target, cap)
+    # feedforward holds the arc; feedback only corrects the residual
+    feedforward = math.atan(ego.wheelbase * route.curvature_at(s))
+    feedback = _steer_command(-lat, wrap_angle(path_heading - ego.heading), ego.speed)
+    steer = min(max(feedforward + feedback, -MAX_STEER), MAX_STEER)
     accel = KP_SPEED * (target - ego.speed)
     accel = -EMERGENCY_DECEL if -EMERGENCY_DECEL > accel else accel  # max(accel, -EMERGENCY_DECEL)
     max_accel = ego.profile.max_accel
@@ -468,11 +461,8 @@ def _move_pass(state: ScenarioState, controls: list[tuple[float, float]], dt: fl
     when one is given, and test it against the moved ego for overlap. Then
     seal `table`. Returns whether any background vehicle overlaps the ego.
 
-    This body runs for every vehicle at every substep, so it does in place
-    what `wrap_angle`, the `wheelbase` property, `nearest_lane_index`,
-    `Lane.lateral`, `Lane.along` and `LaneTable.add` would each do in a
-    call, and gives their values bit for bit; each copy names the helper it
-    mirrors, which stays the one definition for every other caller. `step`
+    This body runs for every vehicle at every substep, so it does its
+    helpers' arithmetic in place, as the module docstring lists. `step`
     moves the ego with the same copies, its pose held in locals from one
     substep to the next; one loop over `state.vehicles`, ego first, would
     keep a single copy but ran `highway-free` evaluation about 10% slower.
@@ -483,8 +473,8 @@ def _move_pass(state: ScenarioState, controls: list[tuple[float, float]], dt: fl
     pi, two_pi = math.pi, _TWO_PI
     overlap = rects_overlap
     lanes = state.geometry.lanes
-    # nearest_lane_index: straight parallel lanes take its closed form,
-    # anything else its min over every lane
+    # nearest_lane_index: straight parallel lanes take the closed form
+    # below, anything else its min over every lane
     straight = state.geometry.ego_route is None
     last = len(lanes) - 2
     members = None if table is None else table.members
@@ -500,9 +490,16 @@ def _move_pass(state: ScenarioState, controls: list[tuple[float, float]], dt: fl
         veh.heading = heading = a - pi
         veh.x = x = veh.x + speed * cos(heading) * dt
         veh.y = y = veh.y + speed * sin(heading) * dt
-        # veh.lane = nearest_lane_index(state, veh). On its straight lanes,
-        # heading 0, |Lane.lateral(x, y)| is exactly |y - origin_y| at any
-        # finite x: the x term is a signed zero, and abs drops the sign
+        # veh.lane = nearest_lane_index(state, veh). Merge and highway lanes
+        # are straight and parallel, lane i along y = -LANE_WIDTH * i, so
+        # |lateral| shrinks toward z = -y / LANE_WIDTH and only the two lanes
+        # around z, the first at int(min(max(0.0, z), last)) spelled as
+        # comparisons, can be nearest. Comparing those two by the same values
+        # as `min` over every lane, the later one winning only when strictly
+        # nearer, gives its answer for every finite point with |y| < 2**50,
+        # ties included. At heading 0, |Lane.lateral(x, y)| is exactly
+        # |y - origin_y| at any finite x: the x term is a signed zero, and
+        # abs drops the sign
         if straight:
             z = -y / LANE_WIDTH
             first = 0 if not z > 0.0 else (last if last < z else int(z))
@@ -590,38 +587,6 @@ def _current_lane_terms(table: LaneTable, veh: VehicleState) -> tuple[float, flo
     return a_before, a_of_before, a_of_after
 
 
-# --- events -----------------------------------------------------------------
-
-def _off_road(state: ScenarioState, ego: VehicleState) -> bool:
-    kind = state.config.kind
-    if kind == "intersection":
-        _, lat, _ = state.geometry.ego_route.project(ego.x, ego.y)
-        return abs(lat) > LANE_WIDTH
-    top = 0.5 * LANE_WIDTH
-    bottom = -LANE_WIDTH * (len(state.geometry.lanes) - 1) - 0.5 * LANE_WIDTH
-    if ego.y > top or ego.y < bottom:
-        return True
-    if kind == "merge":
-        on_ramp_band = ego.y < -LANE_WIDTH * 1.5  # below the mainline edge
-        if on_ramp_band and ego.x > MERGE_RAMP_END:
-            return True
-    return False
-
-
-def _substep_events(state: ScenarioState, collided: bool) -> set[str]:
-    """A substep's events, given whether the move pass found an overlap: a
-    collision, the ego off the road, and success only without either."""
-    ego = state.ego
-    events: set[str] = set()
-    if collided:
-        events.add("collision")
-    if _off_road(state, ego):
-        events.add("off_road")
-    if not events and state.config.success_region.contains(ego.x, ego.lane):
-        events.add("success")
-    return events
-
-
 # --- the decision step ------------------------------------------------------
 
 def apply_maneuver(state: ScenarioState, maneuver: Maneuver) -> None:
@@ -661,20 +626,15 @@ def step(state: ScenarioState, maneuver: Maneuver) -> StepOutcome:
     - the move pass (`_move_pass`), called only with traffic, does the same
       for each background vehicle, tests it against the moved ego for
       overlap and seals the table;
-    - the loop body then checks the substep's events, as `_substep_events`
-      would: a collision, the ego off the road, and success only without
-      either.
+    - the loop body then checks the substep's events: a collision, the ego
+      off the road, and success only without either.
 
     The ego's part runs at every substep whatever the traffic, so the loop
-    body does it in place, with the step's invariants bound once, and gives
-    the values of the helpers it would call bit for bit: `_ego_control` on
-    straight lanes, `wrap_angle`, the `wheelbase` property,
-    `nearest_lane_index`, `LaneTable.add`, `_off_road` on straight lanes
-    and `SuccessRegion.contains`. Each copy names the helper it mirrors. On
-    the intersection's route the loop projects the moved pose onto the
-    route once per substep: that projection answers `_off_road`, and the
-    next substep's `_ego_control`, with its curve cap, reads it rather than
-    project the same pose again.
+    body does it in place, with the step's invariants bound once, as the
+    module docstring lists. On the intersection's route the loop projects
+    the moved pose onto the route once per substep: that projection answers
+    whether the ego is off the road, and the next substep's `_ego_control`,
+    with its curve cap, reads it rather than project the same pose again.
 
     Only background vehicles read tables. The lane-change pass moves nothing,
     so it shares substep 0's table, built from the stored lanes and
@@ -701,12 +661,13 @@ def step(state: ScenarioState, maneuver: Maneuver) -> StepOutcome:
     dt, substeps = config.dt_physics, config.substeps
     cos, sin, tan, fmod = math.cos, math.sin, math.tan, math.fmod
     pi, two_pi = math.pi, _TWO_PI
-    # _ego_control on straight lanes
+    # the speed loop and lane tracking on straight lanes
     target_speed, max_accel = state.ego_target_speed, ego.profile.max_accel
     target_y = -LANE_WIDTH * ego.target_lane
     wheelbase = 0.6 * ego.length  # the wheelbase property
     last = len(lanes) - 2  # nearest_lane_index's closed form
-    # _off_road on straight lanes: the road's edges, and the ramp's band
+    # off the road on straight lanes: past the road's edges, or in the
+    # ramp's band past its end
     top = 0.5 * LANE_WIDTH
     bottom = -LANE_WIDTH * (len(lanes) - 1) - 0.5 * LANE_WIDTH
     merge = config.kind == "merge"
@@ -719,7 +680,7 @@ def step(state: ScenarioState, maneuver: Maneuver) -> StepOutcome:
     events: set[str] = set()
     for substep in range(substeps):
         if straight:
-            # accel, steer = _ego_control(state, ego)
+            # accel, steer = reference_ego_control(state, ego)
             accel = KP_SPEED * (target_speed - speed)
             accel = -EMERGENCY_DECEL if -EMERGENCY_DECEL > accel else accel
             accel = max_accel if max_accel < accel else accel
@@ -772,12 +733,13 @@ def step(state: ScenarioState, maneuver: Maneuver) -> StepOutcome:
                     (ego, (x - lane.origin_x) * lane.cos_h + (y - lane.origin_y) * lane.sin_h))
         collided = controls is not None and _move_pass(state, controls, dt, table)
 
-        # events = _substep_events(state, collided)
+        # events = reference_events(state, collided)
         if straight:
-            # _off_road(state, ego)
+            # reference_offroad(state, ego)
             off_road = y > top or y < bottom or (merge and y < ramp_band and x > MERGE_RAMP_END)
         else:
-            # _off_road(state, ego), whose projection the next substep's control reads
+            # reference_offroad(state, ego), whose projection the next
+            # substep's control reads
             projection = route.project(x, y)
             off_road = abs(projection[1]) > LANE_WIDTH
         if collided or off_road:
@@ -786,7 +748,7 @@ def step(state: ScenarioState, maneuver: Maneuver) -> StepOutcome:
             if off_road:
                 events.add("off_road")
             break
-        # region.contains(x, index)
+        # reference_in_region(region, x, index)
         if not ((min_x is not None and x < min_x) or (max_x is not None and x > max_x)
                 or (max_lane is not None and index > max_lane)):
             events.add("success")

@@ -54,13 +54,9 @@ def mobil_accepts(
     a_old_follower_after: float,
     profile: DriverProfile,
 ) -> bool:
-    """Politeness-weighted incentive test over already-evaluated accelerations.
-
-    Safety first (`mobil_safe`). Then the weighted acceleration gain must
-    clear the profile's threshold.
-    """
-    if not mobil_safe(a_new_follower_after, profile):
-        return False
+    """Politeness-weighted incentive test over already-evaluated accelerations:
+    the weighted acceleration gain must clear the profile's threshold. It
+    does not test safety: its caller has already tested `mobil_safe`."""
     own_gain = a_self_after - a_self_before
     others_gain = (a_new_follower_after - a_new_follower_before) + (
         a_old_follower_after - a_old_follower_before

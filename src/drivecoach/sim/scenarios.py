@@ -55,20 +55,12 @@ _STYLE_CDF = weighted_cdf(_STYLE_WEIGHTS)
 
 @dataclass(frozen=True)
 class SuccessRegion:
-    """Conjunction of simple geometric bounds on the ego pose."""
+    """Conjunction of simple geometric bounds on the ego pose, each None when
+    unbounded; `step` tests them in place."""
 
     min_x: float | None = None
     max_x: float | None = None
     max_lane: int | None = None
-
-    def contains(self, x: float, lane: int) -> bool:
-        if self.min_x is not None and x < self.min_x:
-            return False
-        if self.max_x is not None and x > self.max_x:
-            return False
-        if self.max_lane is not None and lane > self.max_lane:
-            return False
-        return True
 
     def to_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if v is not None}
@@ -124,6 +116,9 @@ class ScenarioConfig:
             bound = getattr(self.success_region, key)
             if bound is not None and not math.isfinite(bound):
                 raise ConfigError(f"{section}.success_region.{key}: must be finite, got {bound}")
+        max_lane = self.success_region.max_lane
+        if max_lane is not None and max_lane < 0:
+            raise ConfigError(f"{section}.success_region.max_lane: must be >= 0, got {max_lane}")
 
     @property
     def substeps(self) -> int:
@@ -139,9 +134,9 @@ def default_success_region(kind: str) -> SuccessRegion:
     """Where each kind's episode succeeds.
 
     Merge keeps max_lane=1 though it never decides a `step` outcome. Lane 2
-    is nearest only in the ramp band, and past the ramp's end `_off_road`
-    ends a substep there before success is checked, so no ego is on lane 2
-    at x >= 240 when success is checked. The teacher reads it:
+    is nearest only in the ramp band, and past the ramp's end `step` finds
+    the ego off the road there before it checks success, so no ego is on
+    lane 2 at x >= 240 when success is checked. The teacher reads it:
     `goal_lane_for` steers a ramp ego toward lane 1 from it.
     """
     if kind == "merge":

@@ -275,6 +275,8 @@ class TestTrainCommand:
                               ("scenario.n_background=2.5", "scenario.n_background"),
                               ("scenario.success_region.min_x=abc",
                                "scenario.success_region.min_x"),
+                              ("scenario.success_region.max_lane=-1",
+                               "scenario.success_region.max_lane: must be >= 0, got -1"),
                               ("scenario.n_background=true", "scenario.n_background"),
                               ("train.lr=yes", "train.lr"),
                               ("out_dir=yes", "out_dir: expected str, got True"),
@@ -688,6 +690,7 @@ class TestTeacherCommand:
         ("n_background", "abc", "state.config.n_background"),
         ("success_region", 5, "state.config.success_region"),
         ("success_region.min_x", "abc", "state.config.success_region.min_x"),
+        ("success_region.max_lane", -1, "state.config.success_region.max_lane"),
         ("dt_physics", 0.0, "state.config.dt_physics"),
         ("decision_period", -1.0, "state.config.decision_period"),
         ("horizon", -5, "state.config.horizon"),

@@ -26,6 +26,7 @@ from drivecoach.sim import (
     VehicleState,
     idm_accel,
     make_profile,
+    mobil_accepts,
     observe,
     rects_overlap,
     reset,
@@ -37,6 +38,7 @@ from drivecoach import risk
 from drivecoach.sim import engine
 from drivecoach.sim.engine import (LaneTable, _background_controls, _steer_command, lane_neighbors,
                                    nearest_lane_index)
+from drivecoach.sim.idm import mobil_safe
 from drivecoach.sim.vehicles import rect_corners
 from drivecoach.sim.engine import reward as reward_fn
 from drivecoach.sim import scenarios
@@ -109,6 +111,11 @@ class TestConfig:
             ScenarioConfig(kind="merge", decision_period=0.25, dt_physics=0.1).validate()
         with pytest.raises(ConfigError, match="kind"):
             ScenarioConfig(kind="roundabout").validate()
+        # a negative lane bound would index the lanes from the end
+        region = scenarios.SuccessRegion(min_x=240.0, max_lane=-1)
+        with pytest.raises(ConfigError, match=r"scenario\.success_region\.max_lane: must be >= 0, got -1"):
+            ScenarioConfig(kind="merge", success_region=region).validate()
+        ScenarioConfig(kind="merge", success_region=scenarios.SuccessRegion(max_lane=0)).validate()
 
     def test_round_trip(self):
         cfg = ScenarioConfig(kind="merge", n_background=7)
@@ -776,11 +783,6 @@ class TestLaneBookkeeping:
         assert lane_neighbors(state, ego, 3) == (None, math.inf, None, math.inf)
 
 
-def full_scan_lane(state: ScenarioState, veh: VehicleState) -> int:
-    """The nearest lane by `min` over every lane: the lowest index wins a tie."""
-    return min(state.geometry.lanes, key=lambda lane: abs(lane.lateral(veh.x, veh.y))).index
-
-
 # lane midlines, where two lanes are equally near and the tie rule decides
 MIDLINES = {"merge": (-2.0, -6.0), "highway": (-2.0, -6.0, -10.0), "intersection": (0.0,)}
 LANE_HEADINGS = {"merge": (0.0,), "highway": (0.0,), "intersection": (0.0, math.pi)}
@@ -789,7 +791,7 @@ LANE_HEADINGS = {"merge": (0.0,), "highway": (0.0,), "intersection": (0.0, math.
 def random_state(kind: str, rng: np.random.Generator, n_vehicles: int = 12) -> ScenarioState:
     """Vehicles anywhere near the road, many of them on a tie or at a shared x,
     with headings at and around the pi/4 membership limit; each stored lane is
-    the full scan's nearest lane."""
+    the nearest lane."""
     xs = rng.choice([20.0, 35.5, 50.0], size=n_vehicles)  # equal `along` values
     cars = []
     for vid in range(n_vehicles):
@@ -813,7 +815,7 @@ def random_state(kind: str, rng: np.random.Generator, n_vehicles: int = 12) -> S
                                   kind=kind))
     state = make_state(kind, cars[0], cars[1:])
     for veh in state.vehicles:
-        veh.lane = full_scan_lane(state, veh)
+        veh.lane = nearest_lane_index(state, veh)
     return state
 
 
@@ -846,10 +848,67 @@ def reference_ego_move(state: ScenarioState, accel: float, steer: float, dt: flo
         table.add(ego)
 
 
+def reference_ego_control(state: ScenarioState, ego: VehicleState) -> tuple[float, float]:
+    """The ego's (accel, steer), which `step` works out in place on straight
+    lanes: a proportional speed loop toward the target speed, clamped to
+    [-EMERGENCY_DECEL, max_accel], and the lateral loop toward the target
+    lane's center. On the route it is `_ego_control`."""
+    if state.geometry.ego_route is not None:
+        return engine._ego_control(state, ego, None)
+    accel = engine.KP_SPEED * (state.ego_target_speed - ego.speed)
+    accel = min(max(accel, -EMERGENCY_DECEL), ego.profile.max_accel)
+    steer = _steer_command(-LANE_WIDTH * ego.target_lane - ego.y, wrap_angle(-ego.heading), ego.speed)
+    return accel, steer
+
+
+def reference_offroad(state: ScenarioState, ego: VehicleState) -> bool:
+    """Whether the ego is off the road: more than a lane width off the
+    intersection's route, past the outer edge of an outer lane, or on the
+    merge ramp's band past its end."""
+    kind = state.config.kind
+    if kind == "intersection":
+        _, lat, _ = state.geometry.ego_route.project(ego.x, ego.y)
+        return abs(lat) > LANE_WIDTH
+    top = 0.5 * LANE_WIDTH
+    bottom = -LANE_WIDTH * (len(state.geometry.lanes) - 1) - 0.5 * LANE_WIDTH
+    if ego.y > top or ego.y < bottom:
+        return True
+    if kind == "merge":
+        on_ramp_band = ego.y < -LANE_WIDTH * 1.5  # below the mainline edge
+        if on_ramp_band and ego.x > MERGE_RAMP_END:
+            return True
+    return False
+
+
+def reference_in_region(region: scenarios.SuccessRegion, x: float, lane: int) -> bool:
+    """Whether an ego at `x` on `lane` is inside every bound of `region`."""
+    if region.min_x is not None and x < region.min_x:
+        return False
+    if region.max_x is not None and x > region.max_x:
+        return False
+    if region.max_lane is not None and lane > region.max_lane:
+        return False
+    return True
+
+
+def reference_events(state: ScenarioState, collided: bool) -> set[str]:
+    """A substep's events, given whether the move pass found an overlap: a
+    collision, the ego off the road, and success only without either."""
+    ego = state.ego
+    events: set[str] = set()
+    if collided:
+        events.add("collision")
+    if reference_offroad(state, ego):
+        events.add("off_road")
+    if not events and reference_in_region(state.config.success_region, ego.x, ego.lane):
+        events.add("success")
+    return events
+
+
 def reference_step(state: ScenarioState, maneuver: Maneuver) -> set[str]:
-    """`step` up to its events, with the ego's part from the helpers:
-    `_ego_control`, `reference_ego_move` and `_substep_events`. The
-    background moves through the move pass, as in `step`."""
+    """`step` up to its events, with the ego's part from the references:
+    `reference_ego_control`, `reference_ego_move` and `reference_events`.
+    The background moves through the move pass, as in `step`."""
     engine.apply_maneuver(state, maneuver)
     table = None
     if state.background:
@@ -858,12 +917,12 @@ def reference_step(state: ScenarioState, maneuver: Maneuver) -> set[str]:
     dt, substeps = state.config.dt_physics, state.config.substeps
     events = set()
     for substep in range(substeps):
-        accel, steer = engine._ego_control(state, state.ego)
+        accel, steer = reference_ego_control(state, state.ego)
         controls = None if table is None else _background_controls(state, table)
         table = LaneTable(state.geometry.lanes) if state.background and substep + 1 < substeps else None
         reference_ego_move(state, accel, steer, dt, table)
         collided = controls is not None and engine._move_pass(state, controls, dt, table)
-        events = engine._substep_events(state, collided)
+        events = reference_events(state, collided)
         if events:
             break
     state.decision_step += 1
@@ -1017,31 +1076,44 @@ class TestLaneTable:
         state = make_state(kind, far, [held])
         engine._move_pass(state, [(-EMERGENCY_DECEL, 0.0)], 0.1, LaneTable(state.geometry.lanes))
         assert (held.x, held.y) == (0.0, y)
-        assert held.lane == lane == full_scan_lane(state, held)
+        assert held.lane == lane == nearest_lane_index(state, held)
 
         state = make_state(kind, plain_vehicle(0, 0.0, y, 0.0, lane=lane + 1, kind=kind), [])
         step(state, Maneuver.Cruise)  # a target speed of 0 holds the ego
         assert (state.ego.x, state.ego.y) == (0.0, y)
-        assert state.ego.lane == lane == full_scan_lane(state, state.ego)
+        assert state.ego.lane == lane == nearest_lane_index(state, state.ego)
 
     @pytest.mark.parametrize("kind", ["merge", "highway"])
     def test_closed_form_nearest_lane_matches_full_scan(self, kind):
-        state = make_state(kind, plain_vehicle(0, 0.0, 0.0, 20.0, kind=kind), [])
-        veh = state.ego
+        """On straight lanes `_move_pass` and `step`'s loop body locate a
+        vehicle by a closed form of `nearest_lane_index`'s scan; both give
+        its lane at every point of the grid. Each vehicle is held in place: a
+        background one through the move pass, the ego through `step`."""
+        held = plain_vehicle(1, 0.0, 0.0, 0.0, kind=kind)
+        moved = make_state(kind, plain_vehicle(0, -300.0, -300.0, 0.0, kind=kind), [held])
+        stepped = make_state(kind, plain_vehicle(0, 0.0, 0.0, 0.0, kind=kind), [])
+        ego = stepped.ego
         rng = np.random.default_rng(5)
-        n_lanes = len(state.geometry.lanes)
+        n_lanes = len(moved.geometry.lanes)
         ys = [*rng.uniform(-30.0, 15.0, size=2000),
               *(-LANE_WIDTH * i for i in range(n_lanes)),  # lane centers
               *(-LANE_WIDTH * (i + 0.5) for i in range(-2, n_lanes + 1)),  # midlines, on and off the road
               -0.0, 1e6, -1e6, 2.0 ** 49, -(2.0 ** 49)]
         for x in (0.0, -12.5, 217.25, 1e6):
             for y in ys:
-                veh.x, veh.y = x, float(y)
-                assert nearest_lane_index(state, veh) == full_scan_lane(state, veh), (x, y)
+                held.x, held.y = x, float(y)
+                engine._move_pass(moved, [(-EMERGENCY_DECEL, 0.0)], 0.1, None)
+                assert (held.x, held.y) == (x, y)
+                assert held.lane == nearest_lane_index(moved, held), ("background", x, y)
+                ego.x, ego.y, ego.speed, ego.heading = x, float(y), 0.0, 0.0
+                stepped.decision_step, stepped.ego_target_speed, stepped.done = 0, 0.0, False
+                step(stepped, Maneuver.Cruise)  # a target speed of 0 holds the ego
+                assert (ego.x, ego.y) == (x, y)
+                assert ego.lane == nearest_lane_index(stepped, ego), ("ego", x, y)
         # on a midline the lower index wins; just past it, the next lane does
         for y, lane in ((-2.0, 0), (-6.0, 1), (-6.0 - 1e-12, 2)):
-            veh.y = y
-            assert nearest_lane_index(state, veh) == lane
+            held.y = y
+            assert nearest_lane_index(moved, held) == lane
 
     @pytest.mark.parametrize("kind", ["merge", "highway", "intersection"])
     @pytest.mark.parametrize("ahead_of", ["ego", "background"])
@@ -1095,14 +1167,14 @@ def set_ego_case(state: ScenarioState, case: str, rng: np.random.Generator) -> N
         other = state.background[0]
         other.x = ego.x + 2.0 * math.cos(ego.heading)
         other.y = ego.y + 2.0 * math.sin(ego.heading)
-        other.lane = full_scan_lane(state, other)
+        other.lane = nearest_lane_index(state, other)
     elif case == "success":
         ego.x, ego.y, ego.heading = SUCCESS_POSE[kind]
     elif case == "off road":
         ego.y = float(rng.choice(OFF_ROAD_Y[kind]))
     elif case == "ramp end" and kind == "merge":
         ego.x, ego.y, ego.heading, ego.speed = 199.5, -8.0, 0.0, 15.0
-    ego.lane = full_scan_lane(state, ego)
+    ego.lane = nearest_lane_index(state, ego)
 
 
 class TestEgoSubstep:
@@ -1189,9 +1261,9 @@ class TestEgoSubstep:
 
 
 def test_intersection_projects_the_route_once_per_substep(monkeypatch):
-    """The moved pose's projection answers `_off_road` and the next
-    substep's control, so a step that runs every substep projects once per
-    substep plus once for substep 0's control."""
+    """The moved pose's projection answers `reference_offroad`'s test and
+    the next substep's control, so a step that runs every substep projects
+    once per substep plus once for substep 0's control."""
     calls = []
     project = Route.project
     monkeypatch.setattr(Route, "project", lambda self, x, y: calls.append(1) or project(self, x, y))
@@ -1325,6 +1397,24 @@ class TestLaneChange:
         assert idm_accel(gap, follower.speed, changer.speed, follower.profile) < -changer.profile.comfort_decel
         step(state, Maneuver.Cruise)
         assert changer.target_lane == 0
+
+    def test_mobil_accepts_only_above_the_threshold(self):
+        """Own gain plus politeness times the others' gain must exceed the
+        threshold strictly. Safety is not weighed here: the lane-change pass
+        tests `mobil_safe` before it works out the gains."""
+        profile = dataclasses.replace(make_profile("standard", "highway"), politeness=0.5,
+                                      lane_change_accel_gain_threshold=0.25)
+        # own gain 0.5, others' gain -0.5 + 0: 0.5 + 0.5 * -0.5 = 0.25, at the threshold
+        assert not mobil_accepts(1.0, 1.5, 0.0, -0.5, -1.0, -1.0, profile)
+        # own gain 0.75: 0.75 + 0.5 * -0.5 = 0.5
+        assert mobil_accepts(1.0, 1.75, 0.0, -0.5, -1.0, -1.0, profile)
+        # the old follower gains 0.25: 0.5 + 0.5 * (-0.5 + 0.25) = 0.375
+        assert mobil_accepts(1.0, 1.5, 0.0, -0.5, -1.0, -0.75, profile)
+        # own gain 0.25 and the others' 0: at the threshold again
+        assert not mobil_accepts(0.0, 0.25, 0.0, 0.0, 0.0, 0.0, profile)
+        # a new follower forced past comfortable braking is the caller's test
+        assert not mobil_safe(-10.0, profile)
+        assert mobil_accepts(0.0, 20.0, 0.0, -10.0, 0.0, 0.0, profile)
 
     def test_safe_gap_accepts_the_change(self):
         state, changer, follower = self.scene(20.0, 20.0)

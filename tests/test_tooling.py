@@ -1,7 +1,7 @@
 """Guards on the names the benchmark harness in perfbench/ binds, on its
-self-test, on the declared dependencies, on the one record reader, on the
-simulator's imports, and on the CI workflow's tier-1 command and benchmark
-smoke run.
+self-test, on the declared dependencies, on the one record reader, on
+functions nothing in the program names, on the simulator's imports, and on
+the CI workflow's tier-1 command and benchmark smoke run.
 
 The traced mode wraps each `drivecoach_targets()` entry by replacing
 `owner.__dict__[attr]`, and the metrics.csv digest drops one wall-clock
@@ -88,6 +88,35 @@ def test_records_are_read_by_the_one_reader():
                             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                             and item.name == "from_dict"]
     assert readers == []
+
+
+# called by Python itself, not by name: the enum's lookup hook (dunders aside)
+CALLED_BY_PYTHON = {"Maneuver._missing_"}
+
+
+def test_every_function_is_named_in_the_program():
+    """Every function and method defined under src/drivecoach/ is named by a
+    `Name` or `Attribute` node somewhere in src/, so the program keeps no
+    function that only tests reach. An import alone does not count. Dunders
+    and `CALLED_BY_PYTHON` are exempt. The walk matches by name, so it
+    cannot see a dead branch, nor a method whose name another one shares."""
+    defined, named = [], set()
+    for path in sorted((ROOT / "src" / "drivecoach").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(item): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                 for item in node.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = f"{owner[id(node)]}.{node.name}" if id(node) in owner else node.name
+                defined.append((f"{path.relative_to(ROOT)}:{node.lineno}", node.name, qualname))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unnamed = [f"{where}: {qualname}" for where, name, qualname in defined
+               if name not in named and qualname not in CALLED_BY_PYTHON
+               and not (name.startswith("__") and name.endswith("__"))]
+    assert unnamed == []
 
 
 # the layers built on the simulator, which it must not import
